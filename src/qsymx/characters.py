@@ -17,11 +17,22 @@ convolution-group recursions
 with (phi^-1)_0 = (phi_+)_0 = (phi_-)_0 = counit.  Comparing the two sides
 entrywise is the central acceptance test of the package.
 
+All three recursions, and the convolution product, run through one
+deconcatenation kernel on integer tables indexed by partial-sum bitmask.
+On entry, degree n of a table is scaled by c**n, with c the lcm of the
+input denominators (twice that in ``decompose``, which halves); on exit each
+value is turned back into Fraction(v, c**n).  Scaling degree n by c**n
+commutes with convolution, so every step in between is exact integer
+arithmetic, and the only division, the halving in ``decompose``, is checked
+to leave no remainder.  ``TruncatedCharacter`` itself stores Fractions.
+
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
 """
 
+import re
 from fractions import Fraction
+from math import lcm
 
 from . import exactnum as en
 from .compositions import (
@@ -97,10 +108,13 @@ def _parse_id(char_id: str):
     if char_id in CHARACTER_IDS:
         return char_id, None
     if char_id.startswith(_POW_PREFIX):
-        try:
-            return "zeta-pow", int(char_id[len(_POW_PREFIX):])
-        except ValueError:
-            pass
+        power = char_id[len(_POW_PREFIX):]
+        if re.fullmatch(r"-?[0-9]+", power):
+            return "zeta-pow", int(power)
+        raise ValueError(
+            "unknown character id %r (the power must be a plain integer, "
+            "as in %s or %s)" % (char_id, zeta_power(3), zeta_power(-2))
+        )
     raise ValueError("unknown character id %r" % (char_id,))
 
 
@@ -252,13 +266,20 @@ class TruncatedCharacter:
         return cls(max_degree, tables)
 
     def value(self, alpha) -> Fraction:
-        alpha = tuple(alpha)
-        n = sum(alpha)
+        n = mask = 0
+        for a in alpha:
+            if type(a) is not int or a < 1:
+                raise ValueError(
+                    "composition parts must be positive integers: %r" % (tuple(alpha),)
+                )
+            if n:
+                mask |= 1 << (n - 1)
+            n += a
         if n > self.max_degree:
             raise ValueError(
                 "composition of weight %d exceeds truncation %d" % (n, self.max_degree)
             )
-        return self.tables[n][to_index(alpha)]
+        return self.tables[n][mask]
 
     def __eq__(self, other):
         return (
@@ -284,40 +305,93 @@ def _require_same_degree(phi: TruncatedCharacter, psi: TruncatedCharacter):
         )
 
 
+def _denominator_lcm(*chars: TruncatedCharacter) -> int:
+    return lcm(*{v.denominator for phi in chars for row in phi.tables for v in row})
+
+
+def _scaled(phi: TruncatedCharacter, c: int, base: int = 1) -> list[list[int]]:
+    """phi's tables as ints: the degree-n values times base * c**n."""
+    rows = []
+    for n, row in enumerate(phi.tables):
+        scale = base * c ** n
+        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    return rows
+
+
+def _unscaled(rows, c: int, base: int = 1) -> TruncatedCharacter:
+    """The character whose degree-n values are rows[n] / (base * c**n)."""
+    tables = []
+    for n, row in enumerate(rows):
+        scale = base * c ** n
+        tables.append([Fraction(v, scale) for v in row])
+    return TruncatedCharacter(len(rows) - 1, tables)
+
+
+def _proper_cuts(left, right, n: int) -> list[int]:
+    """The deconcatenation kernel: for every composition of n (by mask), the
+    sum of left(first parts) * right(remaining parts) over its proper cuts.
+
+    A set bit ``low`` of mask is the partial sum s = low.bit_length(); the
+    cut there leaves mask & (low - 1) in degree s and mask >> s in degree
+    n - s.  Only degrees 1..n-1 of left and right are read, so a recursion
+    may pass tables that end at degree n - 1.
+    """
+    row = []
+    for mask in range(1 << (n - 1)):
+        total = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            s = low.bit_length()
+            total += left[s][mask & (low - 1)] * right[n - s][mask >> s]
+            rest ^= low
+        row.append(total)
+    return row
+
+
+def _inverse_rows(rows) -> list[list[int]]:
+    """Scaled tables of the convolution inverse of scaled tables with
+    degree-0 value 1: (phi^-1)_n = -phi_n - sum over proper cuts."""
+    inv = [[1]]
+    for n in range(1, len(rows)):
+        cuts = _proper_cuts(rows, inv, n)
+        inv.append([-(v + x) for v, x in zip(rows[n], cuts)])
+    return inv
+
+
+def _halve(row) -> list[int]:
+    """Exact halves of the entries of row; an odd entry means a fault."""
+    halves = []
+    for v in row:
+        q, r = divmod(v, 2)
+        if r:
+            raise ArithmeticError("odd value %d in an exact halving" % v)
+        halves.append(q)
+    return halves
+
+
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:
     """Convolution product: on M_alpha, the sum over deconcatenations
     alpha = (first i parts | rest) of phi(left) psi(right)."""
     _require_same_degree(phi, psi)
-    tables = []
-    for n in range(phi.max_degree + 1):
-        row = []
-        for alpha in all_compositions(n):
-            total = Fraction(0)
-            for i in range(len(alpha) + 1):
-                total += phi.value(alpha[:i]) * psi.value(alpha[i:])
-            row.append(total)
-        tables.append(row)
-    return TruncatedCharacter(phi.max_degree, tables)
+    c = _denominator_lcm(phi, psi)
+    # degree 0 is scaled by base, so that non-integer phi(1), psi(1) work
+    base = lcm(phi.tables[0][0].denominator, psi.tables[0][0].denominator)
+    left, right = _scaled(phi, c, base), _scaled(psi, c, base)
+    a, b = left[0][0], right[0][0]
+    rows = [[a * b]]
+    for n in range(1, phi.max_degree + 1):
+        cuts = _proper_cuts(left, right, n)
+        rows.append([a * r + v * b + x for v, r, x in zip(left[n], right[n], cuts)])
+    return _unscaled(rows, c, base * base)
 
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
     """Convolution inverse, by the degree recursion; requires phi(1) = 1."""
     if phi.value(()) != 1:
         raise ValueError("inverse requires phi(1) = 1")
-    tables: list[list[Fraction]] = [[Fraction(1)]]
-
-    def inv_value(alpha):
-        return tables[sum(alpha)][to_index(alpha)]
-
-    for n in range(1, phi.max_degree + 1):
-        row = []
-        for alpha in all_compositions(n):
-            total = Fraction(0)
-            for i in range(1, len(alpha) + 1):
-                total += phi.value(alpha[:i]) * inv_value(alpha[i:])
-            row.append(-total)
-        tables.append(row)
-    return TruncatedCharacter(phi.max_degree, tables)
+    c = _denominator_lcm(phi)
+    return _unscaled(_inverse_rows(_scaled(phi, c)), c)
 
 
 def bar(phi: TruncatedCharacter) -> TruncatedCharacter:
@@ -334,62 +408,42 @@ def decompose(phi: TruncatedCharacter):
 
     This is the oracle: it uses only phi's own values, the inverse
     recursion, and the two decomposition recursions, never the closed
-    forms.  The division by 2 is exact over the rationals.
+    forms.  It runs on integer tables: with d the lcm of phi's
+    denominators and c = 2d, degree n is scaled by c**n, which makes every
+    value of phi^-1, phi_+, phi_- and G = phi^-1 phi_+ an integer.  The
+    three-fold sum of the module docstring is regrouped by its left piece,
+
+        corr = sum_proper phi^-1(left) phi_+(right)
+               + sum_proper phi_+(left) G(right),
+        G_n  = (phi^-1)_n + (phi_+)_n + sum_proper phi^-1(left) phi_+(right),
+
+    so each degree of phi_+ takes two kernel passes, each linear in the
+    number of parts.  Then 2 (phi_+)_n = (-1)^n phi_n - (phi^-1)_n - corr,
+    and that halving is checked to be exact.  For integer phi, phi_- (the
+    square root of bar(phi)^-1 phi) and phi_+ = phi bar(phi_-) have 2-adic
+    valuation at least 1 - n in degree n, so an odd value can only come
+    from a fault; it raises ArithmeticError.
     """
     if phi.value(()) != 1:
         raise ValueError("decompose requires phi(1) = 1")
-    n_max = phi.max_degree
-    phi_inv = inverse(phi)
-
-    plus_tables: list[list[Fraction]] = [[Fraction(1)]]
-
-    def plus_value(alpha):
-        return plus_tables[sum(alpha)][to_index(alpha)]
-
-    for n in range(1, n_max + 1):
-        row = []
-        for alpha in all_compositions(n):
-            k = len(alpha)
-            corr = Fraction(0)
-            # all three-fold splits alpha = left|mid|right by parts, with
-            # no piece carrying the whole weight n
-            for s in range(k + 1):
-                left = alpha[:s]
-                if sum(left) == n:
-                    continue
-                pl = plus_value(left)
-                if not pl:
-                    continue
-                for t in range(s, k + 1):
-                    mid = alpha[s:t]
-                    right = alpha[t:]
-                    if sum(mid) == n or sum(right) == n:
-                        continue
-                    corr += pl * phi_inv.value(mid) * plus_value(right)
-            signed_phi = phi.value(alpha)
-            if n % 2:
-                signed_phi = -signed_phi
-            row.append((signed_phi - phi_inv.value(alpha) - corr) / 2)
-        plus_tables.append(row)
-    phi_plus = TruncatedCharacter(n_max, plus_tables)
-
-    minus_tables: list[list[Fraction]] = [[Fraction(1)]]
-
-    def minus_value(alpha):
-        return minus_tables[sum(alpha)][to_index(alpha)]
-
-    for n in range(1, n_max + 1):
-        row = []
-        for alpha in all_compositions(n):
-            total = Fraction(0)
-            for i in range(1, len(alpha) + 1):
-                left = alpha[:i]
-                total += phi_plus.value(left) * minus_value(alpha[i:])
-            row.append(phi.value(alpha) - total)
-        minus_tables.append(row)
-    phi_minus = TruncatedCharacter(n_max, minus_tables)
-
-    return phi_plus, phi_minus
+    c = 2 * _denominator_lcm(phi)
+    rows = _scaled(phi, c)
+    inv = _inverse_rows(rows)
+    plus, g, minus = [[1]], [[1]], [[1]]
+    for n in range(1, len(rows)):
+        inv_plus = _proper_cuts(inv, plus, n)
+        plus_g = _proper_cuts(plus, g, n)
+        sign = -1 if n % 2 else 1
+        plus.append(
+            _halve(
+                sign * v - i - x - y
+                for v, i, x, y in zip(rows[n], inv[n], inv_plus, plus_g)
+            )
+        )
+        g.append([i + p + x for i, p, x in zip(inv[n], plus[n], inv_plus)])
+        cuts = _proper_cuts(plus, minus, n)
+        minus.append([v - p - x for v, p, x in zip(rows[n], plus[n], cuts)])
+    return _unscaled(plus, c), _unscaled(minus, c)
 
 
 def compose_antipode(phi: TruncatedCharacter) -> TruncatedCharacter:

@@ -10,7 +10,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import characters, identities
 from .compositions import all_compositions, format_composition, parse_composition
@@ -27,7 +26,7 @@ from .qsym import (
 )
 
 DEFAULT_MAX_DEGREE = 9
-HARD_DEGREE_CAP = 14
+HARD_DEGREE_CAP = 16
 
 _CHAR_CHOICES = ", ".join(characters.CHARACTER_IDS) + ", zeta-pow:<m>"
 
@@ -79,10 +78,6 @@ def _print_element(x, as_json: bool):
         print(json.dumps(element_to_json(x)))
     else:
         print(format_element(x))
-
-
-def _frac_str(value: Fraction) -> str:
-    return str(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -166,9 +161,9 @@ def _cmd_eval(parser, args) -> int:
         evaluate = characters.eval_M if args.basis == "M" else characters.eval_F
         value = evaluate(char_id, alpha)
     if args.json:
-        print(json.dumps({"value": _frac_str(value)}))
+        print(json.dumps({"value": str(value)}))
     else:
-        print(_frac_str(value))
+        print(value)
     return 0
 
 
@@ -184,7 +179,7 @@ def _cmd_coproduct(parser, args) -> int:
     tensor = coproduct(x)
     if args.json:
         terms = [
-            {"left": list(l), "right": list(r), "coeff": _frac_str(c)}
+            {"left": list(l), "right": list(r), "coeff": str(c)}
             for (l, r), c in sorted(tensor.terms.items())
         ]
         print(json.dumps({"basis": tensor.basis, "terms": terms}))
@@ -218,10 +213,9 @@ def _cmd_decompose(parser, args) -> int:
     rows = []
     mismatches = 0
     for n in range(degree + 1):
-        for alpha in all_compositions(n):
+        for alpha, op, om in zip(all_compositions(n), plus.tables[n], minus.tables[n]):
             cp = characters.eval_M(plus_id, alpha)
             cm = characters.eval_M(minus_id, alpha)
-            op, om = plus.value(alpha), minus.value(alpha)
             ok = (cp == op) and (cm == om)
             mismatches += 0 if ok else 1
             rows.append((alpha, op, om, cp, cm, ok))
@@ -233,10 +227,10 @@ def _cmd_decompose(parser, args) -> int:
             "tables": [
                 {
                     "comp": list(alpha),
-                    "plus": _frac_str(op),
-                    "minus": _frac_str(om),
-                    "plus_closed": _frac_str(cp),
-                    "minus_closed": _frac_str(cm),
+                    "plus": str(op),
+                    "minus": str(om),
+                    "plus_closed": str(cp),
+                    "minus_closed": str(cm),
                     "match": ok,
                 }
                 for alpha, op, om, cp, cm, ok in rows
@@ -274,7 +268,7 @@ def _cmd_table(parser, args) -> int:
             "basis": args.basis,
             "degree": degree,
             "values": [
-                {"comp": list(alpha), "value": _frac_str(v)} for alpha, v in values
+                {"comp": list(alpha), "value": str(v)} for alpha, v in values
             ],
         }
         print(json.dumps(payload))
@@ -296,8 +290,8 @@ def _report_json(report: identities.CheckReport) -> dict:
         ce = report.counterexample
         payload["counterexample"] = {
             "params": {key: _json_value(value) for key, value in ce.params.items()},
-            "left": _frac_str(ce.left),
-            "right": _frac_str(ce.right),
+            "left": str(ce.left),
+            "right": str(ce.right),
         }
     return payload
 

@@ -3,11 +3,15 @@ with exact (zero-tolerance) equality throughout.  One pass/fail line is
 printed per criterion (run pytest with -s to see them as they complete).
 """
 
+import contextlib
+import io
 import itertools
+import json
 import time
 from fractions import Fraction
 
 from qsymx import characters as ch
+from qsymx import cli
 from qsymx import compositions as co
 from qsymx import exactnum as en
 from qsymx import identities as idn
@@ -325,3 +329,35 @@ def test_criterion_9_mutation_smoke(monkeypatch):
         ok = True
     finally:
         _report(9, "mutation smoke test", ok)
+
+
+def _drop_last_cut(left, right, n):
+    """The deconcatenation kernel with a planted fault: the proper cut at
+    the largest partial sum of each composition is skipped."""
+    row = []
+    for mask in range(1 << (n - 1)):
+        total = 0
+        rest = mask & ~(1 << (mask.bit_length() - 1)) if mask else 0
+        while rest:
+            low = rest & -rest
+            s = low.bit_length()
+            total += left[s][mask & (low - 1)] * right[n - s][mask >> s]
+            rest ^= low
+        row.append(total)
+    return row
+
+
+def test_criterion_9_mutation_smoke_kernel(monkeypatch):
+    ok = False
+    try:
+        monkeypatch.setattr(ch, "_proper_cuts", _drop_last_cut)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["decompose", "--degree", "6", "--json"])
+        assert code == 1, "planted kernel fault: decompose exited %r" % code
+        assert json.loads(out.getvalue())["mismatches"] > 0
+        closed = (ch.restrict(ch.ZETA_PLUS, 7), ch.restrict(ch.ZETA_MINUS, 7))
+        assert ch.decompose(ch.restrict(ch.ZETA, 7)) != closed
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (kernel)", ok)

@@ -2,7 +2,10 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_oracle as ref
 from qsymx import characters as ch
 from qsymx import compositions as co
 from qsymx import exactnum as en
@@ -272,3 +275,88 @@ def test_zeta_power_values():
     assert ch.restrict(ch.zeta_power(1), 5) == z
     assert ch.restrict(ch.zeta_power(0), 5) == ch.restrict(ch.COUNIT, 5)
     assert ch.eval_M(ch.zeta_power(-1), (2, 1)) == ch.eval_M(ch.ZETA_INV, (2, 1))
+
+
+def test_value_rejects_non_compositions():
+    phi = ch.restrict(ch.ZETA, 4)
+    for bad in [(0,), (0, 2), (-1, 1, 2), (1.5, 0.5)]:
+        with pytest.raises(ValueError, match="positive integers"):
+            phi.value(bad)
+
+
+def test_zeta_pow_id_rejects_whitespace():
+    with pytest.raises(ValueError, match="plain integer"):
+        ch.eval_M("zeta-pow: 3", (1, 1))
+    assert ch.eval_M("zeta-pow:-3", (1, 1)) == en.falling_binomial(-3, 2)
+
+
+def test_decompose_degree_12_matches_closed_forms():
+    for char_id in (ch.ZETA, ch.ZETA_INV):
+        plus, minus = ch.decompose(ch.restrict(char_id, 12))
+        assert plus == ch.restrict(char_id + "-plus", 12)
+        assert minus == ch.restrict(char_id + "-minus", 12)
+
+
+def test_halving_with_remainder_raises(monkeypatch):
+    with pytest.raises(ArithmeticError):
+        ch._halve([4, 3])
+    # an inverse table off by one in degree 2 makes the halving odd there
+    real = ch._inverse_rows
+
+    def off_by_one(rows):
+        inv = real(rows)
+        inv[2][0] += 1
+        return inv
+
+    monkeypatch.setattr(ch, "_inverse_rows", off_by_one)
+    with pytest.raises(ArithmeticError):
+        ch.decompose(ch.restrict(ch.ZETA, 4))
+
+
+# -- the integer kernel against the literal Fraction route ---------------------
+
+MAX_DEGREE = 7
+VALUES = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 7))
+
+
+@st.composite
+def functionals(draw, degree, unit=True):
+    """A random functional of the given truncation degree; with unit, its
+    value on the empty composition is 1."""
+    first = Fraction(1) if unit else draw(VALUES)
+    tables = [[first]]
+    for n in range(1, degree + 1):
+        size = 1 << (n - 1)
+        tables.append(draw(st.lists(VALUES, min_size=size, max_size=size)))
+    return ch.TruncatedCharacter(degree, tables)
+
+
+@st.composite
+def functional_pairs(draw):
+    degree = draw(st.integers(0, MAX_DEGREE))
+    return (
+        draw(functionals(degree, unit=False)),
+        draw(functionals(degree, unit=False)),
+    )
+
+
+KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(functional_pairs())
+def test_convolve_matches_reference(pair):
+    phi, psi = pair
+    assert ch.convolve(phi, psi) == ref.convolve(phi, psi)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(0, MAX_DEGREE).flatmap(functionals))
+def test_inverse_matches_reference(phi):
+    assert ch.inverse(phi) == ref.inverse(phi)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(0, MAX_DEGREE).flatmap(functionals))
+def test_decompose_matches_reference(phi):
+    assert ch.decompose(phi) == ref.decompose(phi)

@@ -101,10 +101,10 @@ def test_decompose_degree_env_default(capsys, monkeypatch):
 
 def test_degree_cap_warning(capsys, monkeypatch):
     monkeypatch.setenv("QSYMX_MAX_DEGREE", "99")
-    code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "15", "--json")
+    code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "17", "--json")
     assert code == 0
     assert "hard cap" in err
-    assert json.loads(out)["degree"] == 14
+    assert json.loads(out)["degree"] == 16
 
 
 def test_verify_single_and_all(capsys):
