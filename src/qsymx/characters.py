@@ -240,14 +240,15 @@ def eval_perm(char_id: str, sigma: Permutation) -> Fraction:
 class TruncatedCharacter:
     """A linear functional on QSym truncated at degree N, stored as one
     dense table of monomial-basis values per degree (table n has one entry
-    per composition of n, indexed by partial-sum bitmask)."""
+    per composition of n, indexed by partial-sum bitmask).  Values go
+    through exactnum.as_fraction, so a float raises TypeError."""
 
     __slots__ = ("max_degree", "tables")
 
     def __init__(self, max_degree: int, tables):
         if max_degree < 0:
             raise ValueError("max_degree must be non-negative")
-        tables = tuple(tuple(Fraction(v) for v in row) for row in tables)
+        tables = tuple(tuple(en.as_fraction(v) for v in row) for row in tables)
         if len(tables) != max_degree + 1:
             raise ValueError("expected %d degree tables" % (max_degree + 1,))
         for n, row in enumerate(tables):

@@ -47,10 +47,14 @@ LatticePath = tuple[str, ...]
 
 
 def composition(parts) -> Composition:
-    """Validate an iterable of parts and return it as a composition."""
-    alpha = tuple(int(a) for a in parts)
-    if any(a < 1 for a in alpha):
-        raise ValueError("composition parts must be positive: %r" % (alpha,))
+    """Validate an iterable of parts and return it as a composition.  Parts
+    must be positive ints; nothing is coerced."""
+    alpha = tuple(parts)
+    for a in alpha:
+        if type(a) is not int or a < 1:
+            raise ValueError(
+                "composition parts must be positive integers: %r" % (alpha,)
+            )
     return alpha
 
 

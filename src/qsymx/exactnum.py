@@ -28,11 +28,14 @@ __all__ = [
 
 def as_fraction(value) -> Fraction:
     """Coerce an exact value (int, Fraction, or "p/q" string) to Fraction.
+    A Fraction is returned as it is.
 
     Floats are rejected: Fraction(0.1) would quietly encode the binary
     approximation, which is precisely the failure mode exact arithmetic is
     here to rule out.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             "refusing float coefficient %r; use Fraction or an int" % (value,)

@@ -35,8 +35,11 @@ DEFAULT_PERMUTATION_BOUND = 9
 
 
 def permutation(word) -> Permutation:
-    """Validate a word on {1..n} and return it as a permutation."""
-    sigma = tuple(int(x) for x in word)
+    """Validate a word on {1..n} and return it as a permutation.  Letters
+    must be ints; nothing is coerced."""
+    sigma = tuple(word)
+    if any(type(x) is not int for x in sigma):
+        raise ValueError("permutation letters must be integers: %r" % (sigma,))
     if sorted(sigma) != list(range(1, len(sigma) + 1)):
         raise ValueError("not a permutation of 1..%d: %r" % (len(sigma), sigma))
     return sigma

@@ -9,6 +9,18 @@ rationals.  The two bases are related by
 the second being the Moebius inversion of the first over the boolean
 refinement lattice.  Elements are never coerced between bases implicitly;
 mixed-basis arithmetic raises.
+
+Each basis is multiplied by its own rule on pairs of basis elements, with
+integer multiplicities, and the two rules share no code:
+
+- M: M_a M_b is the sum of M_c over the quasi-shuffles c of a and b
+  (interleave the parts, optionally adding a part of a to a part of b).
+- F: F_a F_b is the sum of F_Des(w) over the shuffles w of a permutation
+  sigma with descent composition a and a permutation tau with descent
+  composition b, shifted above sigma (Gessel's rule; Gessel, Multipartite
+  P-partitions and inner products of skew Schur functions, 1984).  Only the
+  source of each letter of w matters, so the descent set is built as a
+  bitmask while walking the interleavings.
 """
 
 from fractions import Fraction
@@ -19,8 +31,7 @@ from .compositions import (
     coarsenings,
     composition,
     conjugate,
-    delannoy_paths,
-    quasi_shuffle,
+    from_index,
     refinements,
     reversal,
     ribbon_cuts,
@@ -168,20 +179,85 @@ def to_M(x: QSymElement) -> QSymElement:
     return QSymElement("M", out)
 
 
+def _product_M(alpha: Composition, beta: Composition) -> dict[Composition, int]:
+    """M_alpha M_beta as {gamma: multiplicity}: the quasi-shuffles of alpha
+    and beta.  Built from the back, one row of the (len(alpha) + 1) x
+    (len(beta) + 1) grid at a time: the quasi-shuffles of alpha[i:] and
+    beta[j:] put alpha[i], beta[j] or alpha[i] + beta[j] in front of those
+    of what is left."""
+    k, l = len(alpha), len(beta)
+    row = [{beta[j:]: 1} for j in range(l + 1)]  # alpha used up
+    for i in range(k - 1, -1, -1):
+        a = alpha[i]
+        prev = row  # the quasi-shuffles of alpha[i + 1:] and beta[j:]
+        row = [None] * l + [{alpha[i:]: 1}]
+        for j in range(l - 1, -1, -1):
+            b = beta[j]
+            out: dict[Composition, int] = {}
+            steps = (((a,), prev[j]), ((b,), row[j + 1]), ((a + b,), prev[j + 1]))
+            for head, tails in steps:
+                for tail, count in tails.items():
+                    gamma = head + tail
+                    out[gamma] = out.get(gamma, 0) + count
+            row[j] = out
+    return row[0]
+
+
+def _product_F(alpha: Composition, beta: Composition) -> dict[Composition, int]:
+    """F_alpha F_beta as {gamma: multiplicity}, by Gessel's shuffle rule.
+
+    Let sigma have descent composition alpha (weight m) and tau descent
+    composition beta (weight n), with tau's letters shifted above sigma's.
+    Each of the C(m + n, m) interleavings w contributes F_Des(w).  Whether
+    two adjacent letters of w descend depends only on where they come from:
+    sigma's letters i and i + 1 descend iff bit i - 1 of to_index(alpha) is
+    set, likewise for tau with to_index(beta); a letter of sigma before one
+    of tau is an ascent, a letter of tau before one of sigma a descent.  So
+    the walk carries the descent bitmask of the prefix and never builds a
+    permutation."""
+    m, n = sum(alpha), sum(beta)
+    des_sigma, des_tau = to_index(alpha), to_index(beta)
+    masks: dict[int, int] = {}
+    # (letters of sigma placed, letters of tau placed, descent bitmask of
+    # the prefix, whether its last letter is tau's)
+    stack = [(0, 0, 0, False)]
+    while stack:
+        i, j, mask, after_tau = stack.pop()
+        p = i + j
+        if p == m + n:
+            masks[mask] = masks.get(mask, 0) + 1
+            continue
+        if i < m:
+            descent = after_tau or (i and des_sigma >> (i - 1) & 1)
+            stack.append((i + 1, j, mask | 1 << (p - 1) if descent else mask, False))
+        if j < n:
+            descent = after_tau and des_tau >> (j - 1) & 1
+            stack.append((i, j + 1, mask | 1 << (p - 1) if descent else mask, True))
+    return {from_index(m + n, mask): count for mask, count in masks.items()}
+
+
 def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
-    """Product of two same-basis elements.  In the M basis this is the
-    quasi-shuffle sum over Delannoy paths; the F basis routes through M."""
+    """Product of two same-basis elements: the product of each pair of
+    basis elements, by the rule of their basis (quasi-shuffles in M,
+    Gessel's shuffle rule in F; see the module docstring), scaled by the
+    product of their coefficients.
+
+    >>> f1 = qsym_basis("F", (1,))
+    >>> multiply(f1, f1)
+    F[2] + F[1,1]
+    >>> m1 = qsym_basis("M", (1,))
+    >>> multiply(m1, m1)
+    M[2] + 2*M[1,1]
+    """
     x._check_basis(y)
-    if x.basis == "F":
-        return to_F(multiply(to_M(x), to_M(y)))
+    product = _product_F if x.basis == "F" else _product_M
     out: dict[Composition, Fraction] = {}
     for alpha, a in x.coeffs.items():
         for beta, b in y.coeffs.items():
             ab = a * b
-            for path in delannoy_paths(len(alpha), len(beta)):
-                gamma = quasi_shuffle(alpha, beta, path)
-                out[gamma] = out.get(gamma, Fraction(0)) + ab
-    return QSymElement("M", out)
+            for gamma, count in product(alpha, beta).items():
+                out[gamma] = out.get(gamma, 0) + ab * count
+    return QSymElement(x.basis, out)
 
 
 class TensorElement:
@@ -197,7 +273,7 @@ class TensorElement:
         for (left, right), c in (terms or {}).items():
             c = as_fraction(c)
             if c:
-                clean[(tuple(left), tuple(right))] = c
+                clean[(composition(left), composition(right))] = c
         self.basis = basis
         self.terms = clean
 
@@ -246,21 +322,30 @@ class TensorElement:
 
 
 def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
-    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
+    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd.  Each product
+    of two basis elements is computed once per call."""
     if s.basis != t.basis:
         raise ValueError("mixed-basis tensor arithmetic")
-    basis = s.basis
+    product = _product_F if s.basis == "F" else _product_M
+    products: dict[tuple[Composition, Composition], dict[Composition, int]] = {}
+
+    def basis_product(alpha, beta):
+        table = products.get((alpha, beta))
+        if table is None:
+            table = products[alpha, beta] = product(alpha, beta)
+        return table
+
     out: dict[tuple[Composition, Composition], Fraction] = {}
     for (l1, r1), c1 in s.terms.items():
         for (l2, r2), c2 in t.terms.items():
-            prod_l = multiply(qsym_basis(basis, l1), qsym_basis(basis, l2))
-            prod_r = multiply(qsym_basis(basis, r1), qsym_basis(basis, r2))
+            prod_l = basis_product(l1, l2)
+            prod_r = basis_product(r1, r2)
             c12 = c1 * c2
-            for la, ca in prod_l.coeffs.items():
-                for rb, cb in prod_r.coeffs.items():
+            for la, ca in prod_l.items():
+                for rb, cb in prod_r.items():
                     key = (la, rb)
-                    out[key] = out.get(key, Fraction(0)) + c12 * ca * cb
-    return TensorElement(basis, out)
+                    out[key] = out.get(key, 0) + c12 * (ca * cb)
+    return TensorElement(s.basis, out)
 
 
 def coproduct(x: QSymElement) -> TensorElement:

@@ -109,6 +109,33 @@ def _iterated_coproduct(tensor, side):
     return {k: v for k, v in out.items() if v}
 
 
+def _product_check_failures(max_degree):
+    """The criterion-4 checks on pairs of basis elements of total weight at
+    most max_degree that fail for some pair: in each basis, commutativity
+    and coproduct(xy) = multiply_tensor(coproduct(x), coproduct(y)); and
+    to_F(M_a M_b) = to_F(M_a) to_F(M_b)."""
+    comps = comps_up_to(max_degree)
+    pairs = [
+        (a, b)
+        for a, b in itertools.product(comps, repeat=2)
+        if sum(a) + sum(b) <= max_degree
+    ]
+    failed = set()
+    for basis in ("M", "F"):
+        for a, b in pairs:
+            x, y = qs.qsym_basis(basis, a), qs.qsym_basis(basis, b)
+            xy = qs.multiply(x, y)
+            if xy != qs.multiply(y, x):
+                failed.add(basis + " commutativity")
+            if qs.coproduct(xy) != qs.multiply_tensor(qs.coproduct(x), qs.coproduct(y)):
+                failed.add(basis + " coproduct of a product")
+    for a, b in pairs:
+        x, y = qs.qsym_basis("M", a), qs.qsym_basis("M", b)
+        if qs.to_F(qs.multiply(x, y)) != qs.multiply(qs.to_F(x), qs.to_F(y)):
+            failed.add("basis change of a product")
+    return failed
+
+
 def test_criterion_4_hopf_axioms():
     ok = False
     try:
@@ -123,14 +150,6 @@ def test_criterion_4_hopf_axioms():
                 assert _antipode_convolution(x, "left") == eps
                 assert _antipode_convolution(x, "right") == eps
                 assert qs.antipode(qs.antipode(x)) == x
-            # commutativity, compatibility on pairs
-            for a, b in itertools.product(comps, repeat=2):
-                if sum(a) + sum(b) > 6:
-                    continue
-                x, y = qs.qsym_basis(basis, a), qs.qsym_basis(basis, b)
-                xy = qs.multiply(x, y)
-                assert xy == qs.multiply(y, x)
-                assert qs.coproduct(xy) == qs.multiply_tensor(qs.coproduct(x), qs.coproduct(y))
             # associativity on triples
             for a, b, c in itertools.product(comps, repeat=3):
                 if sum(a) + sum(b) + sum(c) > 6:
@@ -148,11 +167,8 @@ def test_criterion_4_hopf_axioms():
                         pushed[(la, rb)] = pushed.get((la, rb), Fraction(0)) + c * ca * cb
             pushed = {k: v for k, v in pushed.items() if v}
             assert pushed == qs.coproduct(qs.to_F(x)).terms
-        for a, b in itertools.product(comps, repeat=2):
-            if sum(a) + sum(b) > 6:
-                continue
-            x, y = qs.qsym_basis("M", a), qs.qsym_basis("M", b)
-            assert qs.to_F(qs.multiply(x, y)) == qs.multiply(qs.to_F(x), qs.to_F(y))
+        # commutativity, compatibility and basis change on pairs
+        assert not _product_check_failures(6)
         ok = True
     finally:
         _report(4, "Hopf axioms deg<=6", ok)
@@ -361,3 +377,64 @@ def test_criterion_9_mutation_smoke_kernel(monkeypatch):
         ok = True
     finally:
         _report(9, "mutation smoke test (kernel)", ok)
+
+
+def _product_F_tau_sigma_ascent(alpha, beta):
+    """Gessel's rule with a planted fault: a letter of tau followed by a
+    letter of sigma counts as an ascent."""
+    m, n = sum(alpha), sum(beta)
+    des_sigma, des_tau = co.to_index(alpha), co.to_index(beta)
+    masks = {}
+    stack = [(0, 0, 0, False)]
+    while stack:
+        i, j, mask, after_tau = stack.pop()
+        p = i + j
+        if p == m + n:
+            masks[mask] = masks.get(mask, 0) + 1
+            continue
+        if i < m:
+            descent = not after_tau and i and des_sigma >> (i - 1) & 1
+            stack.append((i + 1, j, mask | 1 << (p - 1) if descent else mask, False))
+        if j < n:
+            descent = after_tau and des_tau >> (j - 1) & 1
+            stack.append((i, j + 1, mask | 1 << (p - 1) if descent else mask, True))
+    return {co.from_index(m + n, mask): count for mask, count in masks.items()}
+
+
+def _product_M_no_diagonal(alpha, beta):
+    """The quasi-shuffle product with a planted fault: the diagonal step,
+    which adds a part of alpha to a part of beta, is dropped."""
+    k, l = len(alpha), len(beta)
+    row = [{beta[j:]: 1} for j in range(l + 1)]
+    for i in range(k - 1, -1, -1):
+        prev = row
+        row = [None] * l + [{alpha[i:]: 1}]
+        for j in range(l - 1, -1, -1):
+            out = {}
+            for head, tails in (((alpha[i],), prev[j]), ((beta[j],), row[j + 1])):
+                for tail, count in tails.items():
+                    out[head + tail] = out.get(head + tail, 0) + count
+            row[j] = out
+    return row[0]
+
+
+def test_criterion_9_mutation_smoke_f_product(monkeypatch):
+    ok = False
+    try:
+        monkeypatch.setattr(qs, "_product_F", _product_F_tau_sigma_ascent)
+        failed = _product_check_failures(4)
+        assert "basis change of a product" in failed, failed
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (F product)", ok)
+
+
+def test_criterion_9_mutation_smoke_m_product(monkeypatch):
+    ok = False
+    try:
+        monkeypatch.setattr(qs, "_product_M", _product_M_no_diagonal)
+        failed = _product_check_failures(4)
+        assert "basis change of a product" in failed, failed
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (M product)", ok)

@@ -92,6 +92,13 @@ def test_truncated_character_validation():
         ch.TruncatedCharacter(1, [[Fraction(1)], [Fraction(1), Fraction(0)]])
 
 
+def test_truncated_character_rejects_floats():
+    with pytest.raises(TypeError):
+        ch.TruncatedCharacter(1, [[1.0], [0.1]])
+    exact = ch.TruncatedCharacter(1, [[1], ["1/10"]])
+    assert exact.tables == ((Fraction(1),), (Fraction(1, 10),))
+
+
 def test_convolve_matches_coproduct_route():
     # convolution is evaluation through the coproduct; check the internal
     # deconcatenation sum against the qsym coproduct, term by term

@@ -10,6 +10,12 @@ def test_composition_validation():
         co.composition([2, 0])
 
 
+def test_composition_rejects_non_integer_parts():
+    for bad in ([2.5, 1], [2.0, 1], ["2"], [True]):
+        with pytest.raises(ValueError, match="positive integers"):
+            co.composition(bad)
+
+
 def test_parse_and_format():
     assert co.parse_composition("2,1,3") == (2, 1, 3)
     assert co.parse_composition("()") == ()

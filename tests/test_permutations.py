@@ -16,6 +16,12 @@ def test_permutation_validation():
         pm.permutation((1, 1, 2))
 
 
+def test_permutation_rejects_non_integer_letters():
+    for bad in ([1.0, 2.9], [1.0, 2.0], ["1"]):
+        with pytest.raises(ValueError, match="integers"):
+            pm.permutation(bad)
+
+
 def test_parse_and_format():
     assert pm.parse_permutation("312546") == (3, 1, 2, 5, 4, 6)
     assert pm.parse_permutation("3,1,2") == (3, 1, 2)

@@ -3,7 +3,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference_qsym as ref
 from qsymx import compositions as co
 from qsymx import permutations as pm
 from qsymx import qsym as qs
@@ -60,6 +63,11 @@ def test_element_construction_and_arithmetic():
         qs.QSymElement("G", {})
 
 
+def test_basis_rejects_non_integer_parts():
+    with pytest.raises(ValueError, match="positive integers"):
+        qs.qsym_basis("M", [2.5])
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         qs.qsym_basis("M", (1,), 0.5)
@@ -110,6 +118,68 @@ def test_multiply_matches_path_expansion():
                 expected[gamma] = expected.get(gamma, 0) + 1
             got = qs.multiply(qs.qsym_basis("M", alpha), qs.qsym_basis("M", beta))
             assert got == qs.QSymElement("M", expected)
+
+
+def test_multiply_matches_reference_on_every_basis_pair():
+    comps = comps_up_to(8)
+    for basis in ("M", "F"):
+        for a, b in itertools.product(comps, repeat=2):
+            if sum(a) + sum(b) > 8:
+                continue
+            x, y = qs.qsym_basis(basis, a), qs.qsym_basis(basis, b)
+            assert qs.multiply(x, y) == ref.multiply(x, y), (basis, a, b)
+
+
+# -- products of linear combinations against the reference route ---------------
+
+PRODUCT_WEIGHT = 7
+COEFFS = st.fractions(-4, 4, max_denominator=7).filter(lambda q: q.denominator > 1)
+
+
+def tensor_keys_up_to(max_degree):
+    return [
+        (l, r) for l in comps_up_to(max_degree) for r in comps_up_to(max_degree - sum(l))
+    ]
+
+
+@st.composite
+def same_basis_pairs(draw, build, keys_up_to):
+    """Two operands build(basis, terms) in one basis, with at most three
+    terms each, drawn from keys_up_to(weight) with non-integer
+    coefficients, whose product has weight at most PRODUCT_WEIGHT."""
+    basis = draw(st.sampled_from("MF"))
+    w1 = draw(st.integers(0, PRODUCT_WEIGHT))
+    w2 = draw(st.integers(0, PRODUCT_WEIGHT - w1))
+    return tuple(
+        build(
+            basis,
+            draw(st.dictionaries(st.sampled_from(keys_up_to(w)), COEFFS, max_size=3)),
+        )
+        for w in (w1, w2)
+    )
+
+
+PRODUCT_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@PRODUCT_SETTINGS
+@given(same_basis_pairs(qs.QSymElement, comps_up_to))
+def test_multiply_matches_reference(pair):
+    x, y = pair
+    assert qs.multiply(x, y) == ref.multiply(x, y)
+
+
+@PRODUCT_SETTINGS
+@given(same_basis_pairs(qs.TensorElement, tensor_keys_up_to))
+def test_multiply_tensor_matches_reference(pair):
+    s, t = pair
+    assert qs.multiply_tensor(s, t) == ref.multiply_tensor(s, t)
+
+
+def test_tensor_rejects_non_compositions():
+    for bad in [((0,), (1,)), ((1,), (2.5,)), ((1.0,), ())]:
+        with pytest.raises(ValueError, match="positive integers"):
+            qs.TensorElement("M", {bad: 1})
 
 
 def test_multiply_commutative_associative():
