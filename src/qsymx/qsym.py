@@ -322,26 +322,16 @@ class TensorElement:
 
 
 def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
-    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd.  Each product
-    of two basis elements is computed once per call."""
+    """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
     if s.basis != t.basis:
         raise ValueError("mixed-basis tensor arithmetic")
     product = _product_F if s.basis == "F" else _product_M
-    products: dict[tuple[Composition, Composition], dict[Composition, int]] = {}
-
-    def basis_product(alpha, beta):
-        table = products.get((alpha, beta))
-        if table is None:
-            table = products[alpha, beta] = product(alpha, beta)
-        return table
-
     out: dict[tuple[Composition, Composition], Fraction] = {}
     for (l1, r1), c1 in s.terms.items():
         for (l2, r2), c2 in t.terms.items():
-            prod_l = basis_product(l1, l2)
-            prod_r = basis_product(r1, r2)
+            prod_r = product(r1, r2)
             c12 = c1 * c2
-            for la, ca in prod_l.items():
+            for la, ca in product(l1, l2).items():
                 for rb, cb in prod_r.items():
                     key = (la, rb)
                     out[key] = out.get(key, 0) + c12 * (ca * cb)

@@ -111,8 +111,9 @@ def _iterated_coproduct(tensor, side):
 
 def _product_check_failures(max_degree):
     """The criterion-4 checks on pairs of basis elements of total weight at
-    most max_degree that fail for some pair: in each basis, commutativity
-    and coproduct(xy) = multiply_tensor(coproduct(x), coproduct(y)); and
+    most max_degree that fail for some pair, each mapped to the first
+    (basis, a, b) that fails it: in each basis, commutativity and
+    coproduct(xy) = multiply_tensor(coproduct(x), coproduct(y)); and
     to_F(M_a M_b) = to_F(M_a) to_F(M_b)."""
     comps = comps_up_to(max_degree)
     pairs = [
@@ -120,19 +121,19 @@ def _product_check_failures(max_degree):
         for a, b in itertools.product(comps, repeat=2)
         if sum(a) + sum(b) <= max_degree
     ]
-    failed = set()
+    failed = {}
     for basis in ("M", "F"):
         for a, b in pairs:
             x, y = qs.qsym_basis(basis, a), qs.qsym_basis(basis, b)
             xy = qs.multiply(x, y)
             if xy != qs.multiply(y, x):
-                failed.add(basis + " commutativity")
+                failed.setdefault(basis + " commutativity", (basis, a, b))
             if qs.coproduct(xy) != qs.multiply_tensor(qs.coproduct(x), qs.coproduct(y)):
-                failed.add(basis + " coproduct of a product")
+                failed.setdefault(basis + " coproduct of a product", (basis, a, b))
     for a, b in pairs:
         x, y = qs.qsym_basis("M", a), qs.qsym_basis("M", b)
         if qs.to_F(qs.multiply(x, y)) != qs.multiply(qs.to_F(x), qs.to_F(y)):
-            failed.add("basis change of a product")
+            failed.setdefault("basis change of a product", ("M", a, b))
     return failed
 
 
@@ -168,7 +169,8 @@ def test_criterion_4_hopf_axioms():
             pushed = {k: v for k, v in pushed.items() if v}
             assert pushed == qs.coproduct(qs.to_F(x)).terms
         # commutativity, compatibility and basis change on pairs
-        assert not _product_check_failures(6)
+        failures = _product_check_failures(6)
+        assert not failures, failures
         ok = True
     finally:
         _report(4, "Hopf axioms deg<=6", ok)
