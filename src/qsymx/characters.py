@@ -48,7 +48,7 @@ from .compositions import (
     stats,
     to_index,
 )
-from .permutations import Permutation, augmented_peaks, descent_set, interior_peaks
+from .permutations import Permutation, descent_composition
 from .qsym import QSymElement
 
 __all__ = [
@@ -208,6 +208,7 @@ def eval_F(char_id: str, alpha: Composition) -> Fraction:
 
 def eval_element(char_id: str, x: QSymElement) -> Fraction:
     """Linear extension to an arbitrary element, dispatching on its basis."""
+    QSymElement.require(x)
     evaluate = eval_M if x.basis == "M" else eval_F
     total = Fraction(0)
     for alpha, c in x.coeffs.items():
@@ -217,24 +218,9 @@ def eval_element(char_id: str, x: QSymElement) -> Fraction:
 
 def eval_perm(char_id: str, sigma: Permutation) -> Fraction:
     """Value of the pulled-back character on the permutation basis element
-    F_sigma, via peak statistics.  Supported ids: zeta, zeta-minus,
-    zeta-plus."""
-    kind, _ = _parse_id(char_id)
-    n = len(sigma)
-    if kind == "zeta":
-        return Fraction(1 if not descent_set(sigma) else 0)
-    if kind == "zeta-minus":
-        p = interior_peaks(sigma)
-        fl = n // 2
-        sign = -1 if p % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(p, fl - p), 4 ** fl)
-    if kind == "zeta-plus":
-        if n % 2:
-            return Fraction(0)
-        q = augmented_peaks(sigma)
-        sign = -1 if q % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(q, n // 2 - q), 2 ** n)
-    raise ValueError("eval_perm does not support character id %r" % (char_id,))
+    F_sigma: the descent map sends F_sigma to F of the descent composition
+    of sigma, so this is eval_F there, for every character id."""
+    return eval_F(char_id, descent_composition(sigma))
 
 
 class TruncatedCharacter:

@@ -152,10 +152,7 @@ def _cmd_eval(parser, args) -> int:
             sigma = parse_permutation(args.perm)
         except ValueError as exc:
             parser.error(str(exc))
-        try:
-            value = characters.eval_perm(char_id, sigma)
-        except ValueError as exc:
-            parser.error(str(exc))
+        value = characters.eval_perm(char_id, sigma)
     else:
         alpha = _parse_comp(parser, args.comp)
         evaluate = characters.eval_M if args.basis == "M" else characters.eval_F
@@ -180,7 +177,7 @@ def _cmd_coproduct(parser, args) -> int:
     if args.json:
         terms = [
             {"left": list(l), "right": list(r), "coeff": str(c)}
-            for (l, r), c in sorted(tensor.terms.items())
+            for (l, r), c in sorted(tensor.coeffs.items())
         ]
         print(json.dumps({"basis": tensor.basis, "terms": terms}))
     else:

@@ -129,47 +129,52 @@ class CompositionStats(NamedTuple):
     k: int          # number of parts
     k_e: int        # number of even parts
     k_o: int        # number of odd parts
-    p_minus: int    # parts > 1 excluding the last
-    p_plus: int     # 1 + (interior parts > 1), 0 for at most one part
     u: int          # parts > 1 excluding the first
     v: int          # parts > 1
-    floor_sum: int  # sum of floor(part / 2)
 
 
 def stats(alpha: Composition) -> CompositionStats:
-    """All the part statistics used by the character formulas.
-
-    ``p_minus`` counts the upper corners of the ribbon diagram; ``p_plus``
-    counts them after an extra square is glued to the left of the first row.
+    """The part statistics used by the M-basis character formulas and the
+    identity checks.  The peak statistics are p_minus and p_plus.
 
     >>> s = stats((1, 3, 1, 2, 2))
-    >>> s.p_minus, s.p_plus
-    (2, 3)
+    >>> s.k_e, s.k_o, s.u, s.v
+    (2, 3, 3, 3)
     """
     k = len(alpha)
     k_e = sum(1 for a in alpha if a % 2 == 0)
     big = [i for i, a in enumerate(alpha) if a > 1]
-    p_min = sum(1 for i in big if i != k - 1)
-    p_plu = 1 + sum(1 for i in big if i not in (0, k - 1)) if k > 1 else 0
     return CompositionStats(
         weight=sum(alpha),
         k=k,
         k_e=k_e,
         k_o=k - k_e,
-        p_minus=p_min,
-        p_plus=p_plu,
         u=sum(1 for i in big if i != 0),
         v=len(big),
-        floor_sum=sum(a // 2 for a in alpha),
     )
 
 
 def p_minus(alpha: Composition) -> int:
+    """Parts > 1 other than the last: the upper corners of the ribbon
+    diagram of alpha, and the interior peaks of any permutation with
+    descent composition alpha.
+
+    >>> p_minus((1, 3, 1, 2, 2))
+    2
+    """
     k = len(alpha)
     return sum(1 for i, a in enumerate(alpha) if a > 1 and i != k - 1)
 
 
 def p_plus(alpha: Composition) -> int:
+    """1 + (parts > 1 other than the first and the last), 0 for at most one
+    part: the upper corners after a square is glued to the left of the first
+    row, and the augmented peaks of a permutation with descent composition
+    alpha.
+
+    >>> p_plus((1, 3, 1, 2, 2)), p_plus((7,))
+    (3, 0)
+    """
     k = len(alpha)
     if k <= 1:
         return 0

@@ -6,13 +6,18 @@ precision) and rationals are ``fractions.Fraction`` (always reduced, positive
 denominator).  Floating point is never used: most of the interesting values
 here are dyadic rationals, and a float would silently absorb exactly the
 powers of 2 the identities keep track of.
+
+``LinearCombination`` is the one linear-combination core: QSym elements,
+tensors and permutation-algebra elements are its subclasses.
 """
 
+import itertools
 from fractions import Fraction
 from math import comb, factorial
 
 __all__ = [
     "as_fraction",
+    "LinearCombination",
     "binomial",
     "falling_binomial",
     "multinomial",
@@ -41,6 +46,102 @@ def as_fraction(value) -> Fraction:
             "refusing float coefficient %r; use Fraction or an int" % (value,)
         )
     return Fraction(value)
+
+
+class LinearCombination:
+    """A finite linear combination of basis keys with exact coefficients,
+    stored as ``coeffs`` = {key: nonzero Fraction}, in the basis named by
+    ``basis``.
+
+    A subclass names its space by two class attributes: ``BASES``, the
+    allowed basis names (None for a space with one basis), and ``key``, a
+    function that validates one basis key.  Construction coerces each
+    coefficient with as_fraction, validates each key and drops zeros.
+    ``from_terms`` is the one place where repeated keys are added up.
+    Arithmetic needs two elements of the same class (TypeError otherwise)
+    and basis (ValueError otherwise); scalars are exact numbers.
+    """
+
+    __slots__ = ("basis", "coeffs")
+    BASES = (None,)
+
+    def __init__(self, basis, coeffs=None):
+        if basis not in self.BASES:
+            raise ValueError(
+                "basis must be %s, got %r" % (" or ".join(map(repr, self.BASES)), basis)
+            )
+        key = self.key
+        clean = {}
+        for k, c in (coeffs or {}).items():
+            c = as_fraction(c)
+            if c:
+                clean[key(k)] = c
+        self.basis = basis
+        self.coeffs = clean
+
+    @classmethod
+    def from_terms(cls, basis, terms):
+        """The element sum c * B_key over an iterable of (key, c) terms,
+        where c is an int or a Fraction; repeated keys add up."""
+        total = {}
+        for k, c in terms:
+            if k in total:
+                total[k] += c
+            else:
+                total[k] = c
+        element = cls.__new__(cls)
+        LinearCombination.__init__(element, basis, total)
+        return element
+
+    @classmethod
+    def require(cls, x):
+        """Raise TypeError unless x is an element of this very class."""
+        if type(x) is not cls:
+            raise TypeError("expected a %s, got %s" % (cls.__name__, type(x).__name__))
+
+    def check_compatible(self, other):
+        """Raise unless other is an element of the same class and basis."""
+        self.require(other)
+        if other.basis != self.basis:
+            raise ValueError(
+                "mixed-basis arithmetic (%s vs %s); convert explicitly"
+                % (self.basis, other.basis)
+            )
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and other.basis == self.basis
+            and other.coeffs == self.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.basis, frozenset(self.coeffs.items())))
+
+    def __add__(self, other):
+        self.check_compatible(other)
+        return self.from_terms(
+            self.basis, itertools.chain(self.coeffs.items(), other.coeffs.items())
+        )
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self.from_terms(self.basis, ((k, -c) for k, c in self.coeffs.items()))
+
+    def __mul__(self, scalar):
+        if isinstance(scalar, LinearCombination):
+            raise TypeError(
+                "no product of %s with %s" % (type(self).__name__, type(scalar).__name__)
+            )
+        c = as_fraction(scalar)
+        return self.from_terms(self.basis, ((k, v * c) for k, v in self.coeffs.items()))
+
+    __rmul__ = __mul__
+
+    def is_zero(self) -> bool:
+        return not self.coeffs
 
 
 def binomial(n: int, k: int) -> int:

@@ -6,10 +6,9 @@ the (unique) permutation of 0.
 """
 
 import itertools
-from fractions import Fraction
 
 from .compositions import Composition, from_index
-from .exactnum import as_fraction
+from .exactnum import LinearCombination
 
 __all__ = [
     "Permutation",
@@ -149,44 +148,20 @@ def all_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND):
     return itertools.permutations(range(1, n + 1))
 
 
-class SSymElement:
+class SSymElement(LinearCombination):
     """A finite linear combination of permutation basis elements, with
     exact rational coefficients.  Zero coefficients are never stored."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
+    key = staticmethod(permutation)
 
     def __init__(self, coeffs=None):
-        clean: dict[Permutation, Fraction] = {}
-        for sigma, c in (coeffs or {}).items():
-            c = as_fraction(c)
-            if c:
-                clean[tuple(sigma)] = c
-        self.coeffs = clean
-
-    def __eq__(self, other):
-        return isinstance(other, SSymElement) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for sigma, c in other.coeffs.items():
-            out[sigma] = out.get(sigma, Fraction(0)) + c
-        return SSymElement(out)
-
-    def __sub__(self, other):
-        out = dict(self.coeffs)
-        for sigma, c in other.coeffs.items():
-            out[sigma] = out.get(sigma, Fraction(0)) - c
-        return SSymElement(out)
+        super().__init__(None, coeffs)
 
     def __mul__(self, other):
         if isinstance(other, SSymElement):
             return multiply_ssym(self, other)
-        return SSymElement({s: c * as_fraction(other) for s, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
+        return super().__mul__(other)
 
     def __repr__(self):
         if not self.coeffs:
@@ -200,15 +175,18 @@ class SSymElement:
 
 
 def ssym_basis(sigma) -> SSymElement:
-    return SSymElement({permutation(sigma): Fraction(1)})
+    return SSymElement({tuple(sigma): 1})
 
 
 def multiply_ssym(x: SSymElement, y: SSymElement) -> SSymElement:
     """Bilinear extension of the shuffle product on basis elements."""
-    out: dict[Permutation, Fraction] = {}
-    for sigma, a in x.coeffs.items():
-        for tau, b in y.coeffs.items():
-            ab = a * b
-            for rho in shuffles(sigma, tau):
-                out[rho] = out.get(rho, Fraction(0)) + ab
-    return SSymElement(out)
+    x.check_compatible(y)
+
+    def terms():
+        for sigma, a in x.coeffs.items():
+            for tau, b in y.coeffs.items():
+                ab = a * b
+                for rho in shuffles(sigma, tau):
+                    yield rho, ab
+
+    return SSymElement.from_terms(None, terms())

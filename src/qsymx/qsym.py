@@ -1,7 +1,7 @@
 """Quasi-symmetric functions in the monomial (M) and fundamental (F) bases.
 
 Elements are basis-tagged linear combinations of compositions over exact
-rationals.  The two bases are related by
+rationals (``exactnum.LinearCombination``s).  The two bases are related by
 
     M_a = sum over refinements b of a of (-1)^(k(b) - k(a)) F_b,
     F_a = sum over refinements b of a of M_b,
@@ -25,7 +25,7 @@ integer multiplicities, and the two rules share no code:
 
 from fractions import Fraction
 
-from .exactnum import as_fraction
+from .exactnum import LinearCombination, as_fraction
 from .compositions import (
     Composition,
     coarsenings,
@@ -59,91 +59,30 @@ __all__ = [
     "element_from_json",
 ]
 
-BASES = ("M", "F")
-
 
 def _sort_key(alpha: Composition):
     return (sum(alpha), to_index(alpha))
 
 
-class QSymElement:
+class QSymElement(LinearCombination):
     """A finite linear combination of basis compositions, tagged M or F.
     Zero coefficients are never stored."""
 
-    __slots__ = ("basis", "coeffs")
-
-    def __init__(self, basis: str, coeffs=None):
-        if basis not in BASES:
-            raise ValueError("basis must be 'M' or 'F', got %r" % (basis,))
-        clean: dict[Composition, Fraction] = {}
-        for alpha, c in (coeffs or {}).items():
-            c = as_fraction(c)
-            if c:
-                clean[composition(alpha)] = c
-        self.basis = basis
-        self.coeffs = clean
-
-    def _check_basis(self, other: "QSymElement"):
-        if self.basis != other.basis:
-            raise ValueError(
-                "mixed-basis arithmetic (%s vs %s); convert explicitly"
-                % (self.basis, other.basis)
-            )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, QSymElement)
-            and self.basis == other.basis
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.basis, frozenset(self.coeffs.items())))
-
-    def __add__(self, other):
-        self._check_basis(other)
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            out[alpha] = out.get(alpha, Fraction(0)) + c
-        return QSymElement(self.basis, out)
-
-    def __sub__(self, other):
-        self._check_basis(other)
-        out = dict(self.coeffs)
-        for alpha, c in other.coeffs.items():
-            out[alpha] = out.get(alpha, Fraction(0)) - c
-        return QSymElement(self.basis, out)
-
-    def __neg__(self):
-        return QSymElement(self.basis, {a: -c for a, c in self.coeffs.items()})
+    __slots__ = ()
+    BASES = ("M", "F")
+    key = staticmethod(composition)
 
     def __mul__(self, other):
         if isinstance(other, QSymElement):
             return multiply(self, other)
-        return QSymElement(
-            self.basis, {a: c * as_fraction(other) for a, c in self.coeffs.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def homogeneous(self, n: int) -> "QSymElement":
-        """The degree-n component."""
-        return QSymElement(
-            self.basis, {a: c for a, c in self.coeffs.items() if sum(a) == n}
-        )
-
-    def degrees(self) -> list[int]:
-        return sorted({sum(a) for a in self.coeffs})
+        return super().__mul__(other)
 
     def __repr__(self):
         return format_element(self)
 
 
 def qsym_basis(basis: str, alpha, coeff=1) -> QSymElement:
-    return QSymElement(basis, {composition(alpha): as_fraction(coeff)})
+    return QSymElement(basis, {tuple(alpha): coeff})
 
 
 def qsym_zero(basis: str = "M") -> QSymElement:
@@ -157,26 +96,24 @@ def qsym_one(basis: str = "M") -> QSymElement:
 
 def to_F(x: QSymElement) -> QSymElement:
     """Expand an M-basis element in the F basis (identity on F elements)."""
+    QSymElement.require(x)
     if x.basis == "F":
         return x
-    out: dict[Composition, Fraction] = {}
-    for alpha, c in x.coeffs.items():
-        k = len(alpha)
-        for beta in refinements(alpha):
-            sign = -1 if (len(beta) - k) % 2 else 1
-            out[beta] = out.get(beta, Fraction(0)) + sign * c
-    return QSymElement("F", out)
+    return QSymElement.from_terms("F", (
+        (beta, -c if (len(beta) - len(alpha)) % 2 else c)
+        for alpha, c in x.coeffs.items()
+        for beta in refinements(alpha)
+    ))
 
 
 def to_M(x: QSymElement) -> QSymElement:
     """Expand an F-basis element in the M basis (identity on M elements)."""
+    QSymElement.require(x)
     if x.basis == "M":
         return x
-    out: dict[Composition, Fraction] = {}
-    for alpha, c in x.coeffs.items():
-        for beta in refinements(alpha):
-            out[beta] = out.get(beta, Fraction(0)) + c
-    return QSymElement("M", out)
+    return QSymElement.from_terms("M", (
+        (beta, c) for alpha, c in x.coeffs.items() for beta in refinements(alpha)
+    ))
 
 
 def _product_M(alpha: Composition, beta: Composition) -> dict[Composition, int]:
@@ -249,68 +186,43 @@ def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
     >>> multiply(m1, m1)
     M[2] + 2*M[1,1]
     """
-    x._check_basis(y)
+    x.check_compatible(y)
     product = _product_F if x.basis == "F" else _product_M
-    out: dict[Composition, Fraction] = {}
-    for alpha, a in x.coeffs.items():
-        for beta, b in y.coeffs.items():
-            ab = a * b
-            for gamma, count in product(alpha, beta).items():
-                out[gamma] = out.get(gamma, 0) + ab * count
-    return QSymElement(x.basis, out)
+
+    def terms():
+        for alpha, a in x.coeffs.items():
+            for beta, b in y.coeffs.items():
+                ab = a * b
+                for gamma, count in product(alpha, beta).items():
+                    yield gamma, ab * count
+
+    return QSymElement.from_terms(x.basis, terms())
 
 
-class TensorElement:
+def _tensor_key(key) -> tuple[Composition, Composition]:
+    left, right = key
+    return composition(left), composition(right)
+
+
+class TensorElement(LinearCombination):
     """An element of QSym tensor QSym with a shared basis tag, stored as a
     flat map (left, right) -> coefficient."""
 
-    __slots__ = ("basis", "terms")
-
-    def __init__(self, basis: str, terms=None):
-        if basis not in BASES:
-            raise ValueError("basis must be 'M' or 'F', got %r" % (basis,))
-        clean: dict[tuple[Composition, Composition], Fraction] = {}
-        for (left, right), c in (terms or {}).items():
-            c = as_fraction(c)
-            if c:
-                clean[(composition(left), composition(right))] = c
-        self.basis = basis
-        self.terms = clean
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.basis == other.basis
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mixed-basis tensor arithmetic")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) + c
-        return TensorElement(self.basis, out)
-
-    def __sub__(self, other):
-        if self.basis != other.basis:
-            raise ValueError("mixed-basis tensor arithmetic")
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, Fraction(0)) - c
-        return TensorElement(self.basis, out)
+    __slots__ = ()
+    BASES = ("M", "F")
+    key = staticmethod(_tensor_key)
 
     def swap(self) -> "TensorElement":
         return TensorElement(
-            self.basis, {(r, l): c for (l, r), c in self.terms.items()}
+            self.basis, {(r, l): c for (l, r), c in self.coeffs.items()}
         )
 
     def __repr__(self):
-        if not self.terms:
+        if not self.coeffs:
             return "0"
         bits = []
-        for left, right in sorted(self.terms, key=lambda t: (_sort_key(t[0]), _sort_key(t[1]))):
-            c = self.terms[(left, right)]
+        for left, right in sorted(self.coeffs, key=lambda t: (_sort_key(t[0]), _sort_key(t[1]))):
+            c = self.coeffs[(left, right)]
             body = "%s[%s] (x) %s[%s]" % (
                 self.basis,
                 ",".join(map(str, left)),
@@ -323,35 +235,36 @@ class TensorElement:
 
 def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
-    if s.basis != t.basis:
-        raise ValueError("mixed-basis tensor arithmetic")
+    s.check_compatible(t)
     product = _product_F if s.basis == "F" else _product_M
-    out: dict[tuple[Composition, Composition], Fraction] = {}
-    for (l1, r1), c1 in s.terms.items():
-        for (l2, r2), c2 in t.terms.items():
-            prod_r = product(r1, r2)
-            c12 = c1 * c2
-            for la, ca in product(l1, l2).items():
-                for rb, cb in prod_r.items():
-                    key = (la, rb)
-                    out[key] = out.get(key, 0) + c12 * (ca * cb)
-    return TensorElement(s.basis, out)
+
+    def terms():
+        for (l1, r1), c1 in s.coeffs.items():
+            for (l2, r2), c2 in t.coeffs.items():
+                prod_r = product(r1, r2)
+                c12 = c1 * c2
+                for la, ca in product(l1, l2).items():
+                    for rb, cb in prod_r.items():
+                        yield (la, rb), c12 * (ca * cb)
+
+    return TensorElement.from_terms(s.basis, terms())
 
 
 def coproduct(x: QSymElement) -> TensorElement:
     """Deconcatenation coproduct in the M basis; ribbon cuts in the F basis."""
-    out: dict[tuple[Composition, Composition], Fraction] = {}
     if x.basis == "M":
-        for alpha, c in x.coeffs.items():
-            for i in range(len(alpha) + 1):
-                key = (alpha[:i], alpha[i:])
-                out[key] = out.get(key, Fraction(0)) + c
+        terms = (
+            ((alpha[:i], alpha[i:]), c)
+            for alpha, c in x.coeffs.items()
+            for i in range(len(alpha) + 1)
+        )
     else:
-        for alpha, c in x.coeffs.items():
-            for cut in ribbon_cuts(alpha):
-                key = (cut.left, cut.right)
-                out[key] = out.get(key, Fraction(0)) + c
-    return TensorElement(x.basis, out)
+        terms = (
+            ((cut.left, cut.right), c)
+            for alpha, c in x.coeffs.items()
+            for cut in ribbon_cuts(alpha)
+        )
+    return TensorElement.from_terms(x.basis, terms)
 
 
 def counit(x: QSymElement) -> Fraction:
@@ -363,43 +276,41 @@ def antipode(x: QSymElement) -> QSymElement:
     """Hopf antipode.  On M_b it is (-1)^(k(b)) times the sum of all
     coarsenings of the reversal of b; on F_a it is (-1)^|a| F_(conjugate a).
     """
-    out: dict[Composition, Fraction] = {}
     if x.basis == "M":
-        for beta, c in x.coeffs.items():
-            signed = -c if len(beta) % 2 else c
-            rev = reversal(beta)
-            for alpha in coarsenings(rev):
-                out[alpha] = out.get(alpha, Fraction(0)) + signed
+        signed = {beta: -c if len(beta) % 2 else c for beta, c in x.coeffs.items()}
+        terms = (
+            (alpha, c)
+            for beta, c in signed.items()
+            for alpha in coarsenings(reversal(beta))
+        )
     else:
-        for alpha, c in x.coeffs.items():
-            signed = -c if sum(alpha) % 2 else c
-            gamma = conjugate(alpha)
-            out[gamma] = out.get(gamma, Fraction(0)) + signed
-    return QSymElement(x.basis, out)
+        terms = (
+            (conjugate(alpha), -c if sum(alpha) % 2 else c)
+            for alpha, c in x.coeffs.items()
+        )
+    return QSymElement.from_terms(x.basis, terms)
 
 
 def t_involution(x: QSymElement) -> QSymElement:
     """The reversal involution T, acting by B_a -> B_(reversed a) in either
     basis; an algebra morphism and coalgebra antimorphism."""
-    out: dict[Composition, Fraction] = {}
-    for alpha, c in x.coeffs.items():
-        rev = reversal(alpha)
-        out[rev] = out.get(rev, Fraction(0)) + c
-    return QSymElement(x.basis, out)
+    return QSymElement.from_terms(
+        x.basis, ((reversal(alpha), c) for alpha, c in x.coeffs.items())
+    )
 
 
 def descent_map(x: SSymElement) -> QSymElement:
     """The Hopf surjection from the permutation algebra: F_sigma maps to
     F_(descent composition of sigma)."""
-    out: dict[Composition, Fraction] = {}
-    for sigma, c in x.coeffs.items():
-        alpha = descent_composition(sigma)
-        out[alpha] = out.get(alpha, Fraction(0)) + c
-    return QSymElement("F", out)
+    SSymElement.require(x)
+    return QSymElement.from_terms(
+        "F", ((descent_composition(sigma), c) for sigma, c in x.coeffs.items())
+    )
 
 
 def format_element(x: QSymElement) -> str:
     """Render like "M[2,1] + 3/2*M[1,1] - M[3]"; "0" for the zero element."""
+    QSymElement.require(x)
     if not x.coeffs:
         return "0"
     pieces = []
@@ -417,6 +328,7 @@ def format_element(x: QSymElement) -> str:
 
 def element_to_json(x: QSymElement) -> dict:
     """JSON form: {"basis": ..., "terms": [{"comp": [...], "coeff": "p/q"}]}."""
+    QSymElement.require(x)
     return {
         "basis": x.basis,
         "terms": [
@@ -427,8 +339,9 @@ def element_to_json(x: QSymElement) -> dict:
 
 
 def element_from_json(data: dict) -> QSymElement:
-    coeffs: dict[Composition, Fraction] = {}
-    for term in data["terms"]:
-        alpha = composition(term["comp"])
-        coeffs[alpha] = coeffs.get(alpha, Fraction(0)) + Fraction(term["coeff"])
-    return QSymElement(data["basis"], coeffs)
+    """Inverse of element_to_json; repeated compositions add up, and a float
+    coefficient raises TypeError."""
+    return QSymElement.from_terms(data["basis"], (
+        (composition(term["comp"]), as_fraction(term["coeff"]))
+        for term in data["terms"]
+    ))

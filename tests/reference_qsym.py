@@ -36,8 +36,8 @@ def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
         raise ValueError("mixed-basis tensor arithmetic")
     basis = s.basis
     out: dict = {}
-    for (l1, r1), c1 in s.terms.items():
-        for (l2, r2), c2 in t.terms.items():
+    for (l1, r1), c1 in s.coeffs.items():
+        for (l2, r2), c2 in t.coeffs.items():
             prod_l = multiply(qsym_basis(basis, l1), qsym_basis(basis, l2))
             prod_r = multiply(qsym_basis(basis, r1), qsym_basis(basis, r2))
             for la, ca in prod_l.coeffs.items():

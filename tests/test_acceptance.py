@@ -90,7 +90,7 @@ def test_criterion_3_identity_battery():
 
 def _antipode_convolution(x, side):
     total = qs.qsym_zero(x.basis)
-    for (left, right), c in qs.coproduct(x).terms.items():
+    for (left, right), c in qs.coproduct(x).coeffs.items():
         l_elt = qs.qsym_basis(x.basis, left)
         r_elt = qs.qsym_basis(x.basis, right)
         pair = (qs.antipode(l_elt), r_elt) if side == "left" else (l_elt, qs.antipode(r_elt))
@@ -100,10 +100,10 @@ def _antipode_convolution(x, side):
 
 def _iterated_coproduct(tensor, side):
     out = {}
-    for (left, right), c in tensor.terms.items():
+    for (left, right), c in tensor.coeffs.items():
         target = left if side == "left" else right
         inner = qs.coproduct(qs.qsym_basis(tensor.basis, target))
-        for (a, b), d in inner.terms.items():
+        for (a, b), d in inner.coeffs.items():
             key = (a, b, right) if side == "left" else (left, a, b)
             out[key] = out.get(key, Fraction(0)) + c * d
     return {k: v for k, v in out.items() if v}
@@ -162,12 +162,12 @@ def test_criterion_4_hopf_axioms():
             x = qs.qsym_basis("M", a)
             assert qs.to_F(qs.antipode(x)) == qs.antipode(qs.to_F(x))
             pushed = {}
-            for (l, r), c in qs.coproduct(x).terms.items():
+            for (l, r), c in qs.coproduct(x).coeffs.items():
                 for la, ca in qs.to_F(qs.qsym_basis("M", l)).coeffs.items():
                     for rb, cb in qs.to_F(qs.qsym_basis("M", r)).coeffs.items():
                         pushed[(la, rb)] = pushed.get((la, rb), Fraction(0)) + c * ca * cb
             pushed = {k: v for k, v in pushed.items() if v}
-            assert pushed == qs.coproduct(qs.to_F(x)).terms
+            assert pushed == qs.coproduct(qs.to_F(x)).coeffs
         # commutativity, compatibility and basis change on pairs
         failures = _product_check_failures(6)
         assert not failures, failures
@@ -209,6 +209,24 @@ def test_criterion_5_character_properties():
 
 # -- criterion 6 -------------------------------------------------------------
 
+def _eval_perm_by_peaks(char_id, sigma):
+    """The peak formulas on F_sigma, the reference for eval_perm (which
+    goes through eval_F and the descent composition): zeta is 1 on
+    permutations without descents, zeta-minus is signed by the interior
+    peaks and zeta-plus by the augmented peaks."""
+    n = len(sigma)
+    if char_id == ch.ZETA:
+        return Fraction(1 if not pm.descent_set(sigma) else 0)
+    if char_id == ch.ZETA_MINUS:
+        p, scale = pm.interior_peaks(sigma), 4 ** (n // 2)
+    elif n % 2:
+        return Fraction(0)
+    else:
+        p, scale = pm.augmented_peaks(sigma), 2 ** n
+    sign = -1 if p % 2 else 1
+    return Fraction(sign * en.bivariate_catalan(p, n // 2 - p), scale)
+
+
 def test_criterion_6_permutation_layer():
     ok = False
     try:
@@ -219,6 +237,7 @@ def test_criterion_6_permutation_layer():
                 assert pm.augmented_peaks(sigma) == co.p_plus(alpha)
                 for char_id in (ch.ZETA, ch.ZETA_MINUS, ch.ZETA_PLUS):
                     assert ch.eval_perm(char_id, sigma) == ch.eval_F(char_id, alpha)
+                    assert ch.eval_perm(char_id, sigma) == _eval_perm_by_peaks(char_id, sigma)
         for n in range(10):
             fl = n // 2
             minus_total = Fraction(0)
@@ -269,11 +288,11 @@ def test_criterion_7_appendix():
                 expected = Fraction(0)
             assert ch.eval_M(ch.ZETA_PLUS, alpha) == expected
             # zeta-minus, F basis
-            expected = (-1) ** fl * en.half_binomial(st.p_minus, fl)
+            expected = (-1) ** fl * en.half_binomial(co.p_minus(alpha), fl)
             assert ch.eval_F(ch.ZETA_MINUS, alpha) == expected
             # zeta-plus, F basis
             if n % 2 == 0:
-                expected = (-1) ** (n // 2) * en.half_binomial(st.p_plus, n // 2)
+                expected = (-1) ** (n // 2) * en.half_binomial(co.p_plus(alpha), n // 2)
                 assert ch.eval_F(ch.ZETA_PLUS, alpha) == expected
             else:
                 assert ch.eval_F(ch.ZETA_PLUS, alpha) == 0
@@ -418,6 +437,32 @@ def _product_M_no_diagonal(alpha, beta):
                     out[head + tail] = out.get(head + tail, 0) + count
             row[j] = out
     return row[0]
+
+
+def _from_terms_overwriting(cls, basis, terms):
+    """The linear-combination summing routine with a planted fault: a
+    repeated key keeps its last coefficient instead of the sum."""
+    element = cls.__new__(cls)
+    en.LinearCombination.__init__(element, basis, dict(terms))
+    return element
+
+
+def test_criterion_9_mutation_smoke_lincomb(monkeypatch):
+    ok = False
+    try:
+        monkeypatch.setattr(
+            en.LinearCombination, "from_terms", classmethod(_from_terms_overwriting)
+        )
+        failed = _product_check_failures(4)
+        # a product of two basis elements has no repeated key, so the fault
+        # shows where several products are summed: in multiply_tensor, and in
+        # multiply on the F expansions of M basis elements
+        for check in ("M coproduct of a product", "F coproduct of a product",
+                      "basis change of a product"):
+            assert check in failed, failed
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (sums)", ok)
 
 
 def test_criterion_9_mutation_smoke_f_product(monkeypatch):

@@ -9,6 +9,7 @@ import reference_oracle as ref
 from qsymx import characters as ch
 from qsymx import compositions as co
 from qsymx import exactnum as en
+from qsymx import permutations as pm
 from qsymx import qsym as qs
 
 ALL_IDS = list(ch.CHARACTER_IDS) + [ch.zeta_power(m) for m in (-3, -1, 2, 3)]
@@ -58,6 +59,8 @@ def test_eval_element():
     x = qs.to_F(qs.qsym_basis("M", (2,)))
     assert ch.eval_element(ch.ZETA_MINUS, x) == 0
     assert ch.eval_M(ch.ZETA_MINUS, (2,)) == 0
+    with pytest.raises(TypeError):
+        ch.eval_element(ch.ZETA, pm.ssym_basis((2, 1)))
 
 
 def test_eval_perm_examples():
@@ -67,8 +70,7 @@ def test_eval_perm_examples():
     assert ch.eval_perm(ch.ZETA_MINUS, (1, 2)) == Fraction(1, 2)
     assert ch.eval_perm(ch.ZETA, (1, 2, 3)) == 1
     assert ch.eval_perm(ch.ZETA, (2, 1, 3)) == 0
-    with pytest.raises(ValueError):
-        ch.eval_perm(ch.ZETA_INV, (1, 2))
+    assert ch.eval_perm(ch.ZETA_INV, (3, 2, 1)) == -1
 
 
 def test_restrict_examples():
@@ -107,7 +109,7 @@ def test_convolve_matches_coproduct_route():
     conv = ch.convolve(phi, psi)
     for alpha in comps_up_to(5):
         through_coproduct = Fraction(0)
-        for (left, right), c in qs.coproduct(qs.qsym_basis("M", alpha)).terms.items():
+        for (left, right), c in qs.coproduct(qs.qsym_basis("M", alpha)).coeffs.items():
             through_coproduct += c * phi.value(left) * psi.value(right)
         assert conv.value(alpha) == through_coproduct
 

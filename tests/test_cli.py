@@ -139,7 +139,7 @@ def test_usage_errors_exit_2_with_no_stdout(capsys):
     assert code == 2 and out == ""
     code, out, _ = run_usage_error(capsys, "verify", "--id", "nope")
     assert code == 2 and out == ""
-    code, out, _ = run_usage_error(capsys, "eval", "--char", "zeta-inv", "--perm", "12")
+    code, out, _ = run_usage_error(capsys, "eval", "--char", "zeta", "--perm", "112")
     assert code == 2 and out == ""
     code, out, _ = run_usage_error(capsys, "nonsense")
     assert code == 2 and out == ""

@@ -137,6 +137,13 @@ def test_ssym_associativity_total_degree_6():
                             assert (x * y) * z == x * (y * z)
 
 
+def test_ssym_element_validates_keys():
+    # these were stored, and (1, 1) times F_1 gave F_113 + F_131 + F_311
+    for bad in [(1, 1), (2, 3)]:
+        with pytest.raises(ValueError, match="not a permutation"):
+            pm.SSymElement({bad: 1})
+
+
 def test_ssym_zero_coefficients_dropped():
     x = pm.SSymElement({(1, 2): 1})
     y = pm.SSymElement({(1, 2): -1})

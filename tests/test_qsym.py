@@ -27,7 +27,7 @@ def comps_up_to(max_degree):
 def apply_antipode_convolution(x, side):
     """sum S(x1) x2 or x1 S(x2) over the coproduct terms of x."""
     total = qs.qsym_zero(x.basis)
-    for (left, right), c in qs.coproduct(x).terms.items():
+    for (left, right), c in qs.coproduct(x).coeffs.items():
         l_elt = qs.qsym_basis(x.basis, left)
         r_elt = qs.qsym_basis(x.basis, right)
         if side == "left":
@@ -41,9 +41,9 @@ def coproduct_then(tensor, which):
     """Flatten (coproduct x id) or (id x coproduct) of a tensor into a dict
     over triples."""
     out = {}
-    for (left, right), c in tensor.terms.items():
+    for (left, right), c in tensor.coeffs.items():
         inner = qs.coproduct(qs.qsym_basis(tensor.basis, left if which == "left" else right))
-        for (a, b), d in inner.terms.items():
+        for (a, b), d in inner.coeffs.items():
             key = (a, b, right) if which == "left" else (left, a, b)
             out[key] = out.get(key, Fraction(0)) + c * d
     return {k: v for k, v in out.items() if v}
@@ -55,12 +55,49 @@ def test_element_construction_and_arithmetic():
     assert (x + y).is_zero()
     assert (x - x).is_zero()
     z = qs.qsym_basis("F", (1,))
-    with pytest.raises(ValueError):
-        x + z
-    with pytest.raises(ValueError):
-        qs.multiply(x, z)
+    tx, tz = qs.coproduct(x), qs.coproduct(z)
+    for op in (lambda: x + z, lambda: x - z, lambda: qs.multiply(x, z),
+               lambda: tx + tz, lambda: tx - tz, lambda: qs.multiply_tensor(tx, tz)):
+        with pytest.raises(ValueError, match="mixed-basis"):
+            op()
     with pytest.raises(ValueError):
         qs.QSymElement("G", {})
+    with pytest.raises(ValueError):
+        qs.TensorElement("G", {})
+
+
+def test_arithmetic_across_element_classes_raises_type_error():
+    # F_1 + M_1 gave SSym(2*F_1), and M_1 + 1 raised AttributeError
+    f = pm.ssym_basis((1,))
+    m = qs.qsym_basis("M", (1,))
+    t = qs.coproduct(m)
+    for x, y in [(f, m), (m, f), (m, t), (t, m), (t, f)]:
+        for op in (lambda: x + y, lambda: x - y, lambda: x * y):
+            with pytest.raises(TypeError):
+                op()
+        assert x != y
+    for x in (f, m, t):
+        for other in (1, Fraction(1, 2)):
+            with pytest.raises(TypeError):
+                x + other
+            with pytest.raises(TypeError):
+                x - other
+        assert x != 1
+    # a permutation-algebra element is not a QSym element, nor the reverse,
+    # even where the keys would pass for compositions or permutations
+    s = pm.ssym_basis((2, 1))
+    for op in (qs.to_F, qs.to_M, qs.format_element, qs.element_to_json):
+        with pytest.raises(TypeError):
+            op(s)
+    with pytest.raises(TypeError):
+        qs.descent_map(m)
+
+
+def test_tensor_element_is_hashable():
+    s = qs.coproduct(qs.qsym_basis("F", (2, 1)))
+    t = qs.coproduct(qs.qsym_basis("F", (2, 1)))
+    assert hash(s) == hash(t)
+    assert len({s, t, s.swap()}) == 2
 
 
 def test_basis_rejects_non_integer_parts():
@@ -199,18 +236,18 @@ def test_multiply_commutative_associative():
 
 def test_coproduct_examples():
     tensor = qs.coproduct(qs.qsym_basis("M", (2, 1)))
-    assert tensor.terms == {
+    assert tensor.coeffs == {
         ((), (2, 1)): 1,
         ((2,), (1,)): 1,
         ((2, 1), ()): 1,
     }
     tensor = qs.coproduct(qs.qsym_basis("F", (2,)))
-    assert tensor.terms == {
+    assert tensor.coeffs == {
         ((), (2,)): 1,
         ((1,), (1,)): 1,
         ((2,), ()): 1,
     }
-    assert qs.coproduct(qs.qsym_one("M")).terms == {((), ()): 1}
+    assert qs.coproduct(qs.qsym_one("M")).coeffs == {((), ()): 1}
 
 
 def test_counit():
@@ -226,7 +263,7 @@ def test_counit_compatibility():
             tensor = qs.coproduct(x)
             left = qs.qsym_zero(basis)
             right = qs.qsym_zero(basis)
-            for (l, r), c in tensor.terms.items():
+            for (l, r), c in tensor.coeffs.items():
                 if l == ():
                     left = left + c * qs.qsym_basis(basis, r)
                 if r == ():
@@ -277,7 +314,7 @@ def test_basis_change_commutes_with_structure():
         assert qs.to_F(qs.antipode(x)) == qs.antipode(qs.to_F(x))
         lhs = {
             (l, r): c
-            for (l, r), c in qs.coproduct(x).terms.items()
+            for (l, r), c in qs.coproduct(x).coeffs.items()
         }
         # push the M coproduct through to_F componentwise
         pushed = {}
@@ -287,7 +324,7 @@ def test_basis_change_commutes_with_structure():
                     key = (la, rb)
                     pushed[key] = pushed.get(key, Fraction(0)) + c * ca * cb
         pushed = {k: v for k, v in pushed.items() if v}
-        assert pushed == qs.coproduct(qs.to_F(x)).terms
+        assert pushed == qs.coproduct(qs.to_F(x)).coeffs
     for a, b in itertools.product(comps, repeat=2):
         if sum(a) + sum(b) > 4:
             continue
@@ -304,10 +341,10 @@ def test_t_involution():
             # coalgebra antimorphism: (T x T) o swap o coproduct = coproduct o T
             swapped = qs.coproduct(x).swap()
             mapped = {}
-            for (l, r), c in swapped.terms.items():
+            for (l, r), c in swapped.coeffs.items():
                 key = (co.reversal(l), co.reversal(r))
                 mapped[key] = mapped.get(key, Fraction(0)) + c
-            assert mapped == qs.coproduct(qs.t_involution(x)).terms
+            assert mapped == qs.coproduct(qs.t_involution(x)).coeffs
     for basis in ("M", "F"):
         for a, b in itertools.product(comps, repeat=2):
             if sum(a) + sum(b) > 6:
@@ -347,6 +384,18 @@ def test_format_element():
     assert qs.format_element(x) == "-M[1,1] + M[3] + 3/2*M[2,1]"
     assert qs.format_element(qs.qsym_zero("F")) == "0"
     assert qs.format_element(qs.qsym_one("M")) == "M[]"
+
+
+def test_element_from_json_is_exact():
+    # {"coeff": 0.1} was stored as 3602879701896397/36028797018963968
+    with pytest.raises(TypeError):
+        qs.element_from_json({"basis": "M", "terms": [{"comp": [1], "coeff": 0.1}]})
+    with pytest.raises(ValueError):
+        qs.element_from_json({"basis": "G", "terms": []})
+    repeated = [{"comp": [1], "coeff": "1/2"}, {"comp": [1], "coeff": 1}]
+    assert qs.element_from_json({"basis": "M", "terms": repeated}) == qs.qsym_basis(
+        "M", (1,), "3/2"
+    )
 
 
 def test_json_round_trip():
