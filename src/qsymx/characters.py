@@ -4,27 +4,26 @@ independent oracle.
 
 Closed forms and the oracle share no code on purpose.  The closed-form
 evaluators are direct arithmetic in terms of bivariate Catalan numbers; the
-oracle side only knows the universal character's defining values and the
-convolution-group recursions
+oracle side only knows the universal character's defining values and three
+operations of the convolution group: the product, the quotient a^-1 b and
+the square root.  It splits phi = phi_+ phi_- into even and odd characters
+by the uniqueness argument of Aguiar-Bergeron-Sottile (Combinatorial Hopf
+algebras and generalized Dehn-Sommerville relations, Compositio Math. 142
+(2006), Thm 1.5): bar(phi_+) = phi_+ and bar(phi_-) = phi_-^-1, so
 
-    (phi^-1)_n = - sum_{i=1..n} phi_i (phi^-1)_{n-i}
+    bar(phi)^-1 phi = phi_-^2,    phi_+ = phi bar(phi_-).
 
-    (-1)^n phi_n = 2 (phi_+)_n + (phi^-1)_n
-                   + sum_{i+j+k=n, i,j,k<n} (phi_+)_i (phi^-1)_j (phi_+)_k
+Comparing the two sides entrywise is the central acceptance test of the
+package.
 
-    (phi_-)_n = phi_n - sum_{i=1..n} (phi_+)_i (phi_-)_{n-i}
-
-with (phi^-1)_0 = (phi_+)_0 = (phi_-)_0 = counit.  Comparing the two sides
-entrywise is the central acceptance test of the package.
-
-All three recursions, and the convolution product, run through one
-deconcatenation kernel on integer tables indexed by partial-sum bitmask.
-On entry, degree n of a table is scaled by c**n, with c the lcm of the
-input denominators (twice that in ``decompose``, which halves); on exit each
-value is turned back into Fraction(v, c**n).  Scaling degree n by c**n
-commutes with convolution, so every step in between is exact integer
-arithmetic, and the only division, the halving in ``decompose``, is checked
-to leave no remainder.  ``TruncatedCharacter`` itself stores Fractions.
+All three run through one deconcatenation kernel on integer tables
+indexed by partial-sum bitmask.  On entry, degree n of a table is scaled by
+c**n, with c the lcm of the input denominators (twice that in
+``decompose``, which halves); on exit each value is turned back into
+Fraction(v, c**n).  Scaling degree n by c**n commutes with convolution, so
+every step in between is exact integer arithmetic, and the only division,
+the halving in the square root, is checked to leave no remainder.
+``TruncatedCharacter`` itself stores Fractions.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -336,14 +335,31 @@ def _proper_cuts(left, right, n: int) -> list[int]:
     return row
 
 
-def _inverse_rows(rows) -> list[list[int]]:
-    """Scaled tables of the convolution inverse of scaled tables with
-    degree-0 value 1: (phi^-1)_n = -phi_n - sum over proper cuts."""
-    inv = [[1]]
-    for n in range(1, len(rows)):
-        cuts = _proper_cuts(rows, inv, n)
-        inv.append([-(v + x) for v, x in zip(rows[n], cuts)])
-    return inv
+def _product_rows(left, right) -> list[list[int]]:
+    """Scaled tables of the convolution product: degree 0 is a * b, and
+    degree n is a * right_n + left_n * b plus the proper cuts."""
+    a, b = left[0][0], right[0][0]
+    rows = [[a * b]]
+    for n in range(1, len(left)):
+        cuts = _proper_cuts(left, right, n)
+        rows.append([a * r + v * b + x for v, r, x in zip(left[n], right[n], cuts)])
+    return rows
+
+
+def _quotient_rows(a, b) -> list[list[int]]:
+    """Scaled tables of x = a^-1 b for a(1) = 1, from a x = b:
+    x_n = b_n - a_n x_0 - sum over proper cuts of a(left) x(right)."""
+    x0 = b[0][0]
+    x = [[x0]]
+    for n in range(1, len(b)):
+        cuts = _proper_cuts(a, x, n)
+        x.append([w - v * x0 - y for w, v, y in zip(b[n], a[n], cuts)])
+    return x
+
+
+def _bar_rows(rows) -> list[list]:
+    """The degree-sign involution: degree-n values pick up (-1)^n."""
+    return [[-v for v in row] if n % 2 else row for n, row in enumerate(rows)]
 
 
 def _halve(row) -> list[int]:
@@ -364,72 +380,53 @@ def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedChara
     c = _denominator_lcm(phi, psi)
     # degree 0 is scaled by base, so that non-integer phi(1), psi(1) work
     base = lcm(phi.tables[0][0].denominator, psi.tables[0][0].denominator)
-    left, right = _scaled(phi, c, base), _scaled(psi, c, base)
-    a, b = left[0][0], right[0][0]
-    rows = [[a * b]]
-    for n in range(1, phi.max_degree + 1):
-        cuts = _proper_cuts(left, right, n)
-        rows.append([a * r + v * b + x for v, r, x in zip(left[n], right[n], cuts)])
+    rows = _product_rows(_scaled(phi, c, base), _scaled(psi, c, base))
     return _unscaled(rows, c, base * base)
 
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
-    """Convolution inverse, by the degree recursion; requires phi(1) = 1."""
+    """Convolution inverse, as the quotient phi^-1 counit; requires
+    phi(1) = 1."""
     if phi.value(()) != 1:
         raise ValueError("inverse requires phi(1) = 1")
     c = _denominator_lcm(phi)
-    return _unscaled(_inverse_rows(_scaled(phi, c)), c)
+    counit = [[1]] + [[0] * (1 << (n - 1)) for n in range(1, phi.max_degree + 1)]
+    return _unscaled(_quotient_rows(_scaled(phi, c), counit), c)
 
 
 def bar(phi: TruncatedCharacter) -> TruncatedCharacter:
     """The degree-sign involution: degree-n values pick up (-1)^n."""
-    tables = [
-        [(-v if n % 2 else v) for v in row] for n, row in enumerate(phi.tables)
-    ]
-    return TruncatedCharacter(phi.max_degree, tables)
+    return TruncatedCharacter(phi.max_degree, _bar_rows(phi.tables))
 
 
 def decompose(phi: TruncatedCharacter):
     """Split phi (with phi(1) = 1) into its even and odd parts, returning
     (phi_plus, phi_minus) with phi = phi_plus * phi_minus in convolution.
 
-    This is the oracle: it uses only phi's own values, the inverse
-    recursion, and the two decomposition recursions, never the closed
-    forms.  It runs on integer tables: with d the lcm of phi's
-    denominators and c = 2d, degree n is scaled by c**n, which makes every
-    value of phi^-1, phi_+, phi_- and G = phi^-1 phi_+ an integer.  The
-    three-fold sum of the module docstring is regrouped by its left piece,
+    This is the oracle: it uses only phi's own values and the convolution
+    group, never the closed forms.  By Aguiar-Bergeron-Sottile, Thm 1.5,
+    phi_- is the square root of bar(phi)^-1 phi with phi_-(1) = 1, and
+    phi_+ = phi bar(phi_-).  The square root is solved one degree at a time
+    from (phi_-^2)_n = 2 (phi_-)_n + sum over proper cuts of
+    phi_-(left) phi_-(right), so each of the quotient, the square root and
+    the product makes one kernel pass per degree.
 
-        corr = sum_proper phi^-1(left) phi_+(right)
-               + sum_proper phi_+(left) G(right),
-        G_n  = (phi^-1)_n + (phi_+)_n + sum_proper phi^-1(left) phi_+(right),
-
-    so each degree of phi_+ takes two kernel passes, each linear in the
-    number of parts.  Then 2 (phi_+)_n = (-1)^n phi_n - (phi^-1)_n - corr,
-    and that halving is checked to be exact.  For integer phi, phi_- (the
-    square root of bar(phi)^-1 phi) and phi_+ = phi bar(phi_-) have 2-adic
-    valuation at least 1 - n in degree n, so an odd value can only come
-    from a fault; it raises ArithmeticError.
+    It runs on integer tables: with d the lcm of phi's denominators and
+    c = 2d, degree n is scaled by c**n.  For integer phi, phi_- and phi_+
+    have 2-adic valuation at least 1 - n in degree n, so every scaled value
+    is an integer and an odd value in the halving can only come from a
+    fault; it raises ArithmeticError.
     """
     if phi.value(()) != 1:
         raise ValueError("decompose requires phi(1) = 1")
     c = 2 * _denominator_lcm(phi)
     rows = _scaled(phi, c)
-    inv = _inverse_rows(rows)
-    plus, g, minus = [[1]], [[1]], [[1]]
+    square = _quotient_rows(_bar_rows(rows), rows)
+    minus = [[1]]
     for n in range(1, len(rows)):
-        inv_plus = _proper_cuts(inv, plus, n)
-        plus_g = _proper_cuts(plus, g, n)
-        sign = -1 if n % 2 else 1
-        plus.append(
-            _halve(
-                sign * v - i - x - y
-                for v, i, x, y in zip(rows[n], inv[n], inv_plus, plus_g)
-            )
-        )
-        g.append([i + p + x for i, p, x in zip(inv[n], plus[n], inv_plus)])
-        cuts = _proper_cuts(plus, minus, n)
-        minus.append([v - p - x for v, p, x in zip(rows[n], plus[n], cuts)])
+        cuts = _proper_cuts(minus, minus, n)
+        minus.append(_halve(v - x for v, x in zip(square[n], cuts)))
+    plus = _product_rows(rows, _bar_rows(minus))
     return _unscaled(plus, c), _unscaled(minus, c)
 
 

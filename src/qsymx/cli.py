@@ -65,8 +65,11 @@ def _default_degree() -> int:
     try:
         value = int(raw)
     except ValueError:
+        value = -1
+    if value < 0:
         print(
-            "warning: ignoring non-integer QSYMX_MAX_DEGREE=%r" % (raw,),
+            "warning: ignoring QSYMX_MAX_DEGREE=%r, which is not a "
+            "non-negative integer" % (raw,),
             file=sys.stderr,
         )
         return DEFAULT_MAX_DEGREE

@@ -186,6 +186,7 @@ def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
     >>> multiply(m1, m1)
     M[2] + 2*M[1,1]
     """
+    QSymElement.require(x)
     x.check_compatible(y)
     product = _product_F if x.basis == "F" else _product_M
 
@@ -235,6 +236,7 @@ class TensorElement(LinearCombination):
 
 def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     """Componentwise product (a (x) b)(c (x) d) = ac (x) bd."""
+    TensorElement.require(s)
     s.check_compatible(t)
     product = _product_F if s.basis == "F" else _product_M
 
@@ -252,6 +254,7 @@ def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
 
 def coproduct(x: QSymElement) -> TensorElement:
     """Deconcatenation coproduct in the M basis; ribbon cuts in the F basis."""
+    QSymElement.require(x)
     if x.basis == "M":
         terms = (
             ((alpha[:i], alpha[i:]), c)
@@ -269,6 +272,7 @@ def coproduct(x: QSymElement) -> TensorElement:
 
 def counit(x: QSymElement) -> Fraction:
     """Coefficient of the empty composition (same rule in both bases)."""
+    QSymElement.require(x)
     return x.coeffs.get((), Fraction(0))
 
 
@@ -276,6 +280,7 @@ def antipode(x: QSymElement) -> QSymElement:
     """Hopf antipode.  On M_b it is (-1)^(k(b)) times the sum of all
     coarsenings of the reversal of b; on F_a it is (-1)^|a| F_(conjugate a).
     """
+    QSymElement.require(x)
     if x.basis == "M":
         signed = {beta: -c if len(beta) % 2 else c for beta, c in x.coeffs.items()}
         terms = (
@@ -294,6 +299,7 @@ def antipode(x: QSymElement) -> QSymElement:
 def t_involution(x: QSymElement) -> QSymElement:
     """The reversal involution T, acting by B_a -> B_(reversed a) in either
     basis; an algebra morphism and coalgebra antimorphism."""
+    QSymElement.require(x)
     return QSymElement.from_terms(
         x.basis, ((reversal(alpha), c) for alpha, c in x.coeffs.items())
     )

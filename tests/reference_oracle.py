@@ -3,10 +3,12 @@ decomposition computed directly over ``Fraction`` values, one composition at
 a time, by slicing tuples at every deconcatenation.
 
 This is the route the package used before its integer-scaled bitmask
-kernel; it stays here, slow and literal, as the reference the kernel is
-compared against.  It only reads values through
-``TruncatedCharacter.value`` and builds results through the public
-constructor.
+kernel, and its ``decompose`` is the former three-fold recursion for phi_+,
+not the square root of bar(phi)^-1 phi that the package now takes
+(Aguiar-Bergeron-Sottile, Compositio Math. 142 (2006), Thm 1.5).  It stays
+here, slow and literal, as the reference the oracle is compared against.
+It only reads values through ``TruncatedCharacter.value`` and builds
+results through the public constructor.
 """
 
 from fractions import Fraction

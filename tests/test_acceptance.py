@@ -10,6 +10,7 @@ import json
 import time
 from fractions import Fraction
 
+import reference_oracle
 from qsymx import characters as ch
 from qsymx import cli
 from qsymx import compositions as co
@@ -45,10 +46,15 @@ def test_criterion_1_oracle_equivalence():
                 assert oracle_minus.value(alpha) == closed_minus.value(alpha)
                 entries += 2
         assert entries == 2 * 512
+        # the square-root oracle against the literal three-fold recursion
+        for char_id in (ch.ZETA, ch.ZETA_INV, ch.zeta_power(3)):
+            phi = ch.restrict(char_id, 10)
+            assert ch.decompose(phi) == reference_oracle.decompose(phi), char_id
         ok = True
     finally:
         elapsed = time.perf_counter() - start
-        _report(1, "oracle equivalence N=9", ok, "%.2fs" % elapsed)
+        _report(1, "oracle equivalence N=9", ok,
+                "%.2fs; square root = three-fold recursion at N=10" % elapsed)
     assert elapsed < 10.0
 
 
@@ -398,6 +404,97 @@ def test_criterion_9_mutation_smoke_kernel(monkeypatch):
         ok = True
     finally:
         _report(9, "mutation smoke test (kernel)", ok)
+
+
+def _assert_decompose_cli_fails():
+    """A planted oracle fault must make ``qsymx decompose`` exit 1: either
+    it reports mismatches against the closed forms, or an inexact halving
+    raises ArithmeticError, which ends the command with status 1."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out):
+            code = cli.main(["decompose", "--degree", "6", "--json"])
+    except ArithmeticError as exc:
+        assert "exact halving" in str(exc), exc
+        return
+    assert code == 1, "planted oracle fault: decompose exited %r" % code
+    assert json.loads(out.getvalue())["mismatches"] > 0
+
+
+def test_criterion_9_mutation_smoke_halving(monkeypatch):
+    ok = False
+    try:
+        monkeypatch.setattr(ch, "_halve", list)
+        _assert_decompose_cli_fails()
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (halving)", ok)
+
+
+def _quotient_rows_without_unit_term(a, b):
+    """The quotient recursion with a planted fault: the a_n x_0 term is
+    dropped."""
+    x = [[b[0][0]]]
+    for n in range(1, len(b)):
+        cuts = ch._proper_cuts(a, x, n)
+        x.append([w - y for w, y in zip(b[n], cuts)])
+    return x
+
+
+def test_criterion_9_mutation_smoke_quotient(monkeypatch):
+    ok = False
+    try:
+        monkeypatch.setattr(ch, "_quotient_rows", _quotient_rows_without_unit_term)
+        _assert_decompose_cli_fails()
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (quotient)", ok)
+
+
+def _plant(monkeypatch, name, fault):
+    """Replace a compositions function in every module that imported it."""
+    for module in (co, qs, ch, idn):
+        if hasattr(module, name):
+            monkeypatch.setattr(module, name, fault)
+
+
+def _ribbon_cuts_swapped(alpha):
+    """Ribbon cuts with a planted fault: a cut inside a row of length a at
+    offset t leaves a - t squares on the left and t on the right."""
+    cuts = [co.CutPair((), alpha, 0)]
+    acc = 0
+    for j, a in enumerate(alpha):
+        for t in range(1, a):
+            cuts.append(co.CutPair(alpha[:j] + (a - t,), (t,) + alpha[j + 1:], acc + t))
+        acc += a
+        cuts.append(co.CutPair(alpha[: j + 1], alpha[j + 1:], acc))
+    return cuts
+
+
+def _failed_checks():
+    return {r.id for r in idn.verify_all("small") if not r.passed}
+
+
+def test_criterion_9_mutation_smoke_ribbon_cuts(monkeypatch):
+    ok = False
+    try:
+        _plant(monkeypatch, "ribbon_cuts", _ribbon_cuts_swapped)
+        failed = _failed_checks()
+        assert {"app_f1", "app_f2"} <= failed, failed
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (ribbon cuts)", ok)
+
+
+def test_criterion_9_mutation_smoke_conjugate(monkeypatch):
+    ok = False
+    try:
+        _plant(monkeypatch, "conjugate", co.reversal)
+        failed = _failed_checks()
+        assert "peak_rev_con" in failed, failed
+        ok = True
+    finally:
+        _report(9, "mutation smoke test (conjugate)", ok)
 
 
 def _product_F_tau_sigma_ascent(alpha, beta):

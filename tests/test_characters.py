@@ -309,17 +309,58 @@ def test_decompose_degree_12_matches_closed_forms():
 def test_halving_with_remainder_raises(monkeypatch):
     with pytest.raises(ArithmeticError):
         ch._halve([4, 3])
-    # an inverse table off by one in degree 2 makes the halving odd there
-    real = ch._inverse_rows
+    # a quotient off by one in degree 2 makes the square odd there, so the
+    # square root's halving must fail
+    real = ch._quotient_rows
 
-    def off_by_one(rows):
-        inv = real(rows)
-        inv[2][0] += 1
-        return inv
+    def off_by_one(a, b):
+        x = real(a, b)
+        x[2][0] += 1
+        return x
 
-    monkeypatch.setattr(ch, "_inverse_rows", off_by_one)
+    monkeypatch.setattr(ch, "_quotient_rows", off_by_one)
     with pytest.raises(ArithmeticError):
         ch.decompose(ch.restrict(ch.ZETA, 4))
+
+
+def test_decompose_makes_one_kernel_pass_per_degree_and_operation(monkeypatch):
+    real = ch._proper_cuts
+    calls = []
+
+    def counting(left, right, n):
+        calls.append(n)
+        return real(left, right, n)
+
+    monkeypatch.setattr(ch, "_proper_cuts", counting)
+    for degree in (0, 1, 7):
+        calls.clear()
+        ch.decompose(ch.restrict(ch.ZETA, degree))
+        # the quotient, the square root and the product
+        assert len(calls) == 3 * degree
+
+
+def _raise(*args):
+    raise AssertionError("the oracle called a closed-form route")
+
+
+def test_oracle_is_independent_of_the_closed_forms(monkeypatch):
+    degree = 8
+    zeta = ch.TruncatedCharacter(degree, [
+        [1 if mask == 0 else 0 for mask in range(1 << (n - 1))] if n else [1]
+        for n in range(degree + 1)
+    ])
+    with monkeypatch.context() as patch:
+        patch.setattr(ch, "eval_M", _raise)
+        patch.setattr(ch, "eval_F", _raise)
+        patch.setattr(en, "bivariate_catalan", _raise)
+        plus, minus = ch.decompose(zeta)
+        inv = ch.inverse(zeta)
+        square = ch.convolve(zeta, zeta)
+    assert zeta == ch.restrict(ch.ZETA, degree)
+    assert plus == ch.restrict(ch.ZETA_PLUS, degree)
+    assert minus == ch.restrict(ch.ZETA_MINUS, degree)
+    assert inv == ch.restrict(ch.ZETA_INV, degree)
+    assert square == ch.restrict(ch.zeta_power(2), degree)
 
 
 # -- the integer kernel against the literal Fraction route ---------------------

@@ -99,6 +99,15 @@ def test_decompose_degree_env_default(capsys, monkeypatch):
     assert json.loads(out)["degree"] == 2
 
 
+def test_decompose_degree_env_rejects_negative_and_non_integer(capsys, monkeypatch):
+    for raw in ("-3", "nine"):
+        monkeypatch.setenv("QSYMX_MAX_DEGREE", raw)
+        code, out, err = run(capsys, "decompose", "--json")
+        assert code == 0
+        assert json.loads(out)["degree"] == cli.DEFAULT_MAX_DEGREE
+        assert "QSYMX_MAX_DEGREE" in err and "--degree" not in err
+
+
 def test_degree_cap_warning(capsys, monkeypatch):
     monkeypatch.setenv("QSYMX_MAX_DEGREE", "99")
     code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "17", "--json")

@@ -100,6 +100,47 @@ def test_tensor_element_is_hashable():
     assert len({s, t, s.swap()}) == 2
 
 
+TENSOR_UNIT = qs.TensorElement("M", {((), ()): 1})
+SSYM_UNIT = pm.ssym_basis(())
+
+
+def test_counit_rejects_other_classes():
+    for x in (TENSOR_UNIT, SSYM_UNIT):
+        with pytest.raises(TypeError, match="expected a QSymElement"):
+            qs.counit(x)
+
+
+def test_coproduct_rejects_other_classes():
+    for x in (TENSOR_UNIT, SSYM_UNIT):
+        with pytest.raises(TypeError, match="expected a QSymElement"):
+            qs.coproduct(x)
+
+
+def test_antipode_rejects_other_classes():
+    for x in (TENSOR_UNIT, SSYM_UNIT):
+        with pytest.raises(TypeError, match="expected a QSymElement"):
+            qs.antipode(x)
+
+
+def test_t_involution_rejects_other_classes():
+    for x in (TENSOR_UNIT, SSYM_UNIT):
+        with pytest.raises(TypeError, match="expected a QSymElement"):
+            qs.t_involution(x)
+
+
+def test_multiply_rejects_other_classes():
+    for x in (TENSOR_UNIT, SSYM_UNIT):
+        with pytest.raises(TypeError, match="expected a QSymElement"):
+            qs.multiply(x, x)
+
+
+def test_multiply_tensor_rejects_other_classes():
+    m1 = qs.qsym_basis("M", (1,))
+    for x in (m1, SSYM_UNIT):
+        with pytest.raises(TypeError, match="expected a TensorElement"):
+            qs.multiply_tensor(x, x)
+
+
 def test_basis_rejects_non_integer_parts():
     with pytest.raises(ValueError, match="positive integers"):
         qs.qsym_basis("M", [2.5])
