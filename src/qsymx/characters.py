@@ -37,18 +37,16 @@ from . import exactnum as en
 from .compositions import (
     Composition,
     all_compositions,
-    coarsenings,
+    composition,
     conjugate,
-    from_index,
     p_minus,
     p_plus,
     refinements,
     reversal,
     stats,
-    to_index,
 )
-from .permutations import Permutation, descent_composition
-from .qsym import QSymElement
+from .permutations import Permutation, descent_composition, permutation
+from .qsym import QSymElement, antipode, qsym_basis, t_involution
 
 __all__ = [
     "ZETA",
@@ -166,8 +164,9 @@ def eval_M(char_id: str, alpha: Composition) -> Fraction:
 
 def eval_F(char_id: str, alpha: Composition) -> Fraction:
     """Value of a closed-form character on the fundamental basis element of
-    alpha."""
+    alpha; a part that is not a positive int raises ValueError."""
     kind, power = _parse_id(char_id)
+    alpha = composition(alpha)
     n = sum(alpha)
     k = len(alpha)
     if kind == "counit":
@@ -218,8 +217,9 @@ def eval_element(char_id: str, x: QSymElement) -> Fraction:
 def eval_perm(char_id: str, sigma: Permutation) -> Fraction:
     """Value of the pulled-back character on the permutation basis element
     F_sigma: the descent map sends F_sigma to F of the descent composition
-    of sigma, so this is eval_F there, for every character id."""
-    return eval_F(char_id, descent_composition(sigma))
+    of sigma, so this is eval_F there, for every character id.  A word
+    that is not a permutation of 1..n raises ValueError."""
+    return eval_F(char_id, descent_composition(permutation(sigma)))
 
 
 class TruncatedCharacter:
@@ -430,32 +430,25 @@ def decompose(phi: TruncatedCharacter):
     return _unscaled(plus, c), _unscaled(minus, c)
 
 
+def _compose(phi: TruncatedCharacter, f) -> TruncatedCharacter:
+    """phi composed with a linear map f on QSym: on M_alpha, the value of
+    phi on the M-basis element f(M_alpha)."""
+
+    def value(alpha):
+        image = f(qsym_basis("M", alpha))
+        return sum((c * phi.value(beta) for beta, c in image.coeffs.items()), Fraction(0))
+
+    return TruncatedCharacter.tabulate(phi.max_degree, value)
+
+
 def compose_antipode(phi: TruncatedCharacter) -> TruncatedCharacter:
-    """phi composed with the antipode: on M_alpha this is (-1)^(k(alpha))
-    times the sum of phi over all coarsenings of the reversal of alpha."""
-    tables = []
-    for n in range(phi.max_degree + 1):
-        row = []
-        for alpha in all_compositions(n):
-            total = Fraction(0)
-            for gamma in coarsenings(reversal(alpha)):
-                total += phi.value(gamma)
-            row.append(-total if len(alpha) % 2 else total)
-        tables.append(row)
-    return TruncatedCharacter(phi.max_degree, tables)
+    """phi composed with the antipode."""
+    return _compose(phi, antipode)
 
 
 def compose_T(phi: TruncatedCharacter) -> TruncatedCharacter:
     """phi composed with the reversal involution T."""
-    tables = []
-    for n in range(phi.max_degree + 1):
-        size = 1 if n == 0 else 1 << (n - 1)
-        row = [
-            phi.tables[n][to_index(reversal(from_index(n, mask)))]
-            for mask in range(size)
-        ]
-        tables.append(row)
-    return TruncatedCharacter(phi.max_degree, tables)
+    return _compose(phi, t_involution)
 
 
 def h_minus(alpha: Composition) -> Fraction:

@@ -4,11 +4,15 @@ printed per criterion (run pytest with -s to see them as they complete).
 """
 
 import contextlib
+import functools
 import io
 import itertools
 import json
 import time
+from collections import Counter
 from fractions import Fraction
+
+import pytest
 
 import reference_oracle
 from qsymx import characters as ch
@@ -20,10 +24,36 @@ from qsymx import permutations as pm
 from qsymx import qsym as qs
 
 
-def _report(number: int, name: str, ok: bool, note: str = ""):
-    status = "PASS" if ok else "FAIL"
-    suffix = " (%s)" % note if note else ""
-    print("[acceptance] criterion %d %-28s %s%s" % (number, name, status, suffix))
+class _Failures(dict):
+    """The checks of a criterion that fail, each mapped to its first
+    failing case, or to the exception the check raised."""
+
+    def check(self, name, case, holds):
+        """Record case under name if holds() is false and name has not failed."""
+        if name not in self:
+            try:
+                if not holds():
+                    self[name] = case
+            except Exception as exc:
+                self[name] = exc
+
+
+@contextlib.contextmanager
+def _reported(number: int, name: str, note: str = "", limit: float | None = None):
+    """Print the criterion's pass/fail line when the block ends, with note
+    formatted by the block's wall time in seconds; a block slower than
+    limit fails."""
+    ok = False
+    start = time.perf_counter()
+    try:
+        yield
+        ok = True
+    finally:
+        elapsed = time.perf_counter() - start
+        status = "PASS" if ok else "FAIL"
+        suffix = " (%s)" % (note % elapsed) if note else ""
+        print("[acceptance] criterion %d %-28s %s%s" % (number, name, status, suffix))
+    assert limit is None or elapsed < limit
 
 
 def comps_up_to(max_degree):
@@ -33,9 +63,8 @@ def comps_up_to(max_degree):
 # -- criterion 1 -------------------------------------------------------------
 
 def test_criterion_1_oracle_equivalence():
-    ok = False
-    start = time.perf_counter()
-    try:
+    with _reported(1, "oracle equivalence N=9",
+                   "%.2fs; square root = three-fold recursion at N=10", limit=10.0):
         oracle_plus, oracle_minus = ch.decompose(ch.restrict(ch.ZETA, 9))
         closed_plus = ch.restrict(ch.ZETA_PLUS, 9)
         closed_minus = ch.restrict(ch.ZETA_MINUS, 9)
@@ -50,46 +79,37 @@ def test_criterion_1_oracle_equivalence():
         for char_id in (ch.ZETA, ch.ZETA_INV, ch.zeta_power(3)):
             phi = ch.restrict(char_id, 10)
             assert ch.decompose(phi) == reference_oracle.decompose(phi), char_id
-        ok = True
-    finally:
-        elapsed = time.perf_counter() - start
-        _report(1, "oracle equivalence N=9", ok,
-                "%.2fs; square root = three-fold recursion at N=10" % elapsed)
-    assert elapsed < 10.0
 
 
 # -- criterion 2 -------------------------------------------------------------
 
+def _f_basis_failures(max_degree):
+    """Criterion 2 for alpha of weight at most max_degree: eval_F against
+    eval_element on the M expansion of F_alpha.  Each character id that
+    fails is mapped to its first failing alpha."""
+    ids = ch.CHARACTER_IDS + tuple(ch.zeta_power(m) for m in (-3, 2, 3))
+    failed = _Failures()
+    for alpha in comps_up_to(max_degree):
+        expansion = qs.to_M(qs.qsym_basis("F", alpha))
+        for char_id in ids:
+            failed.check(char_id, alpha, lambda: (
+                ch.eval_F(char_id, alpha) == ch.eval_element(char_id, expansion)))
+    return failed
+
+
 def test_criterion_2_f_basis_closed_forms():
-    ok = False
-    try:
-        ids = (ch.ZETA, ch.COUNIT, ch.ZETA_PLUS, ch.ZETA_MINUS, ch.ZETA_INV,
-               ch.ZETA_INV_PLUS, ch.ZETA_INV_MINUS,
-               ch.zeta_power(-3), ch.zeta_power(2), ch.zeta_power(3))
-        for alpha in comps_up_to(9):
-            expansion = qs.to_M(qs.qsym_basis("F", alpha))
-            for char_id in ids:
-                assert ch.eval_F(char_id, alpha) == ch.eval_element(char_id, expansion)
-        ok = True
-    finally:
-        _report(2, "F-basis closed forms n<=9", ok)
+    with _reported(2, "F-basis closed forms n<=9"):
+        assert _f_basis_failures(9) == {}
 
 
 # -- criterion 3 -------------------------------------------------------------
 
 def test_criterion_3_identity_battery():
-    ok = False
-    start = time.perf_counter()
-    try:
+    with _reported(3, "identity battery (standard)", "%.2fs", limit=120.0):
         reports = idn.verify_all("standard")
         failed = [r for r in reports if not r.passed]
         assert not failed, failed
         assert len(reports) == len(idn.registry_ids())
-        ok = True
-    finally:
-        elapsed = time.perf_counter() - start
-        _report(3, "identity battery (standard)", ok, "%.2fs" % elapsed)
-    assert elapsed < 120.0
 
 
 # -- criterion 4 -------------------------------------------------------------
@@ -115,102 +135,100 @@ def _iterated_coproduct(tensor, side):
     return {k: v for k, v in out.items() if v}
 
 
-def _product_check_failures(max_degree):
-    """The criterion-4 checks on pairs of basis elements of total weight at
-    most max_degree that fail for some pair, each mapped to the first
-    (basis, a, b) that fails it: in each basis, commutativity and
-    coproduct(xy) = multiply_tensor(coproduct(x), coproduct(y)); and
-    to_F(M_a M_b) = to_F(M_a) to_F(M_b)."""
+def _hopf_failures(max_degree):
+    """Criterion 4 on basis elements of total weight at most max_degree.
+    In each basis: coassociativity, the antipode axiom, S(S(x)) = x,
+    associativity, commutativity and the coproduct of a product.  Across
+    the bases: the basis change of S, of the coproduct and of a product.
+    Each failing check is mapped to its first failing case."""
     comps = comps_up_to(max_degree)
     pairs = [
         (a, b)
         for a, b in itertools.product(comps, repeat=2)
         if sum(a) + sum(b) <= max_degree
     ]
-    failed = {}
+    failed = _Failures()
     for basis in ("M", "F"):
+        for a in comps:
+            x = qs.qsym_basis(basis, a)
+            tensor = qs.coproduct(x)
+            failed.check(basis + " coassociativity", a, lambda: (
+                _iterated_coproduct(tensor, "left") == _iterated_coproduct(tensor, "right")))
+            eps = qs.counit(x) * qs.qsym_one(basis)
+            failed.check(basis + " antipode axiom", a, lambda: (
+                _antipode_convolution(x, "left") == eps == _antipode_convolution(x, "right")))
+            failed.check(basis + " S(S(x))", a, lambda: qs.antipode(qs.antipode(x)) == x)
+        for a, b, c in itertools.product(comps, repeat=3):
+            if sum(a) + sum(b) + sum(c) > max_degree:
+                continue
+            x, y, z = (qs.qsym_basis(basis, t) for t in (a, b, c))
+            failed.check(basis + " associativity", (a, b, c), lambda: (
+                qs.multiply(qs.multiply(x, y), z) == qs.multiply(x, qs.multiply(y, z))))
         for a, b in pairs:
             x, y = qs.qsym_basis(basis, a), qs.qsym_basis(basis, b)
             xy = qs.multiply(x, y)
-            if xy != qs.multiply(y, x):
-                failed.setdefault(basis + " commutativity", (basis, a, b))
-            if qs.coproduct(xy) != qs.multiply_tensor(qs.coproduct(x), qs.coproduct(y)):
-                failed.setdefault(basis + " coproduct of a product", (basis, a, b))
+            failed.check(basis + " commutativity", (a, b), lambda: xy == qs.multiply(y, x))
+            failed.check(basis + " coproduct of a product", (a, b), lambda: (
+                qs.coproduct(xy) == qs.multiply_tensor(qs.coproduct(x), qs.coproduct(y))))
+    for a in comps:
+        x = qs.qsym_basis("M", a)
+        failed.check("basis change of S", a, lambda: (
+            qs.to_F(qs.antipode(x)) == qs.antipode(qs.to_F(x))))
+        pushed = {}
+        for (l, r), c in qs.coproduct(x).coeffs.items():
+            for la, ca in qs.to_F(qs.qsym_basis("M", l)).coeffs.items():
+                for rb, cb in qs.to_F(qs.qsym_basis("M", r)).coeffs.items():
+                    pushed[(la, rb)] = pushed.get((la, rb), Fraction(0)) + c * ca * cb
+        pushed = {k: v for k, v in pushed.items() if v}
+        failed.check("basis change of the coproduct", a, lambda: (
+            pushed == qs.coproduct(qs.to_F(x)).coeffs))
     for a, b in pairs:
         x, y = qs.qsym_basis("M", a), qs.qsym_basis("M", b)
-        if qs.to_F(qs.multiply(x, y)) != qs.multiply(qs.to_F(x), qs.to_F(y)):
-            failed.setdefault("basis change of a product", ("M", a, b))
+        failed.check("basis change of a product", (a, b), lambda: (
+            qs.to_F(qs.multiply(x, y)) == qs.multiply(qs.to_F(x), qs.to_F(y))))
     return failed
 
 
 def test_criterion_4_hopf_axioms():
-    ok = False
-    try:
-        comps = comps_up_to(6)
-        for basis in ("M", "F"):
-            singles = [qs.qsym_basis(basis, a) for a in comps]
-            # coassociativity, antipode axiom, involutivity of S
-            for x in singles:
-                tensor = qs.coproduct(x)
-                assert _iterated_coproduct(tensor, "left") == _iterated_coproduct(tensor, "right")
-                eps = qs.counit(x) * qs.qsym_one(basis)
-                assert _antipode_convolution(x, "left") == eps
-                assert _antipode_convolution(x, "right") == eps
-                assert qs.antipode(qs.antipode(x)) == x
-            # associativity on triples
-            for a, b, c in itertools.product(comps, repeat=3):
-                if sum(a) + sum(b) + sum(c) > 6:
-                    continue
-                x, y, z = (qs.qsym_basis(basis, t) for t in (a, b, c))
-                assert qs.multiply(qs.multiply(x, y), z) == qs.multiply(x, qs.multiply(y, z))
-        # basis-change commutation
-        for a in comps:
-            x = qs.qsym_basis("M", a)
-            assert qs.to_F(qs.antipode(x)) == qs.antipode(qs.to_F(x))
-            pushed = {}
-            for (l, r), c in qs.coproduct(x).coeffs.items():
-                for la, ca in qs.to_F(qs.qsym_basis("M", l)).coeffs.items():
-                    for rb, cb in qs.to_F(qs.qsym_basis("M", r)).coeffs.items():
-                        pushed[(la, rb)] = pushed.get((la, rb), Fraction(0)) + c * ca * cb
-            pushed = {k: v for k, v in pushed.items() if v}
-            assert pushed == qs.coproduct(qs.to_F(x)).coeffs
-        # commutativity, compatibility and basis change on pairs
-        failures = _product_check_failures(6)
-        assert not failures, failures
-        ok = True
-    finally:
-        _report(4, "Hopf axioms deg<=6", ok)
+    with _reported(4, "Hopf axioms deg<=6"):
+        assert _hopf_failures(6) == {}
 
 
 # -- criterion 5 -------------------------------------------------------------
 
+def _character_failures(n_max):
+    """Criterion 5 at truncation n_max: the six canonical characters are
+    multiplicative on products of M basis elements ("multiplicativity");
+    zeta-minus composed with S is its bar image ("odd S"); zeta-plus is
+    fixed by bar and by T ("even bar", "even T"); and the parts of zeta^-1
+    are bar(zeta-minus) composed with T ("inverse odd part") and
+    zeta-plus^-1 ("inverse even part").  Each failing check is mapped to
+    its first failing case."""
+    ids = [char_id for char_id in ch.CHARACTER_IDS if char_id != ch.COUNIT]
+    tables = {char_id: ch.restrict(char_id, n_max) for char_id in ids}
+    comps = comps_up_to(n_max)
+    failed = _Failures()
+    for alpha, beta in itertools.product(comps, repeat=2):
+        if sum(alpha) + sum(beta) > n_max:
+            continue
+        product = qs.multiply(qs.qsym_basis("M", alpha), qs.qsym_basis("M", beta))
+        for char_id, table in tables.items():
+            failed.check("multiplicativity", (char_id, alpha, beta), lambda: (
+                sum((c * table.value(g) for g, c in product.coeffs.items()), Fraction(0))
+                == table.value(alpha) * table.value(beta)))
+    zm, zp = tables[ch.ZETA_MINUS], tables[ch.ZETA_PLUS]
+    failed.check("odd S", n_max, lambda: ch.compose_antipode(zm) == ch.bar(zm))
+    failed.check("even bar", n_max, lambda: ch.bar(zp) == zp)
+    failed.check("even T", n_max, lambda: ch.compose_T(zp) == zp)
+    failed.check("inverse odd part", n_max, lambda: (
+        tables[ch.ZETA_INV_MINUS] == ch.compose_T(ch.bar(zm))))
+    failed.check("inverse even part", n_max, lambda: tables[ch.ZETA_INV_PLUS] == ch.inverse(zp))
+    return failed
+
+
 def test_criterion_5_character_properties():
-    ok = False
-    try:
-        n_max = 8
-        ids = (ch.ZETA, ch.ZETA_PLUS, ch.ZETA_MINUS, ch.ZETA_INV,
-               ch.ZETA_INV_PLUS, ch.ZETA_INV_MINUS)
-        tables = {char_id: ch.restrict(char_id, n_max) for char_id in ids}
-        comps = comps_up_to(n_max)
-        for alpha, beta in itertools.product(comps, repeat=2):
-            if sum(alpha) + sum(beta) > n_max:
-                continue
-            product = qs.multiply(qs.qsym_basis("M", alpha), qs.qsym_basis("M", beta))
-            for char_id, table in tables.items():
-                lhs = sum(
-                    (c * table.value(g) for g, c in product.coeffs.items()),
-                    Fraction(0),
-                )
-                assert lhs == table.value(alpha) * table.value(beta), (char_id, alpha, beta)
-        zm, zp = tables[ch.ZETA_MINUS], tables[ch.ZETA_PLUS]
-        assert ch.compose_antipode(zm) == ch.bar(zm)
-        assert ch.bar(zp) == zp
-        assert ch.compose_T(zp) == zp
-        assert tables[ch.ZETA_INV_MINUS] == ch.compose_T(ch.bar(zm))
-        assert tables[ch.ZETA_INV_PLUS] == ch.inverse(zp)
-        ok = True
-    finally:
-        _report(5, "character properties N=8", ok)
+    with _reported(5, "character properties N=8"):
+        assert _character_failures(8) == {}
 
 
 # -- criterion 6 -------------------------------------------------------------
@@ -233,42 +251,45 @@ def _eval_perm_by_peaks(char_id, sigma):
     return Fraction(sign * en.bivariate_catalan(p, n // 2 - p), scale)
 
 
+def _permutation_failures(max_n):
+    """Criterion 6 on S_n for n <= max_n: the interior and augmented peaks
+    against p_minus and p_plus of the descent composition, and eval_perm
+    against eval_F ("eval_perm") and against the peak formulas.  Then, for
+    |sigma| + |tau| <= 5, the descent map of the shuffle product against
+    F_Des(sigma) F_Des(tau) ("descent map").  Each failing check is mapped
+    to its first failing case."""
+    failed = _Failures()
+    for n in range(max_n + 1):
+        for sigma in itertools.permutations(range(1, n + 1)):
+            alpha = pm.descent_composition(sigma)
+            failed.check("interior peaks", sigma,
+                         lambda: pm.interior_peaks(sigma) == co.p_minus(alpha))
+            failed.check("augmented peaks", sigma,
+                         lambda: pm.augmented_peaks(sigma) == co.p_plus(alpha))
+            for char_id in (ch.ZETA, ch.ZETA_MINUS, ch.ZETA_PLUS):
+                value = ch.eval_perm(char_id, sigma)
+                failed.check("eval_perm", (char_id, sigma),
+                             lambda: value == ch.eval_F(char_id, alpha))
+                failed.check("peak formulas", (char_id, sigma),
+                             lambda: value == _eval_perm_by_peaks(char_id, sigma))
+    words = [w for n in range(6) for w in itertools.permutations(range(1, n + 1))]
+    for sigma, tau in ((s, t) for s in words for t in words if len(s) + len(t) <= 5):
+        shuffled = pm.multiply_ssym(pm.ssym_basis(sigma), pm.ssym_basis(tau))
+        rule = qs.multiply(qs.qsym_basis("F", pm.descent_composition(sigma)),
+                           qs.qsym_basis("F", pm.descent_composition(tau)))
+        failed.check("descent map", (sigma, tau), lambda: qs.descent_map(shuffled) == rule)
+    return failed
+
+
 def test_criterion_6_permutation_layer():
-    ok = False
-    try:
-        for n in range(8):
-            for sigma in itertools.permutations(range(1, n + 1)):
-                alpha = pm.descent_composition(sigma)
-                assert pm.interior_peaks(sigma) == co.p_minus(alpha)
-                assert pm.augmented_peaks(sigma) == co.p_plus(alpha)
-                for char_id in (ch.ZETA, ch.ZETA_MINUS, ch.ZETA_PLUS):
-                    assert ch.eval_perm(char_id, sigma) == ch.eval_F(char_id, alpha)
-                    assert ch.eval_perm(char_id, sigma) == _eval_perm_by_peaks(char_id, sigma)
-        for n in range(10):
-            fl = n // 2
-            minus_total = Fraction(0)
-            plus_total = Fraction(0)
-            for sigma in itertools.permutations(range(1, n + 1)):
-                p = pm.interior_peaks(sigma)
-                term = en.bivariate_catalan(p, fl - p)
-                minus_total += -term if p % 2 else term
-                if n and n % 2 == 0:
-                    q = pm.augmented_peaks(sigma)
-                    term = en.bivariate_catalan(q, n // 2 - q)
-                    plus_total += -term if q % 2 else term
-            assert minus_total == 4 ** fl, n
-            if n and n % 2 == 0:
-                assert plus_total == 0, n
-        ok = True
-    finally:
-        _report(6, "permutation layer", ok)
+    with _reported(6, "permutation layer"):
+        assert _permutation_failures(7) == {}
 
 
 # -- criterion 7 -------------------------------------------------------------
 
 def test_criterion_7_appendix():
-    ok = False
-    try:
+    with _reported(7, "appendix restatements"):
         for alpha in comps_up_to(9):
             st = co.stats(alpha)
             n, k, k_e, k_o = st.weight, st.k, st.k_e, st.k_o
@@ -332,108 +353,55 @@ def test_criterion_7_appendix():
         # convolution powers against iterated convolve/inverse at N = 8
         report = idn.verify("zeta_power", "standard")
         assert report.passed, report.counterexample
-        ok = True
-    finally:
-        _report(7, "appendix restatements", ok)
 
 
 # -- criterion 8 -------------------------------------------------------------
 
 def test_criterion_8_number_theory():
-    ok = False
-    try:
+    with _reported(8, "2-adic valuation <=40"):
         report = idn.verify("power2", "standard")
         assert report.passed, report.counterexample
         assert report.cases == 2 * sum(total + 1 for total in range(1, 41))
-        ok = True
-    finally:
-        _report(8, "2-adic valuation <=40", ok)
 
 
 # -- criterion 9 -------------------------------------------------------------
+#
+# One fault matrix.  Each row plants a fault in one layer and names the
+# catchers that must all fire: "registry:<id>" (the check at depth small
+# reports a counterexample), "criterion k:<check>" (a named check of
+# criterion k, at a small size) or "decompose" (qsymx decompose --degree 6
+# exits 1 with mismatches, or stops at an odd halving).  An exception in a
+# catcher is not a catch: it fails the row.
 
-def test_criterion_9_mutation_smoke(monkeypatch):
-    ok = False
-    try:
-        real = en.bivariate_catalan
-
-        def mutated(m, n):
-            value = real(m, n)
-            return value + 1 if (m, n) == (2, 3) else value
-
-        monkeypatch.setattr(en, "bivariate_catalan", mutated)
-        reports = idn.verify_all("small")
-        failed = [r for r in reports if not r.passed]
-        assert failed, "mutation was not detected by any check"
-        for report in failed:
-            assert report.counterexample is not None
-            assert report.counterexample.left != report.counterexample.right
-            assert report.counterexample.params
-        ok = True
-    finally:
-        _report(9, "mutation smoke test", ok)
+def _plus_one_at(*point):
+    """The fault: one more than the real value at one argument tuple."""
+    return lambda real: lambda *args: real(*args) + (args == point)
 
 
-def _drop_last_cut(left, right, n):
-    """The deconcatenation kernel with a planted fault: the proper cut at
-    the largest partial sum of each composition is skipped."""
-    row = []
-    for mask in range(1 << (n - 1)):
-        total = 0
-        rest = mask & ~(1 << (mask.bit_length() - 1)) if mask else 0
-        while rest:
-            low = rest & -rest
-            s = low.bit_length()
-            total += left[s][mask & (low - 1)] * right[n - s][mask >> s]
-            rest ^= low
-        row.append(total)
-    return row
+def _negated_when(hit):
+    """The fault: the real value, negated on the arguments hit accepts."""
+    return lambda real: lambda *args: -real(*args) if hit(*args) else real(*args)
 
 
-def test_criterion_9_mutation_smoke_kernel(monkeypatch):
-    ok = False
-    try:
-        monkeypatch.setattr(ch, "_proper_cuts", _drop_last_cut)
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["decompose", "--degree", "6", "--json"])
-        assert code == 1, "planted kernel fault: decompose exited %r" % code
-        assert json.loads(out.getvalue())["mismatches"] > 0
-        closed = (ch.restrict(ch.ZETA_PLUS, 7), ch.restrict(ch.ZETA_MINUS, 7))
-        assert ch.decompose(ch.restrict(ch.ZETA, 7)) != closed
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (kernel)", ok)
+def _drop_last(real):
+    """The fault: the real list without its last element."""
+    return lambda *args: real(*args)[:-1]
 
 
-def _assert_decompose_cli_fails():
-    """A planted oracle fault must make ``qsymx decompose`` exit 1: either
-    it reports mismatches against the closed forms, or an inexact halving
-    raises ArithmeticError, which ends the command with status 1."""
-    out = io.StringIO()
-    try:
-        with contextlib.redirect_stdout(out):
-            code = cli.main(["decompose", "--degree", "6", "--json"])
-    except ArithmeticError as exc:
-        assert "exact halving" in str(exc), exc
-        return
-    assert code == 1, "planted oracle fault: decompose exited %r" % code
-    assert json.loads(out.getvalue())["mismatches"] > 0
-
-
-def test_criterion_9_mutation_smoke_halving(monkeypatch):
-    ok = False
-    try:
-        monkeypatch.setattr(ch, "_halve", list)
-        _assert_decompose_cli_fails()
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (halving)", ok)
+def _drop_last_cut(real):
+    """The fault: the kernel skips the proper cut at the largest partial
+    sum of each composition."""
+    def cuts(left, right, n):
+        row = real(left, right, n)
+        for mask in range(1, len(row)):
+            s = mask.bit_length()
+            row[mask] -= left[s][mask ^ 1 << (s - 1)] * right[n - s][mask >> s]
+        return row
+    return cuts
 
 
 def _quotient_rows_without_unit_term(a, b):
-    """The quotient recursion with a planted fault: the a_n x_0 term is
-    dropped."""
+    """The quotient recursion with the a_n x_0 term dropped."""
     x = [[b[0][0]]]
     for n in range(1, len(b)):
         cuts = ch._proper_cuts(a, x, n)
@@ -441,144 +409,175 @@ def _quotient_rows_without_unit_term(a, b):
     return x
 
 
-def test_criterion_9_mutation_smoke_quotient(monkeypatch):
-    ok = False
-    try:
-        monkeypatch.setattr(ch, "_quotient_rows", _quotient_rows_without_unit_term)
-        _assert_decompose_cli_fails()
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (quotient)", ok)
-
-
-def _plant(monkeypatch, name, fault):
-    """Replace a compositions function in every module that imported it."""
-    for module in (co, qs, ch, idn):
-        if hasattr(module, name):
-            monkeypatch.setattr(module, name, fault)
-
-
-def _ribbon_cuts_swapped(alpha):
-    """Ribbon cuts with a planted fault: a cut inside a row of length a at
-    offset t leaves a - t squares on the left and t on the right."""
-    cuts = [co.CutPair((), alpha, 0)]
-    acc = 0
-    for j, a in enumerate(alpha):
-        for t in range(1, a):
-            cuts.append(co.CutPair(alpha[:j] + (a - t,), (t,) + alpha[j + 1:], acc + t))
-        acc += a
-        cuts.append(co.CutPair(alpha[: j + 1], alpha[j + 1:], acc))
+def _ribbon_cuts_swapped(real):
+    """The fault: a cut inside a row of length a at offset t leaves a - t
+    squares on the left and t on the right."""
+    def cuts(alpha):
+        return [
+            c._replace(left=c.left[:-1] + c.right[:1], right=c.left[-1:] + c.right[1:])
+            if len(c.left) + len(c.right) > len(alpha) else c
+            for c in real(alpha)
+        ]
     return cuts
 
 
-def _failed_checks():
-    return {r.id for r in idn.verify_all("small") if not r.passed}
-
-
-def test_criterion_9_mutation_smoke_ribbon_cuts(monkeypatch):
-    ok = False
-    try:
-        _plant(monkeypatch, "ribbon_cuts", _ribbon_cuts_swapped)
-        failed = _failed_checks()
-        assert {"app_f1", "app_f2"} <= failed, failed
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (ribbon cuts)", ok)
-
-
-def test_criterion_9_mutation_smoke_conjugate(monkeypatch):
-    ok = False
-    try:
-        _plant(monkeypatch, "conjugate", co.reversal)
-        failed = _failed_checks()
-        assert "peak_rev_con" in failed, failed
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (conjugate)", ok)
+def _stats_one_even_part_odd(real):
+    """The fault: stats that count one even part as odd."""
+    def stats(alpha):
+        st = real(alpha)
+        return st._replace(k_e=st.k_e - 1, k_o=st.k_o + 1) if st.k_e else st
+    return stats
 
 
 def _product_F_tau_sigma_ascent(alpha, beta):
-    """Gessel's rule with a planted fault: a letter of tau followed by a
-    letter of sigma counts as an ascent."""
-    m, n = sum(alpha), sum(beta)
-    des_sigma, des_tau = co.to_index(alpha), co.to_index(beta)
-    masks = {}
-    stack = [(0, 0, 0, False)]
-    while stack:
-        i, j, mask, after_tau = stack.pop()
-        p = i + j
-        if p == m + n:
-            masks[mask] = masks.get(mask, 0) + 1
-            continue
-        if i < m:
-            descent = not after_tau and i and des_sigma >> (i - 1) & 1
-            stack.append((i + 1, j, mask | 1 << (p - 1) if descent else mask, False))
-        if j < n:
-            descent = after_tau and des_tau >> (j - 1) & 1
-            stack.append((i, j + 1, mask | 1 << (p - 1) if descent else mask, True))
-    return {co.from_index(m + n, mask): count for mask, count in masks.items()}
+    """Gessel's rule where a letter of tau followed by a letter of sigma
+    counts as an ascent: only two letters of one word can descend."""
+    sigma, tau = (pm.permutation(itertools.chain.from_iterable(
+        range(sum(g[j + 1:]) + 1, sum(g[j:]) + 1) for j in range(len(g))
+    )) for g in (alpha, beta))  # descent compositions alpha and beta
+    m, counts = len(sigma), Counter()
+    for w in pm.shuffles(sigma, tau):
+        mask = sum(1 << (i - 1) for i in range(1, len(w))
+                   if w[i] < w[i - 1] and (w[i] > m) == (w[i - 1] > m))
+        counts[co.from_index(len(w), mask)] += 1
+    return counts
 
 
 def _product_M_no_diagonal(alpha, beta):
-    """The quasi-shuffle product with a planted fault: the diagonal step,
-    which adds a part of alpha to a part of beta, is dropped."""
-    k, l = len(alpha), len(beta)
-    row = [{beta[j:]: 1} for j in range(l + 1)]
-    for i in range(k - 1, -1, -1):
-        prev = row
-        row = [None] * l + [{alpha[i:]: 1}]
-        for j in range(l - 1, -1, -1):
-            out = {}
-            for head, tails in (((alpha[i],), prev[j]), ((beta[j],), row[j + 1])):
-                for tail, count in tails.items():
-                    out[head + tail] = out.get(head + tail, 0) + count
-            row[j] = out
-    return row[0]
+    """The quasi-shuffle product without the diagonal step, which adds a
+    part of alpha to a part of beta."""
+    paths = co.delannoy_paths(len(alpha), len(beta))
+    return Counter(co.quasi_shuffle(alpha, beta, p) for p in paths if "D" not in p)
 
 
-def _from_terms_overwriting(cls, basis, terms):
-    """The linear-combination summing routine with a planted fault: a
-    repeated key keeps its last coefficient instead of the sum."""
-    element = cls.__new__(cls)
-    en.LinearCombination.__init__(element, basis, dict(terms))
-    return element
+def _from_terms_overwriting(real):
+    """The fault: a repeated key keeps its last coefficient instead of the
+    sum of its coefficients."""
+    return classmethod(lambda cls, basis, terms: real.__func__(cls, basis, dict(terms).items()))
 
 
-def test_criterion_9_mutation_smoke_lincomb(monkeypatch):
-    ok = False
-    try:
-        monkeypatch.setattr(
-            en.LinearCombination, "from_terms", classmethod(_from_terms_overwriting)
-        )
-        failed = _product_check_failures(4)
-        # a product of two basis elements has no repeated key, so the fault
-        # shows where several products are summed: in multiply_tensor, and in
-        # multiply on the F expansions of M basis elements
-        for check in ("M coproduct of a product", "F coproduct of a product",
-                      "basis change of a product"):
-            assert check in failed, failed
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (sums)", ok)
+FAULTS = [
+    ("exactnum.bivariate_catalan", _plus_one_at(2, 3), ("registry:gessel_rec", "registry:power2")),
+    ("exactnum.central_binomial", _plus_one_at(3),
+     ("registry:classical_conv", "registry:central_prod")),
+    ("exactnum.catalan", _plus_one_at(3), ("registry:catalan_prod", "registry:app_zetainv_m")),
+    # no product of two basis elements repeats a key: the fault shows where
+    # products are summed, in multiply_tensor and in multiply on F expansions
+    ("exactnum.LinearCombination.from_terms", _from_terms_overwriting,
+     ("criterion 4:M coproduct of a product", "criterion 4:F coproduct of a product",
+      "criterion 4:basis change of a product")),
+    ("characters._proper_cuts", _drop_last_cut, ("decompose", "registry:zeta_power")),
+    ("characters._halve", lambda real: list, ("decompose",)),
+    ("characters._quotient_rows", lambda real: _quotient_rows_without_unit_term,
+     ("decompose", "registry:zeta_power", "criterion 5:inverse even part")),
+    ("characters.eval_M", _negated_when(lambda c, a: c == ch.ZETA_MINUS and len(a) == 3),
+     ("criterion 2:zeta-minus", "decompose")),
+    ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),
+     ("criterion 2:zeta-plus", "criterion 6:peak formulas")),
+    # the swap leaves the F coproduct as it is, since the cuts at t and
+    # a - t trade places; only the cut positions show it
+    ("compositions.ribbon_cuts", _ribbon_cuts_swapped, ("registry:app_f1", "registry:app_f2")),
+    ("compositions.conjugate", lambda real: co.reversal,
+     ("registry:peak_rev_con", "criterion 4:basis change of S")),
+    ("compositions.refinements", _drop_last, ("criterion 2:zeta", "registry:h_minus_closed")),
+    ("compositions.coarsenings", _drop_last,
+     ("criterion 4:M antipode axiom", "registry:antipode_sum")),
+    ("compositions.p_minus", lambda real: lambda alpha: sum(a > 1 for a in alpha),
+     ("criterion 6:interior peaks", "registry:peak_rev_con")),
+    ("compositions.p_plus", lambda real: lambda alpha: max(real(alpha) - 1, 0),
+     ("criterion 6:augmented peaks", "registry:h_plus_closed")),
+    ("compositions.to_index",
+     lambda real: lambda alpha: real(alpha[::-1] if len(alpha) == 3 else alpha),
+     ("criterion 4:F S(S(x))", "registry:antipode_sum")),
+    ("compositions.stats", _stats_one_even_part_odd, ("registry:tn_vandermonde", "decompose")),
+    ("permutations.shuffles", _drop_last, ("registry:shuffle_minus", "criterion 6:descent map")),
+    ("permutations.descent_composition", lambda real: lambda sigma: real(sigma)[::-1],
+     ("criterion 6:interior peaks",)),
+    ("permutations.interior_peaks", lambda real: pm.augmented_peaks,
+     ("registry:allperms_minus", "criterion 6:interior peaks")),
+    # sigma(0) = sigma(1) in place of sigma(0) = 0: position 1 is never a peak
+    ("permutations.augmented_peaks", lambda real: lambda sigma: real(sigma[:1] + sigma),
+     ("registry:allperms_plus", "criterion 6:augmented peaks")),
+    ("qsym._product_F", lambda real: _product_F_tau_sigma_ascent,
+     ("criterion 4:basis change of a product", "criterion 6:descent map")),
+    ("qsym._product_M", lambda real: _product_M_no_diagonal,
+     ("criterion 4:basis change of a product", "criterion 5:multiplicativity")),
+    ("qsym.antipode",
+     _negated_when(lambda x: x.basis == "M" and any(len(a) == 2 for a in x.coeffs)),
+     ("criterion 4:M antipode axiom", "criterion 5:odd S")),
+    ("qsym.t_involution", lambda real: lambda x: x, ("criterion 5:inverse odd part",)),
+    ("qsym.descent_map", lambda real: lambda x: qs.t_involution(real(x)),
+     ("criterion 6:descent map",)),
+    ("identities._cc", _plus_one_at(3, 2), ("registry:cg6",)),
+]
+
+_MODULES = {m.__name__.rpartition(".")[2]: m for m in (en, co, pm, qs, ch, idn, cli)}
+
+# each criterion's failing checks, at the size the matrix runs it
+_CRITERIA = {
+    "criterion 2": lambda: _f_basis_failures(6),
+    "criterion 4": lambda: _hopf_failures(4),
+    "criterion 5": lambda: _character_failures(5),
+    "criterion 6": lambda: _permutation_failures(6),
+}
 
 
-def test_criterion_9_mutation_smoke_f_product(monkeypatch):
-    ok = False
-    try:
-        monkeypatch.setattr(qs, "_product_F", _product_F_tau_sigma_ascent)
-        failed = _product_check_failures(4)
-        assert "basis change of a product" in failed, failed
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (F product)", ok)
+def _plant(monkeypatch, target, fault):
+    """Replace target by fault(real): "module.Class.name" on its class,
+    "module.name" in every module that holds it."""
+    module, *classes, name = target.split(".")
+    owner = functools.reduce(getattr, classes, _MODULES[module])
+    real = getattr(owner, name)
+    holders = [owner] if classes else [m for m in _MODULES.values() if vars(m).get(name) is real]
+    for holder in holders:
+        monkeypatch.setattr(holder, name, fault(real))
 
 
-def test_criterion_9_mutation_smoke_m_product(monkeypatch):
-    ok = False
-    try:
-        monkeypatch.setattr(qs, "_product_M", _product_M_no_diagonal)
-        failed = _product_check_failures(4)
-        assert "basis change of a product" in failed, failed
-        ok = True
-    finally:
-        _report(9, "mutation smoke test (M product)", ok)
+def _caught(catchers):
+    """{catcher: what it reports} for each of the catchers that sees a
+    fault."""
+    found, criteria = {}, {}
+    for catcher in catchers:
+        kind, _, name = catcher.partition(":")
+        if kind == "registry":
+            report = idn.verify(name, "small")
+            if not report.passed:
+                example = report.counterexample
+                assert example.params and example.left != example.right, report
+                found[catcher] = example
+        elif kind == "decompose":
+            out = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(out):
+                    code = cli.main(["decompose", "--degree", "6", "--json"])
+            except ArithmeticError as exc:  # an odd value in a halving
+                assert "exact halving" in str(exc), exc
+                found[catcher] = exc
+                continue
+            mismatches = json.loads(out.getvalue())["mismatches"]
+            assert code == (1 if mismatches else 0), (code, mismatches)
+            if mismatches:
+                found[catcher] = mismatches
+        else:
+            if kind not in criteria:
+                criteria[kind] = _CRITERIA[kind]()
+            if name in criteria[kind]:
+                case = criteria[kind][name]
+                if isinstance(case, Exception):
+                    raise case
+                found[catcher] = case
+    return found
+
+
+@pytest.mark.parametrize(
+    "target, fault, catchers",
+    [pytest.param(None, None, sorted({c for row in FAULTS for c in row[2]}), id="no fault")]
+    + [pytest.param(*row, id=row[0]) for row in FAULTS],
+)
+def test_criterion_9_fault_matrix(monkeypatch, target, fault, catchers):
+    with _reported(9, "fault matrix: %s" % (target or "no fault")):
+        if target is not None:
+            _plant(monkeypatch, target, fault)
+        found = _caught(catchers)
+        # with no fault no catcher may fire; with a fault every one must
+        assert set(found) == (set() if target is None else set(catchers)), found

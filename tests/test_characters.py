@@ -52,6 +52,12 @@ def test_eval_F_examples():
     assert ch.eval_F(ch.ZETA, (5,)) == 1
 
 
+def test_eval_F_rejects_a_bad_composition():
+    for alpha in ((2.5,), (0, 2), (True,)):
+        with pytest.raises(ValueError):
+            ch.eval_F(ch.ZETA, alpha)
+
+
 def test_eval_element():
     assert ch.eval_element(ch.ZETA, qs.qsym_basis("M", (3,))) == 1
     assert ch.eval_element(ch.ZETA_MINUS, qs.qsym_zero("M")) == 0
@@ -71,6 +77,12 @@ def test_eval_perm_examples():
     assert ch.eval_perm(ch.ZETA, (1, 2, 3)) == 1
     assert ch.eval_perm(ch.ZETA, (2, 1, 3)) == 0
     assert ch.eval_perm(ch.ZETA_INV, (3, 2, 1)) == -1
+
+
+def test_eval_perm_rejects_a_bad_permutation():
+    for sigma in ((1, 1), (5, 9, 2), (1.0, 2)):
+        with pytest.raises(ValueError):
+            ch.eval_perm(ch.ZETA_MINUS, sigma)
 
 
 def test_restrict_examples():

@@ -1,4 +1,6 @@
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -152,3 +154,11 @@ def test_usage_errors_exit_2_with_no_stdout(capsys):
     assert code == 2 and out == ""
     code, out, _ = run_usage_error(capsys, "nonsense")
     assert code == 2 and out == ""
+
+
+def test_python_m_qsymx_runs_the_cli(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qsymx", "eval", "--char", "zeta-minus", "--comp", "1,1"])
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("qsymx", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.strip() == "1/2"
