@@ -97,6 +97,8 @@ _POW_PREFIX = "zeta-pow:"
 
 def zeta_power(m: int) -> str:
     """Id of the m-th convolution power of the universal character."""
+    if type(m) is not int:
+        raise ValueError("zeta_power needs a plain int power, got %r" % (m,))
     return "%s%d" % (_POW_PREFIX, m)
 
 
@@ -231,8 +233,8 @@ class TruncatedCharacter:
     __slots__ = ("max_degree", "tables")
 
     def __init__(self, max_degree: int, tables):
-        if max_degree < 0:
-            raise ValueError("max_degree must be non-negative")
+        if type(max_degree) is not int or max_degree < 0:
+            raise ValueError("max_degree must be a non-negative int, got %r" % (max_degree,))
         tables = tuple(tuple(en.as_fraction(v) for v in row) for row in tables)
         if len(tables) != max_degree + 1:
             raise ValueError("expected %d degree tables" % (max_degree + 1,))

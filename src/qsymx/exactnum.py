@@ -164,6 +164,8 @@ def falling_binomial(m: int, k: int) -> int:
     >>> falling_binomial(-1, 3), falling_binomial(-3, 2), falling_binomial(2, 1)
     (-1, 6, 2)
     """
+    if type(m) is not int or type(k) is not int:
+        raise ValueError("falling_binomial needs plain ints, got (%r, %r)" % (m, k))
     if k < 0:
         return 0
     num = 1

@@ -6,19 +6,26 @@ parameter domain, exactly.  Left sides come from definitional sums
 (enumeration of compositions, lattice paths, or permutations); right sides
 come from closed forms.  Character-derived identities recompute the
 characters from their closed forms, never from the decomposition oracle, so
-that the two routes stay independent.
+that the two routes stay independent.  A check yields each side as it is
+computed, an int or a Fraction; verify compares them and reports the two
+sides of the first counterexample as Fractions.
 
-Domains are scaled by a depth profile: "small" halves the stated bounds,
-"standard" uses them as is, "deep" raises them by about 25% (this makes the
-permutation-indexed checks factorially slower; deep is opt-in).
+A check's bounds live only in its domain text in the registry: each {N}
+there is one bound, scaled by the depth profile and passed to the check as
+an int argument, in the order the bounds appear.  "small" halves the stated
+bounds, "standard" uses them as is, "deep" raises them by about 25% (this
+makes the permutation-indexed checks factorially slower; deep is opt-in).
 """
 
 import itertools
+import re
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
+# exactnum is looked up through the module, so that a function patched on
+# the module is the one the checks see
 from . import characters, exactnum as en
 from .compositions import (
     all_compositions,
@@ -44,8 +51,7 @@ __all__ = [
 
 DEPTHS = ("small", "standard", "deep")
 
-Case = tuple[dict, Fraction, Fraction]
-Scale = Callable[[int], int]
+Case = tuple[dict, int | Fraction, int | Fraction]
 
 
 @dataclass(frozen=True)
@@ -68,7 +74,7 @@ class CheckReport:
         return self.status == "pass"
 
 
-def _scale_for(depth: str) -> Scale:
+def _scale_for(depth: str) -> Callable[[int], int]:
     if depth == "small":
         return lambda b: max(1, (b + 1) // 2)
     if depth == "standard":
@@ -78,186 +84,151 @@ def _scale_for(depth: str) -> Scale:
     raise ValueError("depth must be one of %s, got %r" % (DEPTHS, depth))
 
 
-def _bc(m: int, n: int) -> int:
-    return en.bivariate_catalan(m, n)
-
-
-def _B(m: int) -> int:
-    return en.central_binomial(m)
-
-
-def _cat(m: int) -> int:
-    return en.catalan(m)
-
-
-def _cc(family: int, h: int) -> Fraction:
-    return en.central_catalan(family, h)
+def _b_over_4(h: int) -> Fraction:
+    """B(h) / 4^h."""
+    return Fraction(en.central_binomial(h), 4 ** h)
 
 
 # ---------------------------------------------------------------------------
 # the checks, in registry order
 
 
-def _classical_conv(scale: Scale) -> Iterator[Case]:
+def _classical_conv(m_max: int) -> Iterator[Case]:
     """B(m) = 2 sum_{i=1..m} Cat(i-1) B(m-i)."""
-    for m in range(1, scale(30) + 1):
-        rhs = 2 * sum(_cat(i - 1) * _B(m - i) for i in range(1, m + 1))
-        yield {"m": m}, Fraction(_B(m)), Fraction(rhs)
+    for m in range(1, m_max + 1):
+        rhs = 2 * sum(en.catalan(i - 1) * en.central_binomial(m - i) for i in range(1, m + 1))
+        yield {"m": m}, en.central_binomial(m), rhs
 
 
-def _classical_conv2(scale: Scale) -> Iterator[Case]:
+def _classical_conv2(m_max: int) -> Iterator[Case]:
     """4^m = sum_{i=0..m} B(i) B(m-i)."""
-    for m in range(0, scale(30) + 1):
-        rhs = sum(_B(i) * _B(m - i) for i in range(m + 1))
-        yield {"m": m}, Fraction(4 ** m), Fraction(rhs)
+    for m in range(0, m_max + 1):
+        rhs = sum(en.central_binomial(i) * en.central_binomial(m - i) for i in range(m + 1))
+        yield {"m": m}, 4 ** m, rhs
 
 
-def _central_prod(scale: Scale) -> Iterator[Case]:
+def _central_prod(b: int) -> Iterator[Case]:
     """Multiplicativity of the odd canonical character on all-ones
     compositions, as an alternating Delannoy-path sum over central binomial
     coefficients; plus the two specializations spelled out separately."""
-    b = scale(12)
     for n in range(0, b + 1):
         for m in range(0, b + 1):
             if n == 0 and m == 0:
                 continue
-            lhs = Fraction(0)
+            lhs = 0
             for d in range(min(n, m) + 1):
                 s = n + m - 2 * d
                 if s == 0:
                     continue
-                fl = s // 2
                 term = Fraction(s, n + m - d) * en.multinomial([n - d, m - d, d])
-                term *= Fraction(_B(fl), 4 ** fl)
+                term *= _b_over_4(s // 2)
                 lhs += -term if d % 2 else term
-            rhs = Fraction(_B(n // 2) * _B(m // 2), 4 ** (n // 2 + m // 2))
-            yield {"n": n, "m": m}, lhs, rhs
+            yield {"n": n, "m": m}, lhs, _b_over_4(n // 2) * _b_over_4(m // 2)
     for n in range(1, b + 1):
-        up, dn = (n + 1) // 2, (n - 1) // 2
-        lhs = Fraction((n + 1) * _B(up), 4 ** up) - Fraction((n - 1) * _B(dn), 4 ** dn)
-        rhs = Fraction(_B(n // 2), 4 ** (n // 2))
-        yield {"special": "n>=m=1", "n": n}, lhs, rhs
+        lhs = (n + 1) * _b_over_4((n + 1) // 2) - (n - 1) * _b_over_4((n - 1) // 2)
+        yield {"special": "n>=m=1", "n": n}, lhs, _b_over_4(n // 2)
     for n in range(1, b + 1):
-        lhs = Fraction(0)
+        lhs = 0
         for d in range(n):
-            term = Fraction(en.binomial(2 * n - d - 1, d) * _B(n - d) ** 2, 4 ** (n - d))
+            term = Fraction(en.binomial(2 * n - d - 1, d) * en.central_binomial(n - d) ** 2,
+                            4 ** (n - d))
             lhs += -term if d % 2 else term
-        rhs = Fraction(_B(n // 2) ** 2, 4 ** (2 * (n // 2)))
-        yield {"special": "n=m", "n": n}, lhs, rhs
+        yield {"special": "n=m", "n": n}, lhs, _b_over_4(n // 2) ** 2
 
 
-def _catalan_prod(scale: Scale) -> Iterator[Case]:
+def _catalan_prod(b: int) -> Iterator[Case]:
     """Multiplicativity of the even canonical character on all-ones
     compositions: an alternating path sum over Catalan numbers."""
-    b = scale(12)
     for n in range(1, b + 1):
         for m in range(1, b + 1):
             if (n, m) == (1, 1) or (n - m) % 2:
                 continue
-            lhs = Fraction(0)
+            lhs = 0
             for d in range(min(n, m) + 1):
                 s = n + m - 2 * d
                 if s == 0:
                     continue
-                term = Fraction(2, 1) ** (2 * d - 1)
-                term *= Fraction(s, n + m - d) * Fraction(s - 1, n + m - d - 1)
-                term *= en.multinomial([n - d, m - d, d]) * _cat((n + m) // 2 - d - 1)
-                lhs += term if (d + 1) % 2 == 0 else -term
-            if n % 2 == 0:
-                rhs = Fraction(_cat(n // 2 - 1) * _cat(m // 2 - 1))
-            else:
-                rhs = Fraction(0)
+                # 2^(2d-1) (s / (n+m-d)) ((s-1) / (n+m-d-1))
+                term = Fraction(4 ** d, 2) * Fraction(s, n + m - d) * Fraction(s - 1, n + m - d - 1)
+                term *= en.multinomial([n - d, m - d, d]) * en.catalan((n + m) // 2 - d - 1)
+                lhs += term if d % 2 else -term
+            rhs = en.catalan(n // 2 - 1) * en.catalan(m // 2 - 1) if n % 2 == 0 else 0
             yield {"n": n, "m": m}, lhs, rhs
     for k in range(1, (b - 1) // 2 + 1):
-        lhs = Fraction(_cat(k))
-        rhs = Fraction(2 * (2 * k - 1), k + 1) * _cat(k - 1)
-        yield {"special": "m=1", "n": 2 * k + 1}, lhs, rhs
+        rhs = Fraction(2 * (2 * k - 1), k + 1) * en.catalan(k - 1)
+        yield {"special": "m=1", "n": 2 * k + 1}, en.catalan(k), rhs
     for n in range(2, b + 1):
-        lhs = Fraction(0)
+        lhs = 0
         for d in range(n):
-            term = Fraction(
-                4 ** d * (2 * n - 2 * d - 1)
-                * en.binomial(2 * n - d - 2, d)
-                * _cat(n - d - 1) ** 2
-            )
-            lhs += term if (d + 1) % 2 == 0 else -term
-        rhs = Fraction(_cat(n // 2 - 1) ** 2) if n % 2 == 0 else Fraction(0)
+            term = (4 ** d * (2 * n - 2 * d - 1) * en.binomial(2 * n - d - 2, d)
+                    * en.catalan(n - d - 1) ** 2)
+            lhs += term if d % 2 else -term
+        rhs = en.catalan(n // 2 - 1) ** 2 if n % 2 == 0 else 0
         yield {"special": "n=m", "n": n}, lhs, rhs
 
 
 def _odd_head_weight(alpha) -> Fraction:
     """(-1)^(k_e) B(floor(k_o/2)) / 4^(floor(k_o/2)) for the antipode sums."""
     st = stats(alpha)
-    h = st.k_o // 2
-    value = Fraction(_B(h), 4 ** h)
+    value = _b_over_4(st.k_o // 2)
     return -value if st.k_e % 2 else value
 
 
-def _antipode_sum(scale: Scale) -> Iterator[Case]:
+def _antipode_sum(n_max: int) -> Iterator[Case]:
     """Evaluating the odd character against the monomial antipode: for every
     beta, the weighted sum over coarsenings with odd first part collapses to
     the single beta term (or 0 when the last part is even)."""
-    for n in range(1, scale(10) + 1):
+    for n in range(1, n_max + 1):
         for beta in all_compositions(n):
-            lhs = Fraction(0)
-            for alpha in coarsenings(beta):
-                if alpha and alpha[0] % 2:
-                    lhs += _odd_head_weight(alpha)
-            if beta[-1] % 2:
-                st = stats(beta)
-                h = st.k_o // 2
-                rhs = Fraction(_B(h), 4 ** h)
-            else:
-                rhs = Fraction(0)
+            lhs = sum(_odd_head_weight(alpha) for alpha in coarsenings(beta) if alpha[0] % 2)
+            rhs = _b_over_4(stats(beta).k_o // 2) if beta[-1] % 2 else 0
             yield {"beta": beta}, lhs, rhs
 
 
-def _app_antipodeM(scale: Scale) -> Iterator[Case]:
+def _app_antipodeM(n_max: int) -> Iterator[Case]:
     """Strict-coarsening variant: when beta has an even number of even parts
     and matching end parities, the sum over proper coarsenings with odd
     first part vanishes.  An empty sum counts as 0."""
-    for n in range(1, scale(10) + 1):
+    for n in range(1, n_max + 1):
         for beta in all_compositions(n):
             st = stats(beta)
             if st.k_e % 2 or (beta[0] - beta[-1]) % 2:
                 continue
-            lhs = Fraction(0)
-            for alpha in coarsenings(beta):
-                if alpha != beta and alpha and alpha[0] % 2:
-                    lhs += _odd_head_weight(alpha)
-            yield {"beta": beta}, lhs, Fraction(0)
+            lhs = sum(
+                _odd_head_weight(alpha)
+                for alpha in coarsenings(beta)
+                if alpha != beta and alpha[0] % 2
+            )
+            yield {"beta": beta}, lhs, 0
 
 
-def _tn_vandermonde(scale: Scale) -> Iterator[Case]:
+def _class_size(n: int, r: int, s: int) -> int:
+    """binomial((n+r)/2 - 1, r+s-1) binomial(r+s-1, r-1): the number of
+    compositions of n with odd first part, r odd parts and s even parts."""
+    return en.binomial((n + r) // 2 - 1, r + s - 1) * en.binomial(r + s - 1, r - 1)
+
+
+def _tn_vandermonde(n_max: int, census_max: int) -> Iterator[Case]:
     """The all-ones specialization of the strict antipode sum, grouped by
     (odd parts, even parts): the grouped sum vanishes, each inner
     alternating sum vanishes by Vandermonde convolution, and the size of
     each (r, s) class matches its product-of-binomials count."""
-    b = scale(14)
-    for n in range(1, b + 1):
-        total = Fraction(0)
+    for n in range(1, n_max + 1):
+        total = 0
         for r in range(1, n):
             if (n - r) % 2:
                 continue
             for s in range(0, (n - r) // 2 + 1):
-                count = en.binomial((n + r) // 2 - 1, r + s - 1) * en.binomial(
-                    r + s - 1, r - 1
-                )
-                term = Fraction(count * _B(r // 2), 4 ** (r // 2))
+                term = _class_size(n, r, s) * _b_over_4(r // 2)
                 total += -term if s % 2 else term
-        yield {"part": "tn-sum", "n": n}, total, Fraction(0)
-    for n in range(1, b + 1):
+        yield {"part": "tn-sum", "n": n}, total, 0
+    for n in range(1, n_max + 1):
         for r in range(1, n):
             if (n - r) % 2:
                 continue
-            inner = sum(
-                (-1) ** s
-                * en.binomial((n + r) // 2 - 1, r + s - 1)
-                * en.binomial(r + s - 1, r - 1)
-                for s in range(0, (n - r) // 2 + 1)
-            )
-            yield {"part": "vandermonde", "n": n, "r": r}, Fraction(inner), Fraction(0)
-    for n in range(1, scale(12) + 1):
+            inner = sum((-1) ** s * _class_size(n, r, s) for s in range(0, (n - r) // 2 + 1))
+            yield {"part": "vandermonde", "n": n, "r": r}, inner, 0
+    for n in range(1, census_max + 1):
         census: Counter = Counter()
         for alpha in all_compositions(n):
             if alpha[0] % 2:
@@ -267,298 +238,262 @@ def _tn_vandermonde(scale: Scale) -> Iterator[Case]:
             if (n - r) % 2:
                 continue
             for s in range(0, (n - r) // 2 + 1):
-                formula = en.binomial((n + r) // 2 - 1, r + s - 1) * en.binomial(
-                    r + s - 1, r - 1
-                )
-                yield (
-                    {"part": "count", "n": n, "r": r, "s": s},
-                    Fraction(census.get((r, s), 0)),
-                    Fraction(formula),
-                )
+                params = {"part": "count", "n": n, "r": r, "s": s}
+                yield params, census[(r, s)], _class_size(n, r, s)
 
 
-def _signs_a(scale: Scale) -> Iterator[Case]:
+def _signed_census(m: int, stat: str) -> Counter:
+    """{j: sum of (-1)^(number of parts) over the compositions of m whose
+    statistic stat (a field of compositions.stats) is j}."""
+    census: Counter = Counter()
+    for gamma in all_compositions(m):
+        st = stats(gamma)
+        census[getattr(st, stat)] += (-1) ** st.k
+    return census
+
+
+def _signs_a(m_max: int) -> Iterator[Case]:
     """sum over compositions of m with j parts > 1 of (-1)^(number of parts)
     equals (-1)^(m+j) binomial(floor(m/2), j)."""
-    for m in range(0, scale(14) + 1):
-        census: Counter = Counter()
-        for gamma in all_compositions(m):
-            st = stats(gamma)
-            census[st.v] += (-1) ** st.k
+    for m in range(0, m_max + 1):
+        census = _signed_census(m, "v")
         for j in range(0, m + 1):
-            rhs = (-1) ** (m + j) * en.binomial(m // 2, j)
-            yield {"m": m, "j": j}, Fraction(census.get(j, 0)), Fraction(rhs)
+            yield {"m": m, "j": j}, census[j], (-1) ** (m + j) * en.binomial(m // 2, j)
 
 
-def _signs_b(scale: Scale) -> Iterator[Case]:
+def _signs_b(m_max: int) -> Iterator[Case]:
     """Same with parts > 1 counted away from the first position: zero for
     even m, the signs_a value for odd m.  (m = 0 is a genuine exception and
     is excluded.)"""
-    for m in range(1, scale(14) + 1):
-        census: Counter = Counter()
-        for gamma in all_compositions(m):
-            st = stats(gamma)
-            census[st.u] += (-1) ** st.k
+    for m in range(1, m_max + 1):
+        census = _signed_census(m, "u")
         for j in range(0, m + 1):
             rhs = 0 if m % 2 == 0 else (-1) ** (m + j) * en.binomial(m // 2, j)
-            yield {"m": m, "j": j}, Fraction(census.get(j, 0)), Fraction(rhs)
+            yield {"m": m, "j": j}, census[j], rhs
 
 
-def _g_convolve(scale: Scale) -> Iterator[Case]:
+def _g_convolve(bound: int) -> Iterator[Case]:
     """4^m C(i,j) = sum_b binomial(m,b) C(i+b, m+j-b)."""
-    b_max = scale(10)
-    for i in range(0, b_max + 1):
-        for j in range(0, b_max + 1):
-            for m in range(0, b_max + 1):
-                lhs = Fraction(4 ** m * _bc(i, j))
+    for i in range(0, bound + 1):
+        for j in range(0, bound + 1):
+            for m in range(0, bound + 1):
+                lhs = 4 ** m * en.bivariate_catalan(i, j)
                 rhs = sum(
-                    en.binomial(m, b) * _bc(i + b, m + j - b) for b in range(m + 1)
+                    en.binomial(m, b) * en.bivariate_catalan(i + b, m + j - b)
+                    for b in range(m + 1)
                 )
-                yield {"i": i, "j": j, "m": m}, lhs, Fraction(rhs)
+                yield {"i": i, "j": j, "m": m}, lhs, rhs
 
 
-def _h_minus_closed(scale: Scale) -> Iterator[Case]:
+def _h_minus_closed(n_max: int) -> Iterator[Case]:
     """The definitional h_minus sum against its closed form."""
-    for n in range(1, scale(10) + 1):
+    for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
+            rhs = 0
             if alpha[-1] % 2:
-                st = stats(alpha)
-                rhs = Fraction(
-                    (-1) ** (n - 1) * 2 ** (n - st.k_o) * _bc(0, st.k_o // 2)
-                )
-            else:
-                rhs = Fraction(0)
+                k_o = stats(alpha).k_o
+                rhs = (-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
             yield {"alpha": alpha}, characters.h_minus(alpha), rhs
 
 
-def _h_plus_closed(scale: Scale) -> Iterator[Case]:
+def _h_plus_closed(n_max: int) -> Iterator[Case]:
     """The definitional h_plus sum against its closed form (even weight)."""
-    for n in range(2, scale(10) + 1, 2):
+    for n in range(2, n_max + 1, 2):
         for alpha in all_compositions(n):
             if len(alpha) == 1:
-                rhs = Fraction(2 ** n)
+                rhs = 2 ** n
             elif alpha[0] % 2 and alpha[-1] % 2:
-                st = stats(alpha)
-                rhs = Fraction(2 ** (n - st.k_o) * _bc(1, st.k_o // 2 - 1))
+                k_o = stats(alpha).k_o
+                rhs = 2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1)
             else:
-                rhs = Fraction(0)
+                rhs = 0
             yield {"alpha": alpha}, characters.h_plus(alpha), rhs
 
 
-def _app_f1(scale: Scale) -> Iterator[Case]:
+def _app_f1(n_max: int) -> Iterator[Case]:
     """Ribbon-cut convolution of the even and odd characters recovers the
     universal character on the fundamental basis."""
-    for n in range(1, scale(10) + 1):
+    for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
             cuts = ribbon_cuts(alpha)
             fl = n // 2
-            lhs = Fraction(0)
+            lhs = 0
             for j in range(fl + 1):
                 cut = cuts[2 * j]
                 lp = p_plus(cut.left)
                 rm = p_minus(cut.right)
-                term = _bc(lp, j - lp) * _bc(rm, fl - j - rm)
+                term = en.bivariate_catalan(lp, j - lp) * en.bivariate_catalan(rm, fl - j - rm)
                 lhs += -term if (lp + rm) % 2 else term
-            rhs = Fraction(4 ** fl) if len(alpha) == 1 else Fraction(0)
+            rhs = 4 ** fl if len(alpha) == 1 else 0
             yield {"alpha": alpha}, lhs, rhs
 
 
-def _app_f2(scale: Scale) -> Iterator[Case]:
+def _app_f2(n_max: int) -> Iterator[Case]:
     """The odd character convolved with its bar image is the counit, as a
     vanishing ribbon-cut sum."""
-    for n in range(1, scale(10) + 1):
+    for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
-            lhs = Fraction(0)
+            lhs = 0
             for cut in ribbon_cuts(alpha):
                 i = cut.index
                 lm = p_minus(cut.left)
                 rm = p_minus(cut.right)
                 fi, fr = i // 2, (n - i) // 2
                 term = Fraction(
-                    _bc(lm, fi - lm) * _bc(rm, fr - rm), 4 ** (fi + fr)
+                    en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm),
+                    4 ** (fi + fr),
                 )
                 lhs += -term if (lm + rm + i) % 2 else term
-            yield {"alpha": alpha}, lhs, Fraction(0)
+            yield {"alpha": alpha}, lhs, 0
 
 
-def _cg6(scale: Scale) -> Iterator[Case]:
+def _cc_convolution(a: int, b: int, h: int) -> Fraction:
+    """sum_{j=0..h} C_a(j) C_b(h-j) over the central Catalan families a, b."""
+    return sum(en.central_catalan(a, j) * en.central_catalan(b, h - j) for j in range(h + 1))
+
+
+def _cg6(h_max: int) -> Iterator[Case]:
     """sum C3 C3 = 2 sum C2 C1 (central Catalan convolution, index sum 6)."""
-    for h in range(1, scale(12) + 1):
-        lhs = sum(_cc(3, j) * _cc(3, h - j) for j in range(h + 1))
-        rhs = 2 * sum(_cc(2, j) * _cc(1, h - 1 - j) for j in range(h))
-        yield {"h": h}, lhs, rhs
+    for h in range(1, h_max + 1):
+        yield {"h": h}, _cc_convolution(3, 3, h), 2 * _cc_convolution(2, 1, h - 1)
 
 
-def _cg7(scale: Scale) -> Iterator[Case]:
+def _cg7(h_max: int) -> Iterator[Case]:
     """sum C3 C4 = sum C2 C3 + sum C1 C1 (index sum 7)."""
-    for h in range(1, scale(12) + 1):
-        lhs = sum(_cc(3, j) * _cc(4, h - j) for j in range(h + 1))
-        rhs = sum(_cc(2, j) * _cc(3, h - j) for j in range(h + 1)) + sum(
-            _cc(1, j) * _cc(1, h - 1 - j) for j in range(h)
-        )
-        yield {"h": h}, lhs, rhs
+    for h in range(1, h_max + 1):
+        rhs = _cc_convolution(2, 3, h) + _cc_convolution(1, 1, h - 1)
+        yield {"h": h}, _cc_convolution(3, 4, h), rhs
 
 
-def _cg8(scale: Scale) -> Iterator[Case]:
+def _cg8(h_max: int) -> Iterator[Case]:
     """sum C4 C4 = 2 sum C3 C1 (index sum 8)."""
-    for h in range(1, scale(12) + 1):
-        lhs = sum(_cc(4, j) * _cc(4, h - j) for j in range(h + 1))
-        rhs = 2 * sum(_cc(3, j) * _cc(1, h - j) for j in range(h + 1))
-        yield {"h": h}, lhs, rhs
+    for h in range(1, h_max + 1):
+        yield {"h": h}, _cc_convolution(4, 4, h), 2 * _cc_convolution(3, 1, h)
 
 
-def _allperms_minus(scale: Scale) -> Iterator[Case]:
+def _signed_peak_sum(words: Iterable, peaks: Callable, half: int) -> int:
+    """sum over the words w of (-1)^p C(p, half - p), with p = peaks(w): the
+    signed peak census of the allperms_* and shuffle_* checks."""
+    census = Counter(map(peaks, words))
+    return sum((-1) ** p * count * en.bivariate_catalan(p, half - p) for p, count in census.items())
+
+
+def _allperms_minus(n_max: int) -> Iterator[Case]:
     """Summing the signed interior-peak weights over all of S_n gives
     4^floor(n/2) (the n-th shuffle power of the one-letter basis element,
     evaluated by the odd character)."""
-    for n in range(0, scale(9) + 1):
-        census: Counter = Counter()
-        for sigma in itertools.permutations(range(1, n + 1)):
-            census[interior_peaks(sigma)] += 1
-        fl = n // 2
-        lhs = Fraction(0)
-        for p, count in sorted(census.items()):
-            term = count * _bc(p, fl - p)
-            lhs += -term if p % 2 else term
-        yield {"n": n}, lhs, Fraction(4 ** fl)
+    for n in range(0, n_max + 1):
+        lhs = _signed_peak_sum(itertools.permutations(range(1, n + 1)), interior_peaks, n // 2)
+        yield {"n": n}, lhs, 4 ** (n // 2)
 
 
-def _allperms_plus(scale: Scale) -> Iterator[Case]:
+def _allperms_plus(n_max: int) -> Iterator[Case]:
     """Same with augmented peaks on even n > 0: the sum vanishes."""
-    for n in range(2, scale(9) + 1, 2):
-        census: Counter = Counter()
-        for sigma in itertools.permutations(range(1, n + 1)):
-            census[augmented_peaks(sigma)] += 1
-        half = n // 2
-        lhs = Fraction(0)
-        for q, count in sorted(census.items()):
-            term = count * _bc(q, half - q)
-            lhs += -term if q % 2 else term
-        yield {"n": n}, lhs, Fraction(0)
+    for n in range(2, n_max + 1, 2):
+        lhs = _signed_peak_sum(itertools.permutations(range(1, n + 1)), augmented_peaks, n // 2)
+        yield {"n": n}, lhs, 0
 
 
-def _shuffle_minus(scale: Scale) -> Iterator[Case]:
+def _shuffle_minus(total: int) -> Iterator[Case]:
     """Signed interior-peak weights summed over shuffles of two identity
     words."""
-    total = scale(10)
     for n in range(0, total + 1):
         for m in range(0, total - n + 1):
-            fl = (n + m) // 2
-            lhs = Fraction(0)
-            for sigma in shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1))):
-                p = interior_peaks(sigma)
-                term = _bc(p, fl - p)
-                lhs += -term if p % 2 else term
+            words = shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+            lhs = _signed_peak_sum(words, interior_peaks, (n + m) // 2)
             factor = 4 if (n % 2 and m % 2) else 1
-            rhs = Fraction(factor * _bc(0, n // 2) * _bc(0, m // 2))
+            rhs = factor * en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
             yield {"n": n, "m": m}, lhs, rhs
 
 
-def _shuffle_plus(scale: Scale) -> Iterator[Case]:
+def _shuffle_plus(total: int) -> Iterator[Case]:
     """Signed augmented-peak weights over the same shuffles, for n and m of
     equal parity."""
-    total = scale(10)
     for n in range(0, total + 1):
         for m in range(0, total - n + 1):
             if (n - m) % 2:
                 continue
-            half = (n + m) // 2
-            lhs = Fraction(0)
-            for sigma in shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1))):
-                q = augmented_peaks(sigma)
-                term = _bc(q, half - q)
-                lhs += -term if q % 2 else term
+            words = shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+            lhs = _signed_peak_sum(words, augmented_peaks, (n + m) // 2)
+            rhs = 0
             if n % 2 == 0:
-                rhs = Fraction(_bc(0, n // 2) * _bc(0, m // 2))
-            else:
-                rhs = Fraction(0)
+                rhs = en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
             yield {"n": n, "m": m}, lhs, rhs
 
 
-def _app_zetainv_m(scale: Scale) -> Iterator[Case]:
+def _app_zetainv_m(m_max: int) -> Iterator[Case]:
     """sum_{j<m} 2^(2m-2j-1) Cat(j) = 4^m - binomial(2m, m)."""
-    for m in range(1, scale(30) + 1):
-        lhs = sum(2 ** (2 * m - 2 * j - 1) * _cat(j) for j in range(m))
-        rhs = 4 ** m - en.binomial(2 * m, m)
-        yield {"m": m}, Fraction(lhs), Fraction(rhs)
+    for m in range(1, m_max + 1):
+        lhs = sum(2 ** (2 * m - 2 * j - 1) * en.catalan(j) for j in range(m))
+        yield {"m": m}, lhs, 4 ** m - en.binomial(2 * m, m)
 
 
-def _app_zetainv_plus_m(scale: Scale) -> Iterator[Case]:
+def _app_zetainv_plus_m(n_max: int) -> Iterator[Case]:
     """Even-character analogue of the antipode sum, over coarsenings with
     both end parts odd (even weight)."""
-    for n in range(0, scale(10) + 1, 2):
+    for n in range(0, n_max + 1, 2):
         for beta in all_compositions(n):
-            st_b = stats(beta)
-            lhs = Fraction(0)
+            k_o = stats(beta).k_o
+            lhs = 0
             for alpha in coarsenings(beta):
                 if alpha and alpha[0] % 2 and alpha[-1] % 2:
                     st = stats(alpha)
-                    term = 2 ** (st_b.k_o - st.k_o + 1) * _cat(st.k_o // 2 - 1)
+                    term = 2 ** (k_o - st.k_o + 1) * en.catalan(st.k_o // 2 - 1)
                     lhs += -term if st.k_e % 2 else term
-            rhs = Fraction(
-                2 ** st_b.k_o - en.binomial(st_b.k_o, st_b.k_o // 2)
-            )
-            yield {"beta": beta}, lhs, rhs
+            yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
 
 
-def _gessel_rec(scale: Scale) -> Iterator[Case]:
+def _gessel_rec(bound: int) -> Iterator[Case]:
     """C(b, a+c) = 4^c C(b, a) - sum_{j=1..c} 4^(c-j) C(b+1, a+j-1)."""
-    bound = scale(10)
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
             for c in range(0, bound + 1):
-                rhs = 4 ** c * _bc(b, a) - sum(
-                    4 ** (c - j) * _bc(b + 1, a + j - 1) for j in range(1, c + 1)
+                rhs = 4 ** c * en.bivariate_catalan(b, a) - sum(
+                    4 ** (c - j) * en.bivariate_catalan(b + 1, a + j - 1)
+                    for j in range(1, c + 1)
                 )
-                yield {"a": a, "b": b, "c": c}, Fraction(_bc(b, a + c)), Fraction(rhs)
+                yield {"a": a, "b": b, "c": c}, en.bivariate_catalan(b, a + c), rhs
 
 
-def _binomial_gessel(scale: Scale) -> Iterator[Case]:
+def _binomial_gessel(bound: int) -> Iterator[Case]:
     """binomial(2b, b) = C(b,c)/4^c + sum_j C(b+1, j-1)/4^j."""
-    bound = scale(10)
     for b in range(0, bound + 1):
         for c in range(0, bound + 1):
-            rhs = Fraction(_bc(b, c), 4 ** c) + sum(
-                Fraction(_bc(b + 1, j - 1), 4 ** j) for j in range(1, c + 1)
+            rhs = Fraction(en.bivariate_catalan(b, c), 4 ** c) + sum(
+                Fraction(en.bivariate_catalan(b + 1, j - 1), 4 ** j) for j in range(1, c + 1)
             )
-            yield {"b": b, "c": c}, Fraction(en.binomial(2 * b, b)), rhs
+            yield {"b": b, "c": c}, en.binomial(2 * b, b), rhs
 
 
-def _catalan_gessel(scale: Scale) -> Iterator[Case]:
+def _catalan_gessel(bound: int) -> Iterator[Case]:
     """2 Cat(b) = C(b, c+1)/4^c + sum_j C(b+1, j)/4^j."""
-    bound = scale(10)
     for b in range(0, bound + 1):
         for c in range(0, bound + 1):
-            rhs = Fraction(_bc(b, c + 1), 4 ** c) + sum(
-                Fraction(_bc(b + 1, j), 4 ** j) for j in range(1, c + 1)
+            rhs = Fraction(en.bivariate_catalan(b, c + 1), 4 ** c) + sum(
+                Fraction(en.bivariate_catalan(b + 1, j), 4 ** j) for j in range(1, c + 1)
             )
-            yield {"b": b, "c": c}, Fraction(2 * _cat(b)), rhs
+            yield {"b": b, "c": c}, 2 * en.catalan(b), rhs
 
 
-def _associator(scale: Scale) -> Iterator[Case]:
+def _associator(bound: int) -> Iterator[Case]:
     """With H(a,b,c) = C(a, b+c) - C(b, a+c):
     H(a,b,c)/4^c = sum_j H(b+1, a+1, j-2)/4^j."""
 
     def H(x, y, z):
-        return _bc(x, y + z) - _bc(y, x + z)
+        return en.bivariate_catalan(x, y + z) - en.bivariate_catalan(y, x + z)
 
-    bound = scale(10)
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
             for c in range(0, bound + 1):
                 lhs = Fraction(H(a, b, c), 4 ** c)
-                rhs = sum(
-                    (Fraction(H(b + 1, a + 1, j - 2), 4 ** j) for j in range(1, c + 1)),
-                    Fraction(0),
-                )
+                rhs = sum(Fraction(H(b + 1, a + 1, j - 2), 4 ** j) for j in range(1, c + 1))
                 yield {"a": a, "b": b, "c": c}, lhs, rhs
 
 
-def _power2(scale: Scale) -> Iterator[Case]:
+def _power2(bound: int) -> Iterator[Case]:
     """The 2-adic valuation of C(p,q) is the binary digit sum of p+q;
     equivalently C(p,q)/4^(p+q) reduces to an odd numerator over 2^k with
     k = sum_i floor((p+q)/2^i)."""
-    bound = scale(40)
     for total in range(1, bound + 1):
         k = 0
         t = total
@@ -567,25 +502,20 @@ def _power2(scale: Scale) -> Iterator[Case]:
             t //= 2
         for p in range(0, total + 1):
             q = total - p
-            value = _bc(p, q)
+            value = en.bivariate_catalan(p, q)
             yield (
                 {"part": "valuation", "p": p, "q": q},
-                Fraction(en.two_adic_valuation(value)),
-                Fraction(en.binary_digit_sum(total)),
+                en.two_adic_valuation(value),
+                en.binary_digit_sum(total),
             )
             reduced = Fraction(value, 4 ** total)
-            yield (
-                {"part": "reduced", "p": p, "q": q},
-                Fraction(reduced.denominator),
-                Fraction(2 ** k),
-            )
+            yield {"part": "reduced", "p": p, "q": q}, reduced.denominator, 2 ** k
 
 
-def _zeta_power(scale: Scale) -> Iterator[Case]:
+def _zeta_power(n_max: int) -> Iterator[Case]:
     """The closed binomial formulas for convolution powers of the universal
     character, in both bases, against iterated truncated convolution (and
     the group inverse for negative powers)."""
-    n_max = scale(8)
     zeta_t = characters.restrict(characters.ZETA, n_max)
     powers = {0: characters.restrict(characters.COUNIT, n_max)}
     for m in range(1, 4):
@@ -602,32 +532,28 @@ def _zeta_power(scale: Scale) -> Iterator[Case]:
                     characters.eval_M(char_id, alpha),
                     table.value(alpha),
                 )
-                f_ref = sum(
-                    (table.value(beta) for beta in refinements(alpha)),
-                    Fraction(0),
-                )
                 yield (
                     {"basis": "F", "m": m, "alpha": alpha},
                     characters.eval_F(char_id, alpha),
-                    f_ref,
+                    sum(table.value(beta) for beta in refinements(alpha)),
                 )
 
 
-def _peak_rev_con(scale: Scale) -> Iterator[Case]:
+def _peak_rev_con(n_max: int) -> Iterator[Case]:
     """How the two peak statistics transform under reversal and
     conjugation: two invariances and the two three-case corrections."""
-    for n in range(1, scale(10) + 1):
+    for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
             a1, ak = alpha[0], alpha[-1]
             yield (
                 {"part": "p-minus-conjugate", "alpha": alpha},
-                Fraction(p_minus(conjugate(alpha))),
-                Fraction(p_minus(alpha)),
+                p_minus(conjugate(alpha)),
+                p_minus(alpha),
             )
             yield (
                 {"part": "p-plus-reversal", "alpha": alpha},
-                Fraction(p_plus(reversal(alpha))),
-                Fraction(p_plus(alpha)),
+                p_plus(reversal(alpha)),
+                p_plus(alpha),
             )
             if (a1 == 1) == (ak == 1):
                 expect_rev = p_minus(alpha)
@@ -637,8 +563,8 @@ def _peak_rev_con(scale: Scale) -> Iterator[Case]:
                 expect_rev = p_minus(alpha) + 1
             yield (
                 {"part": "p-minus-reversal", "alpha": alpha},
-                Fraction(p_minus(reversal(alpha))),
-                Fraction(expect_rev),
+                p_minus(reversal(alpha)),
+                expect_rev,
             )
             if n >= 2:
                 if (a1 == 1) != (ak == 1):
@@ -649,78 +575,78 @@ def _peak_rev_con(scale: Scale) -> Iterator[Case]:
                     expect_con = p_plus(alpha) + 1
                 yield (
                     {"part": "p-plus-conjugate", "alpha": alpha},
-                    Fraction(p_plus(conjugate(alpha))),
-                    Fraction(expect_con),
+                    p_plus(conjugate(alpha)),
+                    expect_con,
                 )
 
 
-_REGISTRY: list[tuple[str, Callable[[Scale], Iterator[Case]], str]] = [
-    ("classical_conv", _classical_conv, "1 <= m <= {30}"),
-    ("classical_conv2", _classical_conv2, "0 <= m <= {30}"),
-    ("central_prod", _central_prod, "0 <= n, m <= {12}, not both 0, plus specials"),
-    ("catalan_prod", _catalan_prod, "1 <= n, m <= {12}, n = m mod 2, not both 1, plus specials"),
-    ("antipode_sum", _antipode_sum, "all beta of weight 1..{10}"),
-    ("app_antipodeM", _app_antipodeM, "beta of weight 1..{10} with even-part count even and matching end parities"),
-    ("tn_vandermonde", _tn_vandermonde, "grouped sum and Vandermonde for n <= {14}; class census for n <= {12}"),
-    ("signs_a", _signs_a, "0 <= m <= {14}, 0 <= j <= m"),
-    ("signs_b", _signs_b, "1 <= m <= {14}, 0 <= j <= m"),
-    ("g_convolve", _g_convolve, "0 <= i, j, m <= {10}"),
-    ("h_minus_closed", _h_minus_closed, "all alpha of weight 1..{10}"),
-    ("h_plus_closed", _h_plus_closed, "all alpha of even weight 2..{10}"),
-    ("app_f1", _app_f1, "all alpha of weight 1..{10}"),
-    ("app_f2", _app_f2, "all alpha of weight 1..{10}"),
-    ("cg6", _cg6, "1 <= h <= {12}"),
-    ("cg7", _cg7, "1 <= h <= {12}"),
-    ("cg8", _cg8, "1 <= h <= {12}"),
-    ("allperms_minus", _allperms_minus, "0 <= n <= {9}"),
-    ("allperms_plus", _allperms_plus, "even n, 2 <= n <= {9}"),
-    ("shuffle_minus", _shuffle_minus, "n, m >= 0 with n + m <= {10}"),
-    ("shuffle_plus", _shuffle_plus, "n = m mod 2 with n + m <= {10}"),
-    ("app_zetainv_m", _app_zetainv_m, "1 <= m <= {30}"),
-    ("app_zetainv_plus_m", _app_zetainv_plus_m, "all beta of even weight 0..{10}"),
-    ("gessel_rec", _gessel_rec, "0 <= a, b, c <= {10}"),
-    ("binomial_gessel", _binomial_gessel, "0 <= b, c <= {10}"),
-    ("catalan_gessel", _catalan_gessel, "0 <= b, c <= {10}"),
-    ("associator", _associator, "0 <= a, b, c <= {10}"),
-    ("power2", _power2, "0 < p + q <= {40}"),
-    ("zeta_power", _zeta_power, "-3 <= m <= 3, both bases, weights up to {8}"),
-    ("peak_rev_con", _peak_rev_con, "all alpha of weight 1..{10}"),
-]
+# id -> (check, domain text); each {N} in the text is one bound of the check
+_REGISTRY: dict[str, tuple[Callable[..., Iterator[Case]], str]] = {
+    "classical_conv": (_classical_conv, "1 <= m <= {30}"),
+    "classical_conv2": (_classical_conv2, "0 <= m <= {30}"),
+    "central_prod": (_central_prod, "0 <= n, m <= {12}, not both 0, plus specials"),
+    "catalan_prod": (_catalan_prod, "1 <= n, m <= {12}, n = m mod 2, not both 1, plus specials"),
+    "antipode_sum": (_antipode_sum, "all beta of weight 1..{10}"),
+    "app_antipodeM": (_app_antipodeM, "beta of weight 1..{10} with even-part count even and matching end parities"),
+    "tn_vandermonde": (_tn_vandermonde, "grouped sum and Vandermonde for n <= {14}; class census for n <= {12}"),
+    "signs_a": (_signs_a, "0 <= m <= {14}, 0 <= j <= m"),
+    "signs_b": (_signs_b, "1 <= m <= {14}, 0 <= j <= m"),
+    "g_convolve": (_g_convolve, "0 <= i, j, m <= {10}"),
+    "h_minus_closed": (_h_minus_closed, "all alpha of weight 1..{10}"),
+    "h_plus_closed": (_h_plus_closed, "all alpha of even weight 2..{10}"),
+    "app_f1": (_app_f1, "all alpha of weight 1..{10}"),
+    "app_f2": (_app_f2, "all alpha of weight 1..{10}"),
+    "cg6": (_cg6, "1 <= h <= {12}"),
+    "cg7": (_cg7, "1 <= h <= {12}"),
+    "cg8": (_cg8, "1 <= h <= {12}"),
+    "allperms_minus": (_allperms_minus, "0 <= n <= {9}"),
+    "allperms_plus": (_allperms_plus, "even n, 2 <= n <= {9}"),
+    "shuffle_minus": (_shuffle_minus, "n, m >= 0 with n + m <= {10}"),
+    "shuffle_plus": (_shuffle_plus, "n = m mod 2 with n + m <= {10}"),
+    "app_zetainv_m": (_app_zetainv_m, "1 <= m <= {30}"),
+    "app_zetainv_plus_m": (_app_zetainv_plus_m, "all beta of even weight 0..{10}"),
+    "gessel_rec": (_gessel_rec, "0 <= a, b, c <= {10}"),
+    "binomial_gessel": (_binomial_gessel, "0 <= b, c <= {10}"),
+    "catalan_gessel": (_catalan_gessel, "0 <= b, c <= {10}"),
+    "associator": (_associator, "0 <= a, b, c <= {10}"),
+    "power2": (_power2, "0 < p + q <= {40}"),
+    "zeta_power": (_zeta_power, "-3 <= m <= 3, both bases, weights up to {8}"),
+    "peak_rev_con": (_peak_rev_con, "all alpha of weight 1..{10}"),
+}
 
-_CHECKS = {name: (fn, domain) for name, fn, domain in _REGISTRY}
+_BOUND = re.compile(r"\{([0-9]+)\}")
 
 
 def registry_ids() -> list[str]:
-    return [name for name, _, _ in _REGISTRY]
-
-
-def _format_domain(template: str, scale: Scale) -> str:
-    out = template
-    while "{" in out:
-        start = out.index("{")
-        end = out.index("}", start)
-        base = int(out[start + 1:end])
-        out = out[:start] + str(scale(base)) + out[end + 1:]
-    return out
+    return list(_REGISTRY)
 
 
 def verify(check_id: str, depth: str = "standard") -> CheckReport:
     """Run one registry check over its (depth-scaled) domain and report the
     number of cases, pass/fail, and the first counterexample if any."""
-    if check_id not in _CHECKS:
+    if check_id not in _REGISTRY:
         raise KeyError("unknown identity id %r" % (check_id,))
-    fn, domain_template = _CHECKS[check_id]
+    fn, template = _REGISTRY[check_id]
     scale = _scale_for(depth)
+    bounds: list[int] = []
+
+    def fill(match):
+        bounds.append(scale(int(match.group(1))))
+        return str(bounds[-1])
+
+    domain = _BOUND.sub(fill, template)
     cases = 0
     counterexample = None
-    for params, left, right in fn(scale):
+    for params, left, right in fn(*bounds):
         cases += 1
         if counterexample is None and left != right:
-            counterexample = Counterexample(params=params, left=left, right=right)
+            counterexample = Counterexample(
+                params=params, left=en.as_fraction(left), right=en.as_fraction(right)
+            )
     status = "pass" if counterexample is None else "fail"
     return CheckReport(
         id=check_id,
-        domain=_format_domain(domain_template, scale),
+        domain=domain,
         cases=cases,
         status=status,
         counterexample=counterexample,

@@ -143,6 +143,8 @@ def shuffles(sigma: Permutation, tau: Permutation) -> list[Permutation]:
 def all_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND):
     """Iterate over S_n in lexicographic order.  Enumerating S_n is
     factorial work, so n is capped by an explicit bound."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
     if n > bound:
         raise ValueError("all_permutations(%d) exceeds bound %d" % (n, bound))
     return itertools.permutations(range(1, n + 1))

@@ -508,7 +508,11 @@ FAULTS = [
     ("qsym.t_involution", lambda real: lambda x: x, ("criterion 5:inverse odd part",)),
     ("qsym.descent_map", lambda real: lambda x: qs.t_involution(real(x)),
      ("criterion 6:descent map",)),
-    ("identities._cc", _plus_one_at(3, 2), ("registry:cg6",)),
+    ("identities._cc_convolution", _plus_one_at(3, 3, 2), ("registry:cg6",)),
+    ("identities._signed_peak_sum",
+     lambda real: lambda words, peaks, half: real(words, peaks, half) + (half == 2),
+     ("registry:allperms_minus", "registry:allperms_plus", "registry:shuffle_minus",
+      "registry:shuffle_plus")),
 ]
 
 _MODULES = {m.__name__.rpartition(".")[2]: m for m in (en, co, pm, qs, ch, idn, cli)}

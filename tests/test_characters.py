@@ -113,6 +113,20 @@ def test_truncated_character_rejects_floats():
     assert exact.tables == ((Fraction(1),), (Fraction(1, 10),))
 
 
+def test_truncated_character_rejects_a_non_int_degree():
+    # the tables are valid for degrees 2 and 1
+    for max_degree, tables in ((2.0, [[1], [1], [1, 1]]), (True, [[1], [1]])):
+        with pytest.raises(ValueError, match="non-negative int"):
+            ch.TruncatedCharacter(max_degree, tables)
+
+
+def test_zeta_power_rejects_a_non_int_power():
+    for m in (2.5, True, "2"):
+        with pytest.raises(ValueError, match="plain int"):
+            ch.zeta_power(m)
+    assert ch.zeta_power(-2) == "zeta-pow:-2"
+
+
 def test_convolve_matches_coproduct_route():
     # convolution is evaluation through the coproduct; check the internal
     # deconcatenation sum against the qsym coproduct, term by term

@@ -25,6 +25,12 @@ def test_falling_binomial_negative_top():
             assert en.falling_binomial(n, k) == en.binomial(n, k)
 
 
+def test_falling_binomial_rejects_non_int_arguments():
+    for m, k in ((3.0, 2), (3, 2.0), (True, 1), (Fraction(3), 2)):
+        with pytest.raises(ValueError, match="plain ints"):
+            en.falling_binomial(m, k)
+
+
 def test_multinomial():
     assert en.multinomial([1, 1, 1]) == 6
     assert en.multinomial([2, 0, 0]) == 1

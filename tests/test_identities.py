@@ -124,3 +124,90 @@ def test_reports_have_case_counts():
     report = idn.verify("signs_a", "small")
     # m = 0..7, j = 0..m
     assert report.cases == sum(m + 1 for m in range(8))
+
+
+# Case count and domain text of every check at "small" and at "standard".
+# The standard counts are the benchmark's REGISTRY_STANDARD_CASES.
+REGISTRY_DOMAINS = [
+    ("classical_conv", "small", 15, "1 <= m <= 15"),
+    ("classical_conv", "standard", 30, "1 <= m <= 30"),
+    ("classical_conv2", "small", 16, "0 <= m <= 15"),
+    ("classical_conv2", "standard", 31, "0 <= m <= 30"),
+    ("central_prod", "small", 60, "0 <= n, m <= 6, not both 0, plus specials"),
+    ("central_prod", "standard", 192, "0 <= n, m <= 12, not both 0, plus specials"),
+    ("catalan_prod", "small", 24, "1 <= n, m <= 6, n = m mod 2, not both 1, plus specials"),
+    ("catalan_prod", "standard", 87, "1 <= n, m <= 12, n = m mod 2, not both 1, plus specials"),
+    ("antipode_sum", "small", 31, "all beta of weight 1..5"),
+    ("antipode_sum", "standard", 1023, "all beta of weight 1..10"),
+    ("app_antipodeM", "small", 14,
+     "beta of weight 1..5 with even-part count even and matching end parities"),
+    ("app_antipodeM", "standard", 308,
+     "beta of weight 1..10 with even-part count even and matching end parities"),
+    ("tn_vandermonde", "small", 36,
+     "grouped sum and Vandermonde for n <= 7; class census for n <= 6"),
+    ("tn_vandermonde", "standard", 168,
+     "grouped sum and Vandermonde for n <= 14; class census for n <= 12"),
+    ("signs_a", "small", 36, "0 <= m <= 7, 0 <= j <= m"),
+    ("signs_a", "standard", 120, "0 <= m <= 14, 0 <= j <= m"),
+    ("signs_b", "small", 35, "1 <= m <= 7, 0 <= j <= m"),
+    ("signs_b", "standard", 119, "1 <= m <= 14, 0 <= j <= m"),
+    ("g_convolve", "small", 216, "0 <= i, j, m <= 5"),
+    ("g_convolve", "standard", 1331, "0 <= i, j, m <= 10"),
+    ("h_minus_closed", "small", 31, "all alpha of weight 1..5"),
+    ("h_minus_closed", "standard", 1023, "all alpha of weight 1..10"),
+    ("h_plus_closed", "small", 10, "all alpha of even weight 2..5"),
+    ("h_plus_closed", "standard", 682, "all alpha of even weight 2..10"),
+    ("app_f1", "small", 31, "all alpha of weight 1..5"),
+    ("app_f1", "standard", 1023, "all alpha of weight 1..10"),
+    ("app_f2", "small", 31, "all alpha of weight 1..5"),
+    ("app_f2", "standard", 1023, "all alpha of weight 1..10"),
+    ("cg6", "small", 6, "1 <= h <= 6"),
+    ("cg6", "standard", 12, "1 <= h <= 12"),
+    ("cg7", "small", 6, "1 <= h <= 6"),
+    ("cg7", "standard", 12, "1 <= h <= 12"),
+    ("cg8", "small", 6, "1 <= h <= 6"),
+    ("cg8", "standard", 12, "1 <= h <= 12"),
+    ("allperms_minus", "small", 6, "0 <= n <= 5"),
+    ("allperms_minus", "standard", 10, "0 <= n <= 9"),
+    ("allperms_plus", "small", 2, "even n, 2 <= n <= 5"),
+    ("allperms_plus", "standard", 4, "even n, 2 <= n <= 9"),
+    ("shuffle_minus", "small", 21, "n, m >= 0 with n + m <= 5"),
+    ("shuffle_minus", "standard", 66, "n, m >= 0 with n + m <= 10"),
+    ("shuffle_plus", "small", 9, "n = m mod 2 with n + m <= 5"),
+    ("shuffle_plus", "standard", 36, "n = m mod 2 with n + m <= 10"),
+    ("app_zetainv_m", "small", 15, "1 <= m <= 15"),
+    ("app_zetainv_m", "standard", 30, "1 <= m <= 30"),
+    ("app_zetainv_plus_m", "small", 11, "all beta of even weight 0..5"),
+    ("app_zetainv_plus_m", "standard", 683, "all beta of even weight 0..10"),
+    ("gessel_rec", "small", 216, "0 <= a, b, c <= 5"),
+    ("gessel_rec", "standard", 1331, "0 <= a, b, c <= 10"),
+    ("binomial_gessel", "small", 36, "0 <= b, c <= 5"),
+    ("binomial_gessel", "standard", 121, "0 <= b, c <= 10"),
+    ("catalan_gessel", "small", 36, "0 <= b, c <= 5"),
+    ("catalan_gessel", "standard", 121, "0 <= b, c <= 10"),
+    ("associator", "small", 216, "0 <= a, b, c <= 5"),
+    ("associator", "standard", 1331, "0 <= a, b, c <= 10"),
+    ("power2", "small", 460, "0 < p + q <= 20"),
+    ("power2", "standard", 1720, "0 < p + q <= 40"),
+    ("zeta_power", "small", 224, "-3 <= m <= 3, both bases, weights up to 4"),
+    ("zeta_power", "standard", 3584, "-3 <= m <= 3, both bases, weights up to 8"),
+    ("peak_rev_con", "small", 123, "all alpha of weight 1..5"),
+    ("peak_rev_con", "standard", 4091, "all alpha of weight 1..10"),
+]
+
+
+def test_registry_domains_cover_every_check():
+    for depth in ("small", "standard"):
+        rows = [row for row in REGISTRY_DOMAINS if row[1] == depth]
+        assert [row[0] for row in rows] == idn.registry_ids()
+    assert sum(row[2] for row in REGISTRY_DOMAINS if row[1] == "standard") == 20324
+
+
+@pytest.mark.parametrize(
+    "check_id, depth, cases, domain",
+    REGISTRY_DOMAINS,
+    ids=["%s-%s" % row[:2] for row in REGISTRY_DOMAINS],
+)
+def test_registry_domain_and_case_count(check_id, depth, cases, domain):
+    report = idn.verify(check_id, depth)
+    assert (report.cases, report.domain) == (cases, domain)

@@ -115,6 +115,12 @@ def test_all_permutations():
     assert sum(1 for _ in pm.all_permutations(8, bound=8)) == 40320
 
 
+def test_all_permutations_rejects_negative_n():
+    # as all_compositions(-1) does, rather than yielding [()]
+    with pytest.raises(ValueError, match="non-negative"):
+        pm.all_permutations(-1)
+
+
 def test_ssym_product_examples():
     f1 = pm.ssym_basis((1,))
     assert f1 * f1 == pm.SSymElement({(1, 2): 1, (2, 1): 1})
