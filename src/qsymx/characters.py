@@ -16,14 +16,24 @@ algebras and generalized Dehn-Sommerville relations, Compositio Math. 142
 Comparing the two sides entrywise is the central acceptance test of the
 package.
 
-All three run through one deconcatenation kernel on integer tables
-indexed by partial-sum bitmask.  On entry, degree n of a table is scaled by
-c**n, with c the lcm of the input denominators (twice that in
-``decompose``, which halves); on exit each value is turned back into
-Fraction(v, c**n).  Scaling degree n by c**n commutes with convolution, so
-every step in between is exact integer arithmetic, and the only division,
-the halving in the square root, is checked to leave no remainder.
-``TruncatedCharacter`` itself stores Fractions.
+The M-basis closed forms depend on a composition only through its weight
+and its shape: the number of parts, the number of odd parts and the
+parities of the first and last parts.  They are written once, in
+``_closed_M``; ``eval_M`` computes one shape, and ``restrict`` walks the
+shapes of a whole degree from those of the degree below and evaluates each
+distinct shape once.
+
+``TruncatedCharacter`` stores each degree as a row of integer numerators
+over one denominator, reduced so that the gcd of the denominator and the
+row is 1; its ``tables`` and ``value`` hand out Fractions.  The oracle runs
+on these rows through one deconcatenation kernel indexed by partial-sum
+bitmask.  On entry, degree n is scaled by c**n, with c the lcm of the
+input denominators (twice that in ``decompose``, which halves), so each
+row is multiplied by one factor; on exit each row is divided by the gcd of
+c**n and its entries.  Scaling degree n by c**n commutes with convolution,
+so every step in between is exact integer arithmetic, and the only
+division, the halving in the square root, is checked to leave no
+remainder.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -31,7 +41,7 @@ Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import exactnum as en
 from .compositions import (
@@ -43,7 +53,6 @@ from .compositions import (
     p_plus,
     refinements,
     reversal,
-    stats,
 )
 from .permutations import Permutation, descent_composition, permutation
 from .qsym import QSymElement, antipode, qsym_basis, t_involution
@@ -117,11 +126,13 @@ def _parse_id(char_id: str):
     raise ValueError("unknown character id %r" % (char_id,))
 
 
-def eval_M(char_id: str, alpha: Composition) -> Fraction:
-    """Value of a closed-form character on the monomial basis element of
-    alpha."""
-    kind, power = _parse_id(char_id)
-    k = len(alpha)
+def _closed_M(kind: str, power, n: int, shape) -> Fraction:
+    """The M-basis closed forms: the value of character kind (with power,
+    for zeta-pow) on M_alpha, for alpha of weight n and shape
+    (k, k_o, first_odd, last_odd): its number of parts, its number of odd
+    parts, and 1 or 0 for an odd or even first and last part.  The empty
+    composition has shape (0, 0, 0, 0)."""
+    k, k_o, first_odd, last_odd = shape
     if kind == "counit":
         return Fraction(1 if k == 0 else 0)
     if kind == "zeta":
@@ -133,35 +144,45 @@ def eval_M(char_id: str, alpha: Composition) -> Fraction:
     if k == 0:
         return Fraction(1)
 
-    st = stats(alpha)
-    n = st.weight
+    k_e = k - k_o
     if kind == "zeta-minus":
-        if alpha[-1] % 2 == 0:
+        if not last_odd:
             return Fraction(0)
-        h = st.k_o // 2
-        sign = -1 if st.k_e % 2 else 1
+        h = k_o // 2
+        sign = -1 if k_e % 2 else 1
         return Fraction(sign * en.bivariate_catalan(0, h), 4 ** h)
     if kind == "zeta-plus":
         if n % 2:
             return Fraction(0)
         if k == 1:
             return Fraction(1)
-        if alpha[0] % 2 and alpha[-1] % 2:
-            sign = 1 if st.k_e % 2 else -1
-            return Fraction(sign * en.bivariate_catalan(1, st.k_o // 2 - 1), 2 ** st.k_o)
+        if first_odd and last_odd:
+            sign = 1 if k_e % 2 else -1
+            return Fraction(sign * en.bivariate_catalan(1, k_o // 2 - 1), 2 ** k_o)
         return Fraction(0)
     if kind == "zeta-inv-minus":
-        if alpha[0] % 2 == 0:
+        if not first_odd:
             return Fraction(0)
-        h = st.k_o // 2
+        h = k_o // 2
         sign = -1 if k % 2 else 1
         return Fraction(sign * en.bivariate_catalan(0, h), 4 ** h)
     if kind == "zeta-inv-plus":
         if n % 2:
             return Fraction(0)
         sign = -1 if k % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(0, st.k_o // 2), 2 ** st.k_o)
+        return Fraction(sign * en.bivariate_catalan(0, k_o // 2), 2 ** k_o)
     raise AssertionError(kind)
+
+
+def eval_M(char_id: str, alpha: Composition) -> Fraction:
+    """Value of a closed-form character on the monomial basis element of
+    alpha; a part that is not a positive int raises ValueError."""
+    kind, power = _parse_id(char_id)
+    alpha = composition(alpha)
+    if not alpha:
+        return _closed_M(kind, power, 0, (0, 0, 0, 0))
+    shape = (len(alpha), sum(a & 1 for a in alpha), alpha[0] & 1, alpha[-1] & 1)
+    return _closed_M(kind, power, sum(alpha), shape)
 
 
 def eval_F(char_id: str, alpha: Composition) -> Fraction:
@@ -224,26 +245,57 @@ def eval_perm(char_id: str, sigma: Permutation) -> Fraction:
     return eval_F(char_id, descent_composition(permutation(sigma)))
 
 
+def _require_degree(max_degree):
+    if type(max_degree) is not int or max_degree < 0:
+        raise ValueError("max_degree must be a non-negative int, got %r" % (max_degree,))
+
+
+def _reduced(row, d: int):
+    """row / d in lowest terms as a row: both divided by gcd(d, *row)."""
+    g = gcd(d, *row)
+    if g == 1:
+        return row, d
+    return [v // g for v in row], d // g
+
+
 class TruncatedCharacter:
     """A linear functional on QSym truncated at degree N, stored as one
-    dense table of monomial-basis values per degree (table n has one entry
-    per composition of n, indexed by partial-sum bitmask).  Values go
-    through exactnum.as_fraction, so a float raises TypeError."""
+    dense row of monomial-basis values per degree (row n has one entry per
+    composition of n, indexed by partial-sum bitmask).  The value at mask
+    in degree n is numerators[n][mask] / denominators[n], with every row
+    reduced (gcd(denominators[n], *numerators[n]) == 1), so equal
+    characters have equal rows.  The constructor takes values (Fractions,
+    ints or "p/q" strings) through exactnum.as_fraction, so a float raises
+    TypeError; ``tables`` and ``value`` hand out Fractions."""
 
-    __slots__ = ("max_degree", "tables")
+    __slots__ = ("max_degree", "numerators", "denominators")
 
     def __init__(self, max_degree: int, tables):
-        if type(max_degree) is not int or max_degree < 0:
-            raise ValueError("max_degree must be a non-negative int, got %r" % (max_degree,))
-        tables = tuple(tuple(en.as_fraction(v) for v in row) for row in tables)
+        _require_degree(max_degree)
+        tables = [[en.as_fraction(v) for v in row] for row in tables]
         if len(tables) != max_degree + 1:
             raise ValueError("expected %d degree tables" % (max_degree + 1,))
         for n, row in enumerate(tables):
             want = 1 if n == 0 else 1 << (n - 1)
             if len(row) != want:
                 raise ValueError("degree-%d table must have %d entries" % (n, want))
+        denominators = [lcm(*(v.denominator for v in row)) for row in tables]
         self.max_degree = max_degree
-        self.tables = tables
+        self.numerators = tuple(
+            tuple(v.numerator * (d // v.denominator) for v in row)
+            for row, d in zip(tables, denominators)
+        )
+        self.denominators = tuple(denominators)
+
+    @classmethod
+    def _from_rows(cls, rows, denominators) -> "TruncatedCharacter":
+        """The character whose degree-n values are rows[n] / denominators[n]."""
+        self = object.__new__(cls)
+        self.max_degree = len(rows) - 1
+        reduced = [_reduced(row, d) for row, d in zip(rows, denominators)]
+        self.numerators = tuple(tuple(row) for row, _ in reduced)
+        self.denominators = tuple(d for _, d in reduced)
+        return self
 
     @classmethod
     def tabulate(cls, max_degree: int, fn) -> "TruncatedCharacter":
@@ -252,6 +304,15 @@ class TruncatedCharacter:
             for n in range(max_degree + 1)
         ]
         return cls(max_degree, tables)
+
+    @property
+    def tables(self) -> tuple:
+        """The values as Fractions, one tuple per degree, built on each
+        access."""
+        return tuple(
+            tuple(Fraction(v, d) for v in row)
+            for row, d in zip(self.numerators, self.denominators)
+        )
 
     def value(self, alpha) -> Fraction:
         n = mask = 0
@@ -267,23 +328,60 @@ class TruncatedCharacter:
             raise ValueError(
                 "composition of weight %d exceeds truncation %d" % (n, self.max_degree)
             )
-        return self.tables[n][mask]
+        return Fraction(self.numerators[n][mask], self.denominators[n])
 
     def __eq__(self, other):
         return (
             isinstance(other, TruncatedCharacter)
             and self.max_degree == other.max_degree
-            and self.tables == other.tables
+            and self.denominators == other.denominators
+            and self.numerators == other.numerators
         )
 
     def __repr__(self):
         return "TruncatedCharacter(N=%d)" % self.max_degree
 
 
+def _shape_walk(max_degree: int):
+    """For n = 0..max_degree, yield (n, shapes, index): the distinct shapes
+    of the compositions of n (see _closed_M), and by mask the index in
+    shapes of each composition's shape.
+
+    Degree n + 1 comes from degree n: a mask without its top bit n - 1 is a
+    composition of n whose last part grew by 1, and a mask with it one that
+    gained a new last part 1."""
+    shapes, index = [(0, 0, 0, 0)], [0]
+    yield 0, shapes, index
+    if max_degree < 1:
+        return
+    shapes, index = [(1, 1, 1, 1)], [0]
+    yield 1, shapes, index
+    for n in range(2, max_degree + 1):
+        ids, grown, appended = {}, [], []
+        for k, k_o, first_odd, last_odd in shapes:
+            odd = 1 - last_odd
+            shape = (k, k_o + odd - last_odd, odd if k == 1 else first_odd, odd)
+            grown.append(ids.setdefault(shape, len(ids)))
+            appended.append(ids.setdefault((k + 1, k_o + 1, first_odd, 1), len(ids)))
+        shapes = list(ids)
+        index = [grown[i] for i in index] + [appended[i] for i in index]
+        yield n, shapes, index
+
+
 def restrict(char_id: str, max_degree: int) -> TruncatedCharacter:
     """Tabulate a closed-form character on every composition of every
-    degree up to max_degree."""
-    return TruncatedCharacter.tabulate(max_degree, lambda a: eval_M(char_id, a))
+    degree up to max_degree: the closed form once per distinct shape of a
+    degree, over the lcm of those values' denominators."""
+    kind, power = _parse_id(char_id)
+    _require_degree(max_degree)
+    rows, denominators = [], []
+    for n, shapes, index in _shape_walk(max_degree):
+        values = [_closed_M(kind, power, n, shape) for shape in shapes]
+        d = lcm(*(v.denominator for v in values))
+        numerators = [v.numerator * (d // v.denominator) for v in values]
+        rows.append([numerators[i] for i in index])
+        denominators.append(d)
+    return TruncatedCharacter._from_rows(rows, denominators)
 
 
 def _require_same_degree(phi: TruncatedCharacter, psi: TruncatedCharacter):
@@ -294,25 +392,22 @@ def _require_same_degree(phi: TruncatedCharacter, psi: TruncatedCharacter):
 
 
 def _denominator_lcm(*chars: TruncatedCharacter) -> int:
-    return lcm(*{v.denominator for phi in chars for row in phi.tables for v in row})
+    return lcm(*(d for phi in chars for d in phi.denominators))
 
 
 def _scaled(phi: TruncatedCharacter, c: int, base: int = 1) -> list[list[int]]:
-    """phi's tables as ints: the degree-n values times base * c**n."""
+    """phi's rows as ints: the degree-n values times base * c**n, that is
+    numerators[n] times the one factor base * c**n / denominators[n]."""
     rows = []
-    for n, row in enumerate(phi.tables):
-        scale = base * c ** n
-        rows.append([v.numerator * (scale // v.denominator) for v in row])
+    for n, (row, d) in enumerate(zip(phi.numerators, phi.denominators)):
+        factor = base * c ** n // d
+        rows.append([v * factor for v in row])
     return rows
 
 
 def _unscaled(rows, c: int, base: int = 1) -> TruncatedCharacter:
     """The character whose degree-n values are rows[n] / (base * c**n)."""
-    tables = []
-    for n, row in enumerate(rows):
-        scale = base * c ** n
-        tables.append([Fraction(v, scale) for v in row])
-    return TruncatedCharacter(len(rows) - 1, tables)
+    return TruncatedCharacter._from_rows(rows, [base * c ** n for n in range(len(rows))])
 
 
 def _proper_cuts(left, right, n: int) -> list[int]:
@@ -381,7 +476,7 @@ def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedChara
     _require_same_degree(phi, psi)
     c = _denominator_lcm(phi, psi)
     # degree 0 is scaled by base, so that non-integer phi(1), psi(1) work
-    base = lcm(phi.tables[0][0].denominator, psi.tables[0][0].denominator)
+    base = lcm(phi.denominators[0], psi.denominators[0])
     rows = _product_rows(_scaled(phi, c, base), _scaled(psi, c, base))
     return _unscaled(rows, c, base * base)
 
@@ -398,7 +493,7 @@ def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
 
 def bar(phi: TruncatedCharacter) -> TruncatedCharacter:
     """The degree-sign involution: degree-n values pick up (-1)^n."""
-    return TruncatedCharacter(phi.max_degree, _bar_rows(phi.tables))
+    return TruncatedCharacter._from_rows(_bar_rows(phi.numerators), phi.denominators)
 
 
 def decompose(phi: TruncatedCharacter):

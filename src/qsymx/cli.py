@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from math import gcd
 
 from . import characters, identities
 from .compositions import all_compositions, format_composition, parse_composition
@@ -26,7 +27,7 @@ from .qsym import (
 )
 
 DEFAULT_MAX_DEGREE = 9
-HARD_DEGREE_CAP = 16
+HARD_DEGREE_CAP = 18
 
 _CHAR_CHOICES = ", ".join(characters.CHARACTER_IDS) + ", zeta-pow:<m>"
 
@@ -201,6 +202,29 @@ def _cmd_convert(parser, args) -> int:
     return 0
 
 
+def _row_strings(phi: characters.TruncatedCharacter, n: int) -> list[str]:
+    """The degree-n values of phi as exact rationals, formatted from its
+    integer row: each distinct numerator once."""
+    row, d = phi.numerators[n], phi.denominators[n]
+    text = {}
+    for v in set(row):
+        g = gcd(v, d)
+        text[v] = str(v // g) if g == d else "%d/%d" % (v // g, d // g)
+    return list(map(text.__getitem__, row))
+
+
+def _compare_row(oracle, closed, n: int):
+    """The degree-n strings of the oracle and of the closed form, and per
+    entry whether they agree.  Equal rows are compared and formatted once;
+    any other row is compared entry by entry."""
+    text = _row_strings(oracle, n)
+    o, c = oracle.numerators[n], closed.numerators[n]
+    do, dc = oracle.denominators[n], closed.denominators[n]
+    if do == dc and o == c:
+        return text, text, [True] * len(o)
+    return text, _row_strings(closed, n), [x * dc == y * do for x, y in zip(o, c)]
+
+
 def _cmd_decompose(parser, args) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
     if degree < 0:
@@ -208,17 +232,16 @@ def _cmd_decompose(parser, args) -> int:
     degree = _capped_degree(degree)
     base = characters.restrict(args.char, degree)
     plus, minus = characters.decompose(base)
-    plus_id = args.char + "-plus"
-    minus_id = args.char + "-minus"
+    closed_plus = characters.restrict(args.char + "-plus", degree)
+    closed_minus = characters.restrict(args.char + "-minus", degree)
     rows = []
     mismatches = 0
     for n in range(degree + 1):
-        for alpha, op, om in zip(all_compositions(n), plus.tables[n], minus.tables[n]):
-            cp = characters.eval_M(plus_id, alpha)
-            cm = characters.eval_M(minus_id, alpha)
-            ok = (cp == op) and (cm == om)
-            mismatches += 0 if ok else 1
-            rows.append((alpha, op, om, cp, cm, ok))
+        op, cp, plus_ok = _compare_row(plus, closed_plus, n)
+        om, cm, minus_ok = _compare_row(minus, closed_minus, n)
+        ok = [a and b for a, b in zip(plus_ok, minus_ok)]
+        mismatches += ok.count(False)
+        rows.extend(zip(all_compositions(n), op, om, cp, cm, ok))
     if args.json:
         payload = {
             "char": args.char,
@@ -227,10 +250,10 @@ def _cmd_decompose(parser, args) -> int:
             "tables": [
                 {
                     "comp": list(alpha),
-                    "plus": str(op),
-                    "minus": str(om),
-                    "plus_closed": str(cp),
-                    "minus_closed": str(cm),
+                    "plus": op,
+                    "minus": om,
+                    "plus_closed": cp,
+                    "minus_closed": cm,
                     "match": ok,
                 }
                 for alpha, op, om, cp, cm, ok in rows
@@ -260,15 +283,19 @@ def _cmd_table(parser, args) -> int:
     if args.degree < 0:
         parser.error("--degree must be non-negative")
     degree = _capped_degree(args.degree)
-    evaluate = characters.eval_M if args.basis == "M" else characters.eval_F
-    values = [(alpha, evaluate(char_id, alpha)) for alpha in all_compositions(degree)]
+    comps = all_compositions(degree)
+    if args.basis == "M":
+        texts = _row_strings(characters.restrict(char_id, degree), degree)
+    else:
+        texts = [str(characters.eval_F(char_id, alpha)) for alpha in comps]
+    values = list(zip(comps, texts))
     if args.json:
         payload = {
             "char": char_id,
             "basis": args.basis,
             "degree": degree,
             "values": [
-                {"comp": list(alpha), "value": str(v)} for alpha, v in values
+                {"comp": list(alpha), "value": v} for alpha, v in values
             ],
         }
         print(json.dumps(payload))

@@ -117,8 +117,8 @@ def all_compositions(n: int) -> list[Composition]:
     >>> all_compositions(3)
     [(3,), (1, 2), (2, 1), (1, 1, 1)]
     """
-    if n < 0:
-        raise ValueError("n must be non-negative")
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a non-negative int, got %r" % (n,))
     if n == 0:
         return [()]
     return [from_index(n, mask) for mask in range(1 << (n - 1))]

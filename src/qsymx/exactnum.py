@@ -180,8 +180,8 @@ def falling_binomial(m: int, k: int) -> int:
 def multinomial(parts) -> int:
     """Multinomial coefficient (sum parts)! / prod(part!)."""
     parts = list(parts)
-    if any(p < 0 for p in parts):
-        raise ValueError("multinomial parts must be non-negative: %r" % (parts,))
+    if any(type(p) is not int or p < 0 for p in parts):
+        raise ValueError("multinomial parts must be non-negative ints: %r" % (parts,))
     result = 1
     total = 0
     for p in parts:
@@ -200,8 +200,8 @@ def bivariate_catalan(m: int, n: int) -> int:
     >>> bivariate_catalan(0, 0), bivariate_catalan(1, 1), bivariate_catalan(2, 3)
     (1, 2, 12)
     """
-    if m < 0 or n < 0:
-        raise ValueError("bivariate_catalan requires m, n >= 0")
+    if type(m) is not int or type(n) is not int or m < 0 or n < 0:
+        raise ValueError("bivariate_catalan requires ints m, n >= 0, got (%r, %r)" % (m, n))
     num = factorial(2 * m) * factorial(2 * n)
     den = factorial(m) * factorial(m + n) * factorial(n)
     q, r = divmod(num, den)
@@ -252,8 +252,8 @@ def half_binomial(m: int, k: int) -> Fraction:
     >>> half_binomial(0, 1), half_binomial(1, 0)
     (Fraction(-1, 2), Fraction(1, 1))
     """
-    if k < 0:
-        raise ValueError("half_binomial requires k >= 0")
+    if type(m) is not int or type(k) is not int or k < 0:
+        raise ValueError("half_binomial requires ints m and k >= 0, got (%r, %r)" % (m, k))
     num = 1
     for j in range(k):
         num *= 2 * m - 1 - 2 * j

@@ -1,10 +1,12 @@
 import itertools
+import math
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_closed_forms
 import reference_oracle as ref
 from qsymx import characters as ch
 from qsymx import compositions as co
@@ -42,6 +44,14 @@ def test_unknown_id():
         ch.eval_M("zeta-bogus", (1,))
     with pytest.raises(ValueError):
         ch.eval_M("zeta-pow:x", (1,))
+
+
+def test_eval_M_rejects_a_bad_composition():
+    for char_id, alpha in ((ch.ZETA, (2.5,)), (ch.ZETA_MINUS, (0, 3)), (ch.ZETA_INV, (-1,)),
+                           (ch.ZETA_PLUS, (True, 1))):
+        with pytest.raises(ValueError, match="positive integers"):
+            ch.eval_M(char_id, alpha)
+    assert ch.eval_M(ch.ZETA_MINUS, []) == 1
 
 
 def test_eval_F_examples():
@@ -97,6 +107,18 @@ def test_restrict_examples():
     assert zm.value((1, 1)) == Fraction(1, 2)
     with pytest.raises(ValueError):
         zm.value((3,))
+
+
+REFERENCE_IDS = list(ch.CHARACTER_IDS) + [ch.zeta_power(m) for m in range(-3, 4)]
+
+
+@pytest.mark.parametrize("char_id", REFERENCE_IDS)
+def test_closed_forms_match_the_per_composition_reference(char_id):
+    degree = 10
+    assert ch.restrict(char_id, degree).tables == reference_closed_forms.restrict(
+        char_id, degree).tables
+    for alpha in comps_up_to(degree):
+        assert ch.eval_M(char_id, alpha) == reference_closed_forms.eval_M(char_id, alpha)
 
 
 def test_truncated_character_validation():
@@ -377,6 +399,7 @@ def test_oracle_is_independent_of_the_closed_forms(monkeypatch):
     ])
     with monkeypatch.context() as patch:
         patch.setattr(ch, "eval_M", _raise)
+        patch.setattr(ch, "_closed_M", _raise)
         patch.setattr(ch, "eval_F", _raise)
         patch.setattr(en, "bivariate_catalan", _raise)
         plus, minus = ch.decompose(zeta)
@@ -417,6 +440,38 @@ def functional_pairs(draw):
 
 
 KERNEL_SETTINGS = settings(max_examples=40, deadline=None)
+
+
+@KERNEL_SETTINGS
+@given(st.integers(0, MAX_DEGREE).flatmap(lambda n: functionals(n, unit=False)))
+def test_truncated_character_round_trips_its_values(phi):
+    tables = phi.tables
+    assert all(type(v) is Fraction for row in tables for v in row)
+    assert ch.TruncatedCharacter(phi.max_degree, tables) == phi
+    for n in range(phi.max_degree + 1):
+        for mask, alpha in enumerate(co.all_compositions(n)):
+            assert phi.value(alpha) == tables[n][mask]
+    # every row is in lowest terms, so equal values give equal rows
+    for row, d in zip(phi.numerators, phi.denominators):
+        assert d >= 1 and math.gcd(d, *row) == 1
+        assert d == math.lcm(*(Fraction(v, d).denominator for v in row))
+
+
+@KERNEL_SETTINGS
+@given(st.integers(0, MAX_DEGREE).flatmap(lambda n: functionals(n, unit=False)))
+def test_equal_values_give_equal_characters(phi):
+    degree = phi.max_degree
+    counit = ch.restrict(ch.COUNIT, degree)
+    # the kernel scales by the lcm of the denominators and reduces on exit
+    from_kernel = ch.convolve(phi, counit)
+    assert from_kernel == phi == ch.convolve(counit, phi)
+    assert from_kernel.numerators == phi.numerators
+    assert from_kernel.denominators == phi.denominators
+    assert ch.bar(ch.bar(phi)) == phi
+    # and the same values given as Fractions or as "p/q" strings
+    assert ch.TruncatedCharacter(degree, from_kernel.tables) == phi
+    texts = [[str(v) for v in row] for row in phi.tables]
+    assert ch.TruncatedCharacter(degree, texts) == phi
 
 
 @KERNEL_SETTINGS

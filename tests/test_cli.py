@@ -1,10 +1,11 @@
 import json
 import runpy
 import sys
+from fractions import Fraction
 
 import pytest
 
-from qsymx import cli
+from qsymx import characters, cli
 from qsymx import exactnum as en
 from qsymx.qsym import element_from_json, qsym_basis, multiply, antipode, to_F
 
@@ -94,6 +95,44 @@ def test_decompose_matches_closed_forms(capsys):
     assert "0 mismatches" in out
 
 
+def test_decompose_reports_one_planted_mismatch(capsys, monkeypatch):
+    real = characters.restrict
+    alpha = (1, 2, 3)  # mask 5 in degree 6
+
+    def one_wrong(char_id, max_degree):
+        phi = real(char_id, max_degree)
+        if char_id != characters.ZETA_MINUS:
+            return phi
+        # a third changes the row's denominator, so every integer of the
+        # row differs from the oracle's while one value does
+        tables = [list(row) for row in phi.tables]
+        tables[6][5] += Fraction(1, 3)
+        return characters.TruncatedCharacter(max_degree, tables)
+
+    monkeypatch.setattr(characters, "restrict", one_wrong)
+    plus, minus = real("zeta-plus", 6).value(alpha), real("zeta-minus", 6).value(alpha)
+    code, out, _ = run(capsys, "decompose", "--degree", "6", "--json")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["mismatches"] == 1
+    wrong = [entry for entry in payload["tables"] if not entry["match"]]
+    assert wrong == [{
+        "comp": list(alpha),
+        "plus": str(plus),
+        "minus": str(minus),
+        "plus_closed": str(plus),
+        "minus_closed": str(minus + Fraction(1, 3)),
+        "match": False,
+    }]
+    code, out, _ = run(capsys, "decompose", "--degree", "6")
+    assert code == 1
+    flagged = [line for line in out.splitlines() if "MISMATCH" in line]
+    assert len(flagged) == 1
+    assert flagged[0].split()[0] == "1,2,3"
+    assert flagged[0].endswith("MISMATCH closed=(%s, %s)" % (plus, minus + Fraction(1, 3)))
+    assert out.splitlines()[-1] == "1 mismatches out of 64 entries"
+
+
 def test_decompose_degree_env_default(capsys, monkeypatch):
     monkeypatch.setenv("QSYMX_MAX_DEGREE", "2")
     code, out, _ = run(capsys, "decompose", "--json")
@@ -112,10 +151,10 @@ def test_decompose_degree_env_rejects_negative_and_non_integer(capsys, monkeypat
 
 def test_degree_cap_warning(capsys, monkeypatch):
     monkeypatch.setenv("QSYMX_MAX_DEGREE", "99")
-    code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "17", "--json")
+    code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "19", "--json")
     assert code == 0
     assert "hard cap" in err
-    assert json.loads(out)["degree"] == 16
+    assert json.loads(out)["degree"] == 18
 
 
 def test_verify_single_and_all(capsys):

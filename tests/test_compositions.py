@@ -37,6 +37,12 @@ def test_all_compositions():
         assert all(sum(a) == n for a in comps)
 
 
+def test_all_compositions_rejects_a_bool():
+    for n in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="non-negative int"):
+            co.all_compositions(n)
+
+
 def test_index_round_trip():
     for n in range(9):
         for mask in range(1 << max(n - 1, 0)):

@@ -40,6 +40,18 @@ def test_multinomial():
         en.multinomial([2, -1])
 
 
+def test_multinomial_rejects_a_bool_part():
+    for parts in ([True, 1], [2, 1.0]):
+        with pytest.raises(ValueError, match="non-negative ints"):
+            en.multinomial(parts)
+
+
+def test_bivariate_catalan_rejects_a_bool():
+    for m, n in ((True, 1), (1, False), (2.0, 1)):
+        with pytest.raises(ValueError, match="requires ints"):
+            en.bivariate_catalan(m, n)
+
+
 def test_bivariate_catalan_small():
     assert en.bivariate_catalan(0, 0) == 1
     assert en.bivariate_catalan(1, 1) == 2
@@ -91,6 +103,12 @@ def test_half_binomial():
     assert en.half_binomial(0, 1) == Fraction(-1, 2)
     assert en.half_binomial(1, 0) == 1
     assert (-1) * 4 * en.half_binomial(0, 1) == 2 == en.bivariate_catalan(0, 1)
+
+
+def test_half_binomial_rejects_a_bool():
+    for m, k in ((True, 1), (1, True), (0.5, 1)):
+        with pytest.raises(ValueError, match="requires ints"):
+            en.half_binomial(m, k)
 
 
 def test_half_binomial_bridge():
