@@ -328,7 +328,9 @@ class TruncatedCharacter:
             raise ValueError(
                 "composition of weight %d exceeds truncation %d" % (n, self.max_degree)
             )
-        return Fraction(self.numerators[n][mask], self.denominators[n])
+        v, d = self.numerators[n][mask], self.denominators[n]
+        # an integer row needs no gcd: Fraction(v) skips it
+        return Fraction(v) if d == 1 else Fraction(v, d)
 
     def __eq__(self, other):
         return (

@@ -121,7 +121,12 @@ def all_compositions(n: int) -> list[Composition]:
         raise ValueError("n must be a non-negative int, got %r" % (n,))
     if n == 0:
         return [()]
-    return [from_index(n, mask) for mask in range(1 << (n - 1))]
+    # degree k from degree k - 1: a mask without its top bit k - 2 grows
+    # the last part by 1, a mask with it appends a part 1
+    out = [(1,)]
+    for _ in range(n - 1):
+        out = [alpha[:-1] + (alpha[-1] + 1,) for alpha in out] + [alpha + (1,) for alpha in out]
+    return out
 
 
 class CompositionStats(NamedTuple):

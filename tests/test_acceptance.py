@@ -446,6 +446,15 @@ def _stats_one_even_part_odd(real):
     return stats
 
 
+def _one_more_in_a_class_of_4(real):
+    """The fault: the descent class {2} of S_4 counts one permutation too
+    many."""
+    def classes(n):
+        for mask, (sigma, count) in enumerate(real(n)):
+            yield sigma, count + (n == 4 and mask == 0b010)
+    return classes
+
+
 def _product_F_tau_sigma_ascent(alpha, beta):
     """Gessel's rule where a letter of tau followed by a letter of sigma
     counts as an ascent: only two letters of one word can descend."""
@@ -517,6 +526,8 @@ FAULTS = [
     ("permutations.shuffles", _drop_last, ("registry:shuffle_minus", "criterion 6:descent map")),
     ("permutations.descent_composition", lambda real: lambda sigma: real(sigma)[::-1],
      ("criterion 6:interior peaks",)),
+    ("permutations.descent_classes", _one_more_in_a_class_of_4,
+     ("registry:allperms_minus", "registry:allperms_plus")),
     ("permutations.interior_peaks", lambda real: pm.augmented_peaks,
      ("registry:allperms_minus", "criterion 6:interior peaks")),
     # sigma(0) = sigma(1) in place of sigma(0) = 0: position 1 is never a peak

@@ -37,6 +37,14 @@ def test_all_compositions():
         assert all(sum(a) == n for a in comps)
 
 
+def test_all_compositions_walk_is_mask_order():
+    # the walk builds degree n from degree n - 1; from_index builds each
+    # composition from its mask
+    for n in range(15):
+        masks = range(1 << (n - 1)) if n else range(1)
+        assert co.all_compositions(n) == [co.from_index(n, m) for m in masks]
+
+
 def test_all_compositions_rejects_a_bool():
     for n in (True, 2.0, -1):
         with pytest.raises(ValueError, match="non-negative int"):

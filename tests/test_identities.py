@@ -126,8 +126,10 @@ def test_reports_have_case_counts():
     assert report.cases == sum(m + 1 for m in range(8))
 
 
-# Case count and domain text of every check at "small" and at "standard".
-# The standard counts are the benchmark's REGISTRY_STANDARD_CASES.
+# Case count and domain text of every check at "small" and at "standard",
+# and of the S_n checks at "deep", where they sum S_11 by descent classes in
+# milliseconds (all 11! permutations would take minutes).  The standard
+# counts are the benchmark's REGISTRY_STANDARD_CASES.
 REGISTRY_DOMAINS = [
     ("classical_conv", "small", 15, "1 <= m <= 15"),
     ("classical_conv", "standard", 30, "1 <= m <= 30"),
@@ -171,6 +173,8 @@ REGISTRY_DOMAINS = [
     ("allperms_minus", "standard", 10, "0 <= n <= 9"),
     ("allperms_plus", "small", 2, "even n, 2 <= n <= 5"),
     ("allperms_plus", "standard", 4, "even n, 2 <= n <= 9"),
+    ("allperms_minus", "deep", 12, "0 <= n <= 11"),
+    ("allperms_plus", "deep", 5, "even n, 2 <= n <= 11"),
     ("shuffle_minus", "small", 21, "n, m >= 0 with n + m <= 5"),
     ("shuffle_minus", "standard", 66, "n, m >= 0 with n + m <= 10"),
     ("shuffle_plus", "small", 9, "n = m mod 2 with n + m <= 5"),
@@ -210,4 +214,4 @@ def test_registry_domains_cover_every_check():
 )
 def test_registry_domain_and_case_count(check_id, depth, cases, domain):
     report = idn.verify(check_id, depth)
-    assert (report.cases, report.domain) == (cases, domain)
+    assert (report.passed, report.cases, report.domain) == (True, cases, domain)

@@ -1,4 +1,6 @@
 import itertools
+import math
+from collections import Counter
 
 import pytest
 
@@ -73,6 +75,36 @@ def test_peak_descent_compatibility():
             alpha = pm.descent_composition(sigma)
             assert pm.interior_peaks(sigma) == co.p_minus(alpha)
             assert pm.augmented_peaks(sigma) == co.p_plus(alpha)
+
+
+def test_descent_classes_examples():
+    assert list(pm.descent_classes(0)) == [((), 1)]
+    assert list(pm.descent_classes(1)) == [((1,), 1)]
+    # runs of lengths 2, 1, 3 on the value blocks {5, 6}, {4}, {1, 2, 3}
+    classes = list(pm.descent_classes(6))
+    assert classes[co.to_index((2, 1, 3))][0] == (5, 6, 4, 1, 2, 3)
+
+
+def test_descent_classes_against_all_of_s_n():
+    # the slow route, enumerating S_n, stays as the oracle of the census
+    for n in range(10):
+        classes = list(pm.descent_classes(n))
+        assert len(classes) == len(co.all_compositions(n))
+        for mask, (sigma, _) in enumerate(classes):
+            assert pm.permutation(sigma) == sigma
+            assert pm.descent_set(sigma) == {i for i in range(1, n) if mask >> (i - 1) & 1}
+        assert sum(count for _, count in classes) == math.factorial(n)
+        for peaks in (pm.interior_peaks, pm.augmented_peaks):
+            census = Counter()
+            for sigma, count in classes:
+                census[peaks(sigma)] += count
+            assert census == Counter(map(peaks, itertools.permutations(range(1, n + 1))))
+
+
+def test_descent_classes_rejects_bad_n():
+    for n in (True, 2.0, -1):
+        with pytest.raises(ValueError, match="non-negative int"):
+            list(pm.descent_classes(n))
 
 
 def test_shuffles_of_12_and_312():
