@@ -550,17 +550,21 @@ def compose_T(phi: TruncatedCharacter) -> TruncatedCharacter:
     return _compose(phi, t_involution)
 
 
+def _h_sum(alpha: Composition, peaks, half: int) -> Fraction:
+    """The alternating sum over refinements beta of alpha of
+    (-1)^(k(beta) + q + 1) C(q, half - q), q = peaks(beta), added as ints."""
+    total = 0
+    for beta in refinements(alpha):
+        q = peaks(beta)
+        term = en.bivariate_catalan(q, half - q)
+        total += -term if (len(beta) + q + 1) % 2 else term
+    return Fraction(total)
+
+
 def h_minus(alpha: Composition) -> Fraction:
     """The definitional alternating sum over refinements beta of alpha of
     (-1)^(k(beta) + p_minus(beta) + 1) C(p_minus(beta), floor(n/2) - p_minus(beta))."""
-    n = sum(alpha)
-    fl = n // 2
-    total = Fraction(0)
-    for beta in refinements(alpha):
-        p = p_minus(beta)
-        sign = -1 if (len(beta) + p + 1) % 2 else 1
-        total += sign * en.bivariate_catalan(p, fl - p)
-    return total
+    return _h_sum(alpha, p_minus, sum(alpha) // 2)
 
 
 def h_plus(alpha: Composition) -> Fraction:
@@ -569,10 +573,4 @@ def h_plus(alpha: Composition) -> Fraction:
     n = sum(alpha)
     if n % 2:
         raise ValueError("h_plus requires even weight, got %d" % n)
-    half = n // 2
-    total = Fraction(0)
-    for beta in refinements(alpha):
-        q = p_plus(beta)
-        sign = -1 if (len(beta) + q + 1) % 2 else 1
-        total += sign * en.bivariate_catalan(q, half - q)
-    return total
+    return _h_sum(alpha, p_plus, n // 2)

@@ -5,7 +5,10 @@ composition of 0.  Compositions of n are identified with subsets of
 {1, ..., n-1} through their proper partial sums, stored as a bitmask
 (bit i-1 set  <=>  i is a partial sum).  The bitmask gives O(1) refinement
 tests and a canonical dense index 0 .. 2^(n-1)-1 used by the character
-tables; the deterministic enumeration order is increasing bitmask.
+tables.  Enumeration is one walk, ``coarsenings``: each later part is either
+added to the last part so far or appended as a new part, which lists the
+results in increasing bitmask order; ``all_compositions`` and
+``refinements`` are built from it.
 """
 
 from functools import lru_cache
@@ -121,12 +124,7 @@ def all_compositions(n: int) -> list[Composition]:
         raise ValueError("n must be a non-negative int, got %r" % (n,))
     if n == 0:
         return [()]
-    # degree k from degree k - 1: a mask without its top bit k - 2 grows
-    # the last part by 1, a mask with it appends a part 1
-    out = [(1,)]
-    for _ in range(n - 1):
-        out = [alpha[:-1] + (alpha[-1] + 1,) for alpha in out] + [alpha + (1,) for alpha in out]
-    return out
+    return coarsenings((1,) * n)
 
 
 class CompositionStats(NamedTuple):
@@ -201,31 +199,30 @@ def refines(beta: Composition, alpha: Composition) -> bool:
 
 
 def refinements(alpha: Composition) -> list[Composition]:
-    """All beta with beta >= alpha (including alpha), in bitmask order."""
-    n = sum(alpha)
-    base = to_index(alpha)
-    free = ((1 << max(n - 1, 0)) - 1) & ~base
-    out = []
-    sub = 0
-    while True:
-        out.append(from_index(n, base | sub))
-        if sub == free:
-            break
-        sub = (sub - free) & free  # next subset of the free positions
+    """All beta with beta >= alpha (including alpha), in bitmask order:
+    each part of alpha is refined on its own, and the later part's choice
+    varies slowest.
+
+    >>> refinements((2, 2))
+    [(2, 2), (1, 1, 2), (2, 1, 1), (1, 1, 1, 1)]
+    """
+    out = [()]
+    for a in alpha:
+        out = [beta + gamma for gamma in all_compositions(a) for beta in out]
     return out
 
 
 def coarsenings(alpha: Composition) -> list[Composition]:
-    """All beta with beta <= alpha (alpha refines beta), in bitmask order."""
-    n = sum(alpha)
-    base = to_index(alpha)
-    out = []
-    sub = 0
-    while True:
-        out.append(from_index(n, sub))
-        if sub == base:
-            break
-        sub = (sub - base) & base
+    """All beta with beta <= alpha (alpha refines beta), in bitmask order:
+    each later part of alpha is either added to the last part so far or
+    appended as a new part, and the later part's choice varies slowest.
+
+    >>> coarsenings((1, 2, 1))
+    [(4,), (1, 3), (3, 1), (1, 2, 1)]
+    """
+    out = [alpha[:1]]
+    for a in alpha[1:]:
+        out = [beta[:-1] + (beta[-1] + a,) for beta in out] + [beta + (a,) for beta in out]
     return out
 
 
@@ -235,7 +232,7 @@ def reversal(alpha: Composition) -> Composition:
 
 def conjugate(alpha: Composition) -> Composition:
     """The composition of the ribbon diagram reflected across y = x:
-    complement of the reversed partial-sum set.
+    complement of the partial-sum set of the reversal.
 
     >>> conjugate((2, 3, 1, 2, 2))
     (1, 2, 3, 1, 2, 1)
@@ -246,12 +243,8 @@ def conjugate(alpha: Composition) -> Composition:
     if n <= 1:
         return alpha
     full = (1 << (n - 1)) - 1
-    mask = to_index(alpha)
-    rev = 0
-    for i in range(n - 1):
-        if mask >> i & 1:
-            rev |= 1 << (n - 2 - i)
-    return from_index(n, full & ~rev)
+    # the partial sums of the reversal are n minus those of alpha
+    return from_index(n, full & ~to_index(alpha[::-1]))
 
 
 def deconcatenate(alpha: Composition, i: int) -> tuple[Composition, Composition]:

@@ -37,13 +37,15 @@ def as_fraction(value) -> Fraction:
 
     Floats are rejected: Fraction(0.1) would quietly encode the binary
     approximation, which is precisely the failure mode exact arithmetic is
-    here to rule out.
+    here to rule out.  Bools are rejected too: True is an int to Fraction,
+    but never a coefficient anyone meant.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, float):
+    if isinstance(value, (float, bool)):
         raise TypeError(
-            "refusing float coefficient %r; use Fraction or an int" % (value,)
+            "refusing %s coefficient %r; use Fraction or an int"
+            % (type(value).__name__, value)
         )
     return Fraction(value)
 

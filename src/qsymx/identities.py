@@ -15,9 +15,9 @@ there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
 bounds, "standard" uses them as is, "deep" raises them by about 25%.  The
 S_n checks sum over the 2^(n-1) descent classes, not the n! permutations,
-so deep runs S_11 in milliseconds; the whole battery took about 10 s at
-deep against about 1.4 s at standard (Python 3.11.7, shared 2-vCPU
-machine), most of it in the checks that enumerate coarsenings or
+so deep runs S_11 in milliseconds; the whole battery took about 9 s at
+deep against about 1.2 s at standard (Python 3.11.7, shared 2-vCPU
+machine), most of it in the checks that sum over the coarsenings or
 refinements of every composition.
 """
 

@@ -521,7 +521,7 @@ FAULTS = [
      ("criterion 6:augmented peaks", "registry:h_plus_closed")),
     ("compositions.to_index",
      lambda real: lambda alpha: real(alpha[::-1] if len(alpha) == 3 else alpha),
-     ("criterion 4:F S(S(x))", "registry:antipode_sum")),
+     ("criterion 4:F S(S(x))", "registry:peak_rev_con")),
     ("compositions.stats", _stats_one_even_part_odd, ("registry:tn_vandermonde",)),
     ("permutations.shuffles", _drop_last, ("registry:shuffle_minus", "criterion 6:descent map")),
     ("permutations.descent_composition", lambda real: lambda sigma: real(sigma)[::-1],

@@ -131,6 +131,8 @@ def test_truncated_character_validation():
 def test_truncated_character_rejects_floats():
     with pytest.raises(TypeError):
         ch.TruncatedCharacter(1, [[1.0], [0.1]])
+    with pytest.raises(TypeError):
+        ch.TruncatedCharacter(1, [[True], [False]])
     exact = ch.TruncatedCharacter(1, [[1], ["1/10"]])
     assert exact.tables == ((Fraction(1),), (Fraction(1, 10),))
 

@@ -155,6 +155,11 @@ def test_float_coefficients_rejected():
         0.5 * qs.qsym_basis("M", (1,))
     with pytest.raises(TypeError):
         pm.SSymElement({(1,): 0.5})
+    # a bool is an int to Fraction, but never a coefficient
+    with pytest.raises(TypeError):
+        qs.QSymElement("M", {(1,): True})
+    with pytest.raises(TypeError):
+        qs.element_from_json({"basis": "M", "terms": [{"comp": [1], "coeff": True}]})
     # exact strings and Fractions are fine
     assert qs.qsym_basis("M", (1,), "3/2").coeffs == {(1,): Fraction(3, 2)}
 
