@@ -8,7 +8,12 @@ here are dyadic rationals, and a float would silently absorb exactly the
 powers of 2 the identities keep track of.
 
 ``LinearCombination`` is the one linear-combination core: QSym elements,
-tensors and permutation-algebra elements are its subclasses.
+tensors and permutation-algebra elements are its subclasses.  Its
+constructor is the door for values from outside the package: it validates
+every key and coerces every coefficient.  ``from_terms`` is the door for the
+package's own producers: it trusts their keys and adds their terms as ints
+while they are integral, which they are on basis elements, so that a
+``Fraction`` is built once per result coefficient, not once per term.
 """
 
 import itertools
@@ -50,6 +55,11 @@ def as_fraction(value) -> Fraction:
     return Fraction(value)
 
 
+def _summand(c: Fraction):
+    """c as an int when it is integral, else c itself."""
+    return c.numerator if c.denominator == 1 else c
+
+
 class LinearCombination:
     """A finite linear combination of basis keys with exact coefficients,
     stored as ``coeffs`` = {key: nonzero Fraction}, in the basis named by
@@ -57,21 +67,20 @@ class LinearCombination:
 
     A subclass names its space by two class attributes: ``BASES``, the
     allowed basis names (None for a space with one basis), and ``key``, a
-    function that validates one basis key.  Construction coerces each
-    coefficient with as_fraction, validates each key and drops zeros.
-    ``from_terms`` is the one place where repeated keys are added up.
-    Arithmetic needs two elements of the same class (TypeError otherwise)
-    and basis (ValueError otherwise); scalars are exact numbers.
+    function that validates one basis key.  The constructor validates each
+    key, coerces each coefficient with as_fraction and drops zeros.
+    ``terms`` reads the coefficients back with the integral ones as ints,
+    and ``from_terms`` adds up terms with trusted keys; every producer of
+    the package goes from the one to the other.  Arithmetic needs two
+    elements of the same class (TypeError otherwise) and basis (ValueError
+    otherwise); scalars are exact numbers.
     """
 
     __slots__ = ("basis", "coeffs")
     BASES = (None,)
 
     def __init__(self, basis, coeffs=None):
-        if basis not in self.BASES:
-            raise ValueError(
-                "basis must be %s, got %r" % (" or ".join(map(repr, self.BASES)), basis)
-            )
+        self.check_basis(basis)
         key = self.key
         clean = {}
         for k, c in (coeffs or {}).items():
@@ -82,9 +91,23 @@ class LinearCombination:
         self.coeffs = clean
 
     @classmethod
+    def check_basis(cls, basis):
+        """Raise ValueError unless basis is one of the class's bases."""
+        if basis not in cls.BASES:
+            raise ValueError(
+                "basis must be %s, got %r" % (" or ".join(map(repr, cls.BASES)), basis)
+            )
+
+    @classmethod
     def from_terms(cls, basis, terms):
         """The element sum c * B_key over an iterable of (key, c) terms,
-        where c is an int or a Fraction; repeated keys add up."""
+        where c is an int or a Fraction; repeated keys add up.
+
+        The keys are trusted: each must already be a valid key of the class
+        (the constructor is the validating route).  Sums of int terms stay
+        ints, and each nonzero sum becomes a Fraction once, at the end.  The
+        basis is checked."""
+        cls.check_basis(basis)
         total = {}
         for k, c in terms:
             if k in total:
@@ -92,8 +115,17 @@ class LinearCombination:
             else:
                 total[k] = c
         element = cls.__new__(cls)
-        LinearCombination.__init__(element, basis, total)
+        element.basis = basis
+        element.coeffs = {
+            k: c if type(c) is Fraction else Fraction(c) for k, c in total.items() if c
+        }
         return element
+
+    def terms(self) -> list:
+        """The (key, coefficient) pairs, each integral coefficient read as
+        an int, so that products and sums of integral coefficients stay in
+        int arithmetic."""
+        return [(k, _summand(c)) for k, c in self.coeffs.items()]
 
     @classmethod
     def require(cls, x):
@@ -122,23 +154,21 @@ class LinearCombination:
 
     def __add__(self, other):
         self.check_compatible(other)
-        return self.from_terms(
-            self.basis, itertools.chain(self.coeffs.items(), other.coeffs.items())
-        )
+        return self.from_terms(self.basis, itertools.chain(self.terms(), other.terms()))
 
     def __sub__(self, other):
         return self + -other
 
     def __neg__(self):
-        return self.from_terms(self.basis, ((k, -c) for k, c in self.coeffs.items()))
+        return self.from_terms(self.basis, ((k, -c) for k, c in self.terms()))
 
     def __mul__(self, scalar):
         if isinstance(scalar, LinearCombination):
             raise TypeError(
                 "no product of %s with %s" % (type(self).__name__, type(scalar).__name__)
             )
-        c = as_fraction(scalar)
-        return self.from_terms(self.basis, ((k, v * c) for k, v in self.coeffs.items()))
+        c = _summand(as_fraction(scalar))
+        return self.from_terms(self.basis, ((k, v * c) for k, v in self.terms()))
 
     __rmul__ = __mul__
 

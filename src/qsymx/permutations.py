@@ -218,8 +218,9 @@ def multiply_ssym(x: SSymElement, y: SSymElement) -> SSymElement:
     x.check_compatible(y)
 
     def terms():
-        for sigma, a in x.coeffs.items():
-            for tau, b in y.coeffs.items():
+        y_terms = y.terms()
+        for sigma, a in x.terms():
+            for tau, b in y_terms:
                 ab = a * b
                 for rho in shuffles(sigma, tau):
                     yield rho, ab

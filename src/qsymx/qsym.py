@@ -19,8 +19,13 @@ integer multiplicities, and the two rules share no code:
   sigma with descent composition a and a permutation tau with descent
   composition b, shifted above sigma (Gessel's rule; Gessel, Multipartite
   P-partitions and inner products of skew Schur functions, 1984).  Only the
-  source of each letter of w matters, so the descent set is built as a
-  bitmask while walking the interleavings.
+  source of each letter of w matters, so the descent composition is built
+  part by part while walking the interleavings.
+
+Every producer below reads its operands' coefficients with ``terms`` (the
+integral ones as ints) and hands its (key, coefficient) terms, with keys it
+built itself, to ``from_terms``; only the public constructors and
+``element_from_json`` validate keys.
 """
 
 from fractions import Fraction
@@ -31,7 +36,6 @@ from .compositions import (
     coarsenings,
     composition,
     conjugate,
-    from_index,
     refinements,
     reversal,
     ribbon_cuts,
@@ -101,7 +105,7 @@ def to_F(x: QSymElement) -> QSymElement:
         return x
     return QSymElement.from_terms("F", (
         (beta, -c if (len(beta) - len(alpha)) % 2 else c)
-        for alpha, c in x.coeffs.items()
+        for alpha, c in x.terms()
         for beta in refinements(alpha)
     ))
 
@@ -112,7 +116,7 @@ def to_M(x: QSymElement) -> QSymElement:
     if x.basis == "M":
         return x
     return QSymElement.from_terms("M", (
-        (beta, c) for alpha, c in x.coeffs.items() for beta in refinements(alpha)
+        (beta, c) for alpha, c in x.terms() for beta in refinements(alpha)
     ))
 
 
@@ -150,27 +154,36 @@ def _product_F(alpha: Composition, beta: Composition) -> dict[Composition, int]:
     sigma's letters i and i + 1 descend iff bit i - 1 of to_index(alpha) is
     set, likewise for tau with to_index(beta); a letter of sigma before one
     of tau is an ascent, a letter of tau before one of sigma a descent.  So
-    the walk carries the descent bitmask of the prefix and never builds a
-    permutation."""
+    the walk never builds a permutation: it carries, for each prefix, the
+    closed parts of the prefix's descent composition and the length of its
+    last run.  A descent closes the run, any other step extends it, and a
+    complete interleaving contributes the closed parts and its last run."""
     m, n = sum(alpha), sum(beta)
+    if not m or not n:
+        return {alpha + beta: 1}
     des_sigma, des_tau = to_index(alpha), to_index(beta)
-    masks: dict[int, int] = {}
-    # (letters of sigma placed, letters of tau placed, descent bitmask of
-    # the prefix, whether its last letter is tau's)
-    stack = [(0, 0, 0, False)]
+    out: dict[Composition, int] = {}
+    # (letters of sigma placed, letters of tau placed, closed parts, length
+    # of the last run, whether the last letter is tau's), from the prefixes
+    # of one letter
+    stack = [(1, 0, (), 1, False), (0, 1, (), 1, True)]
     while stack:
-        i, j, mask, after_tau = stack.pop()
-        p = i + j
-        if p == m + n:
-            masks[mask] = masks.get(mask, 0) + 1
+        i, j, head, run, after_tau = stack.pop()
+        if i == m and j == n:
+            gamma = head + (run,)
+            out[gamma] = out.get(gamma, 0) + 1
             continue
         if i < m:
-            descent = after_tau or (i and des_sigma >> (i - 1) & 1)
-            stack.append((i + 1, j, mask | 1 << (p - 1) if descent else mask, False))
+            if after_tau or des_sigma >> (i - 1) & 1:
+                stack.append((i + 1, j, head + (run,), 1, False))
+            else:
+                stack.append((i + 1, j, head, run + 1, False))
         if j < n:
-            descent = after_tau and des_tau >> (j - 1) & 1
-            stack.append((i, j + 1, mask | 1 << (p - 1) if descent else mask, True))
-    return {from_index(m + n, mask): count for mask, count in masks.items()}
+            if after_tau and des_tau >> (j - 1) & 1:
+                stack.append((i, j + 1, head + (run,), 1, True))
+            else:
+                stack.append((i, j + 1, head, run + 1, True))
+    return out
 
 
 def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
@@ -191,8 +204,9 @@ def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
     product = _product_F if x.basis == "F" else _product_M
 
     def terms():
-        for alpha, a in x.coeffs.items():
-            for beta, b in y.coeffs.items():
+        y_terms = y.terms()
+        for alpha, a in x.terms():
+            for beta, b in y_terms:
                 ab = a * b
                 for gamma, count in product(alpha, beta).items():
                     yield gamma, ab * count
@@ -241,8 +255,9 @@ def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     product = _product_F if s.basis == "F" else _product_M
 
     def terms():
-        for (l1, r1), c1 in s.coeffs.items():
-            for (l2, r2), c2 in t.coeffs.items():
+        t_terms = t.terms()
+        for (l1, r1), c1 in s.terms():
+            for (l2, r2), c2 in t_terms:
                 prod_r = product(r1, r2)
                 c12 = c1 * c2
                 for la, ca in product(l1, l2).items():
@@ -258,13 +273,13 @@ def coproduct(x: QSymElement) -> TensorElement:
     if x.basis == "M":
         terms = (
             ((alpha[:i], alpha[i:]), c)
-            for alpha, c in x.coeffs.items()
+            for alpha, c in x.terms()
             for i in range(len(alpha) + 1)
         )
     else:
         terms = (
             ((cut.left, cut.right), c)
-            for alpha, c in x.coeffs.items()
+            for alpha, c in x.terms()
             for cut in ribbon_cuts(alpha)
         )
     return TensorElement.from_terms(x.basis, terms)
@@ -282,16 +297,15 @@ def antipode(x: QSymElement) -> QSymElement:
     """
     QSymElement.require(x)
     if x.basis == "M":
-        signed = {beta: -c if len(beta) % 2 else c for beta, c in x.coeffs.items()}
         terms = (
-            (alpha, c)
-            for beta, c in signed.items()
+            (alpha, -c if len(beta) % 2 else c)
+            for beta, c in x.terms()
             for alpha in coarsenings(reversal(beta))
         )
     else:
         terms = (
             (conjugate(alpha), -c if sum(alpha) % 2 else c)
-            for alpha, c in x.coeffs.items()
+            for alpha, c in x.terms()
         )
     return QSymElement.from_terms(x.basis, terms)
 
@@ -301,7 +315,7 @@ def t_involution(x: QSymElement) -> QSymElement:
     basis; an algebra morphism and coalgebra antimorphism."""
     QSymElement.require(x)
     return QSymElement.from_terms(
-        x.basis, ((reversal(alpha), c) for alpha, c in x.coeffs.items())
+        x.basis, ((reversal(alpha), c) for alpha, c in x.terms())
     )
 
 
@@ -310,7 +324,7 @@ def descent_map(x: SSymElement) -> QSymElement:
     F_(descent composition of sigma)."""
     SSymElement.require(x)
     return QSymElement.from_terms(
-        "F", ((descent_composition(sigma), c) for sigma, c in x.coeffs.items())
+        "F", ((descent_composition(sigma), c) for sigma, c in x.terms())
     )
 
 

@@ -1,6 +1,8 @@
 """The definitional product route: the M product as a sum over Delannoy
 paths, one ``quasi_shuffle`` per path, and the F product computed by
-converting both factors to M, multiplying there and converting back.
+converting both factors to M, multiplying there and converting back.  For
+Gessel's rule itself, ``with_descent_composition`` gives the permutations
+whose shuffles define an F product.
 
 This is the route the package used before each basis got its own product
 rule; it stays here, slow and literal, as the reference the products in
@@ -10,7 +12,18 @@ rule; it stays here, slow and literal, as the reference the products in
 from fractions import Fraction
 
 from qsymx.compositions import delannoy_paths, quasi_shuffle
+from qsymx.permutations import Permutation
 from qsymx.qsym import QSymElement, TensorElement, qsym_basis, to_F, to_M
+
+
+def with_descent_composition(alpha) -> Permutation:
+    """A permutation with descent composition alpha: its runs, of the part
+    lengths, take decreasing blocks of values."""
+    top, sigma = sum(alpha), []
+    for a in alpha:
+        sigma.extend(range(top - a + 1, top + 1))
+        top -= a
+    return tuple(sigma)
 
 
 def multiply(x: QSymElement, y: QSymElement) -> QSymElement:

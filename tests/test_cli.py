@@ -1,4 +1,5 @@
 import json
+import pathlib
 import runpy
 import sys
 from fractions import Fraction
@@ -74,6 +75,17 @@ def test_antipode_and_convert(capsys):
     assert element_from_json(json.loads(out)) == to_F(qsym_basis("M", (2,)))
     code, out, _ = run(capsys, "convert", "--to", "M", "--basis", "M", "--comp", "2")
     assert code == 0 and out.strip() == "M[2]"
+
+
+def test_element_commands_match_golden_output(capsys):
+    # mul, coproduct, antipode and convert on (), 2,1 and 1,3,2 in both
+    # bases, text and --json, byte for byte
+    with open(pathlib.Path(__file__).with_name("golden_element_commands.json")) as f:
+        golden = json.load(f)
+    assert len(golden) == 84
+    for case in golden:
+        code, out, _ = run(capsys, *case["argv"])
+        assert (code, out) == (0, case["stdout"]), case["argv"]
 
 
 def test_table(capsys):

@@ -1,5 +1,6 @@
 import itertools
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -22,6 +23,11 @@ def basis_elements(max_degree, basis):
 
 def comps_up_to(max_degree):
     return [a for n in range(max_degree + 1) for a in co.all_compositions(n)]
+
+
+def assert_fraction_valued(x):
+    """Every stored coefficient is a nonzero Fraction, never an int."""
+    assert all(type(v) is Fraction and v for v in x.coeffs.values()), x.coeffs
 
 
 def apply_antipode_convolution(x, side):
@@ -216,7 +222,7 @@ def test_multiply_matches_reference_on_every_basis_pair():
 # -- products of linear combinations against the reference route ---------------
 
 PRODUCT_WEIGHT = 7
-COEFFS = st.fractions(-4, 4, max_denominator=7).filter(lambda q: q.denominator > 1)
+COEFFS = st.one_of(st.integers(-4, 4), st.fractions(-4, 4, max_denominator=7))
 
 
 def tensor_keys_up_to(max_degree):
@@ -228,7 +234,7 @@ def tensor_keys_up_to(max_degree):
 @st.composite
 def same_basis_pairs(draw, build, keys_up_to):
     """Two operands build(basis, terms) in one basis, with at most three
-    terms each, drawn from keys_up_to(weight) with non-integer
+    terms each, drawn from keys_up_to(weight) with integer and non-integer
     coefficients, whose product has weight at most PRODUCT_WEIGHT."""
     basis = draw(st.sampled_from("MF"))
     w1 = draw(st.integers(0, PRODUCT_WEIGHT))
@@ -249,14 +255,86 @@ PRODUCT_SETTINGS = settings(max_examples=40, deadline=None)
 @given(same_basis_pairs(qs.QSymElement, comps_up_to))
 def test_multiply_matches_reference(pair):
     x, y = pair
-    assert qs.multiply(x, y) == ref.multiply(x, y)
+    product = qs.multiply(x, y)
+    assert product == ref.multiply(x, y)
+    assert_fraction_valued(product)
 
 
 @PRODUCT_SETTINGS
 @given(same_basis_pairs(qs.TensorElement, tensor_keys_up_to))
 def test_multiply_tensor_matches_reference(pair):
     s, t = pair
-    assert qs.multiply_tensor(s, t) == ref.multiply_tensor(s, t)
+    product = qs.multiply_tensor(s, t)
+    assert product == ref.multiply_tensor(s, t)
+    assert_fraction_valued(product)
+
+
+def test_product_F_matches_the_shuffle_definition():
+    # the definition itself, not the basis change the reference route uses
+    comps = comps_up_to(8)
+    for a, b in itertools.product(comps, repeat=2):
+        if sum(a) + sum(b) > 8:
+            continue
+        sigma, tau = ref.with_descent_composition(a), ref.with_descent_composition(b)
+        assert (pm.descent_composition(sigma), pm.descent_composition(tau)) == (a, b)
+        assert qs._product_F(a, b) == Counter(
+            pm.descent_composition(w) for w in pm.shuffles(sigma, tau)
+        ), (a, b)
+
+
+# -- coefficients stay Fractions, with int sums inside the producers ----------
+
+HALF = Fraction(1, 2)
+OPERANDS = [
+    qs.qsym_basis("M", (2, 1), 3),  # integral
+    qs.QSymElement("M", {(1,): HALF, (2,): Fraction(-3, 4)}),  # non-integral
+    qs.QSymElement("M", {(1,): HALF, (2,): 1, (1, 1): -2, (): 5}),  # mixed
+]
+
+
+@pytest.mark.parametrize("x", OPERANDS, ids=["integral", "non-integral", "mixed"])
+def test_producers_keep_coefficients_fractions(x):
+    y = qs.QSymElement("M", {(1,): 2, (1, 2): HALF})
+    for basis in ("M", "F"):
+        u = x if basis == "M" else qs.to_F(x)
+        v = y if basis == "M" else qs.to_F(y)
+        outputs = [
+            u, qs.multiply(u, v), qs.multiply(u, u), qs.coproduct(u),
+            qs.multiply_tensor(qs.coproduct(u), qs.coproduct(v)), qs.antipode(u),
+            qs.to_F(u), qs.to_M(u), qs.t_involution(u), u + v, u - v, -u,
+            3 * u, HALF * u, Fraction(2) * u,
+        ]
+        for out in outputs:
+            assert_fraction_valued(out)
+    s = pm.SSymElement({(2, 1): x.coeffs.get((1,), 1), (1, 2): 3})
+    for out in (pm.multiply_ssym(s, s), qs.descent_map(s), s + s, HALF * s):
+        assert_fraction_valued(out)
+
+
+def test_integral_sums_and_cancellations():
+    half_m1 = qs.qsym_basis("M", (1,), HALF)
+    whole = half_m1 + half_m1
+    assert whole.coeffs == {(1,): 1}
+    assert_fraction_valued(whole)
+    # terms that cancel drop their key, from int and from Fraction sums
+    x = qs.QSymElement("M", {(1,): HALF, (2,): 1, (1, 1): 3})
+    y = qs.QSymElement("M", {(1,): -HALF, (2,): -1, (3,): HALF})
+    assert (x + y).coeffs == {(1, 1): 3, (3,): HALF}
+    assert_fraction_valued(x + y)
+    assert (x - x).coeffs == {}
+    # F_1 F_1 - F_2 leaves F_1,1 alone
+    f1 = qs.qsym_basis("F", (1,))
+    assert (qs.multiply(f1, f1) - qs.qsym_basis("F", (2,))).coeffs == {(1, 1): 1}
+
+
+def test_bad_keys_still_raise():
+    for bad in ([0], [1.5], [True]):
+        with pytest.raises(ValueError, match="positive integers"):
+            qs.element_from_json({"basis": "M", "terms": [{"comp": bad, "coeff": 1}]})
+    with pytest.raises(ValueError, match="basis must be"):
+        qs.element_from_json({"basis": "X", "terms": [{"comp": [1], "coeff": 1}]})
+    with pytest.raises(ValueError, match="not a permutation"):
+        pm.SSymElement({(1, 1): 1})
 
 
 def test_tensor_rejects_non_compositions():
