@@ -33,7 +33,6 @@ from .compositions import (
     refines,
     reversal,
     ribbon_cuts,
-    stats,
 )
 from .permutations import (
     Permutation,

@@ -553,11 +553,11 @@ def compose_T(phi: TruncatedCharacter) -> TruncatedCharacter:
 def _h_sum(alpha: Composition, peaks, half: int) -> Fraction:
     """The alternating sum over refinements beta of alpha of
     (-1)^(k(beta) + q + 1) C(q, half - q), q = peaks(beta), added as ints."""
+    weights = [en.bivariate_catalan(q, half - q) for q in range(half + 1)]
     total = 0
     for beta in refinements(alpha):
         q = peaks(beta)
-        term = en.bivariate_catalan(q, half - q)
-        total += -term if (len(beta) + q + 1) % 2 else term
+        total += -weights[q] if (len(beta) + q + 1) & 1 else weights[q]
     return Fraction(total)
 
 

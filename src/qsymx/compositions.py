@@ -23,8 +23,6 @@ __all__ = [
     "to_index",
     "from_index",
     "all_compositions",
-    "stats",
-    "CompositionStats",
     "p_minus",
     "p_plus",
     "refines",
@@ -127,36 +125,6 @@ def all_compositions(n: int) -> list[Composition]:
     return coarsenings((1,) * n)
 
 
-class CompositionStats(NamedTuple):
-    weight: int
-    k: int          # number of parts
-    k_e: int        # number of even parts
-    k_o: int        # number of odd parts
-    u: int          # parts > 1 excluding the first
-    v: int          # parts > 1
-
-
-def stats(alpha: Composition) -> CompositionStats:
-    """The part statistics used by the M-basis character formulas and the
-    identity checks.  The peak statistics are p_minus and p_plus.
-
-    >>> s = stats((1, 3, 1, 2, 2))
-    >>> s.k_e, s.k_o, s.u, s.v
-    (2, 3, 3, 3)
-    """
-    k = len(alpha)
-    k_e = sum(1 for a in alpha if a % 2 == 0)
-    big = [i for i, a in enumerate(alpha) if a > 1]
-    return CompositionStats(
-        weight=sum(alpha),
-        k=k,
-        k_e=k_e,
-        k_o=k - k_e,
-        u=sum(1 for i in big if i != 0),
-        v=len(big),
-    )
-
-
 def p_minus(alpha: Composition) -> int:
     """Parts > 1 other than the last: the upper corners of the ribbon
     diagram of alpha, and the interior peaks of any permutation with
@@ -224,6 +192,29 @@ def coarsenings(alpha: Composition) -> list[Composition]:
     for a in alpha[1:]:
         out = [beta[:-1] + (beta[-1] + a,) for beta in out] + [beta + (a,) for beta in out]
     return out
+
+
+def _mask_pass(values, n: int, supersets: bool, sign: int) -> list:
+    """Yates' pass, one bit at a time, over a row indexed by the masks of
+    degree n (Stanley, EC1, section 2.2): entry S of the result sums
+    sign^|T ^ S| values[T] over the T containing S if supersets (with sign
+    1, F-basis values from M-basis values, the T being the refinements of
+    S), else over the T inside S (with sign -1, Moebius inversion).
+
+    >>> _mask_pass([1, 2, 3, 4], 3, True, 1), _mask_pass([1, 2, 3, 4], 3, False, -1)
+    ([10, 6, 7, 4], [1, 1, 2, 0])
+    """
+    row = list(values)
+    for i in range(n - 1):
+        bit = 1 << i
+        for low in range(0, len(row), 2 * bit):
+            high = low + bit
+            without, with_bit = row[low:high], row[high:high + bit]
+            if supersets:
+                row[low:high] = [a + sign * b for a, b in zip(without, with_bit)]
+            else:
+                row[high:high + bit] = [b + sign * a for a, b in zip(without, with_bit)]
+    return row
 
 
 def reversal(alpha: Composition) -> Composition:

@@ -15,10 +15,10 @@ there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
 bounds, "standard" uses them as is, "deep" raises them by about 25%.  The
 S_n checks sum over the 2^(n-1) descent classes, not the n! permutations,
-so deep runs S_11 in milliseconds; the whole battery took about 9 s at
-deep against about 1.2 s at standard (Python 3.11.7, shared 2-vCPU
-machine), most of it in the checks that sum over the coarsenings or
-refinements of every composition.
+so deep runs S_11 in milliseconds; the whole battery takes about 3.3 s at
+deep against about 0.5 s at standard (Python 3.11.7, shared 2-vCPU
+machine), most of it in the h-sums and the other checks that sum over the
+coarsenings, refinements or ribbon cuts of every composition.
 """
 
 import re
@@ -31,15 +31,14 @@ from typing import Callable, Iterable, Iterator, Optional
 # the module is the one the checks see
 from . import characters, exactnum as en
 from .compositions import (
+    _mask_pass,
     all_compositions,
     coarsenings,
     conjugate,
     p_minus,
     p_plus,
-    refinements,
     reversal,
     ribbon_cuts,
-    stats,
 )
 from .permutations import augmented_peaks, descent_classes, interior_peaks, shuffles
 
@@ -170,11 +169,22 @@ def _catalan_prod(b: int) -> Iterator[Case]:
         yield {"special": "n=m", "n": n}, lhs, rhs
 
 
-def _odd_head_weight(alpha) -> Fraction:
-    """(-1)^(k_e) B(floor(k_o/2)) / 4^(floor(k_o/2)) for the antipode sums."""
-    st = stats(alpha)
-    value = _b_over_4(st.k_o // 2)
-    return -value if st.k_e % 2 else value
+def _odd_head_weights(n: int) -> list[int]:
+    """B(h) / 4^h for h = 0..n//2, over the common denominator 4^(n//2)."""
+    return [en.central_binomial(h) * 4 ** (n // 2 - h) for h in range(n // 2 + 1)]
+
+
+def _odd_head_sum(alphas, weights: list[int]) -> int:
+    """sum over the alphas with odd first part of
+    (-1)^(k_e) weights[floor(k_o/2)], with k_o and k_e the numbers of odd
+    and even parts of alpha."""
+    total = 0
+    for alpha in alphas:
+        if alpha[0] & 1:
+            k_o = sum(a & 1 for a in alpha)
+            w = weights[k_o // 2]
+            total += -w if (len(alpha) - k_o) & 1 else w
+    return total
 
 
 def _antipode_sum(n_max: int) -> Iterator[Case]:
@@ -182,9 +192,10 @@ def _antipode_sum(n_max: int) -> Iterator[Case]:
     beta, the weighted sum over coarsenings with odd first part collapses to
     the single beta term (or 0 when the last part is even)."""
     for n in range(1, n_max + 1):
+        weights, d = _odd_head_weights(n), 4 ** (n // 2)
         for beta in all_compositions(n):
-            lhs = sum(_odd_head_weight(alpha) for alpha in coarsenings(beta) if alpha[0] % 2)
-            rhs = _b_over_4(stats(beta).k_o // 2) if beta[-1] % 2 else 0
+            lhs = Fraction(_odd_head_sum(coarsenings(beta), weights), d)
+            rhs = _b_over_4(sum(a & 1 for a in beta) // 2) if beta[-1] & 1 else 0
             yield {"beta": beta}, lhs, rhs
 
 
@@ -193,16 +204,13 @@ def _app_antipodeM(n_max: int) -> Iterator[Case]:
     and matching end parities, the sum over proper coarsenings with odd
     first part vanishes.  An empty sum counts as 0."""
     for n in range(1, n_max + 1):
+        weights, d = _odd_head_weights(n), 4 ** (n // 2)
         for beta in all_compositions(n):
-            st = stats(beta)
-            if st.k_e % 2 or (beta[0] - beta[-1]) % 2:
+            k_e = len(beta) - sum(a & 1 for a in beta)
+            if k_e % 2 or (beta[0] - beta[-1]) % 2:
                 continue
-            lhs = sum(
-                _odd_head_weight(alpha)
-                for alpha in coarsenings(beta)
-                if alpha != beta and alpha[0] % 2
-            )
-            yield {"beta": beta}, lhs, 0
+            total = _odd_head_sum((alpha for alpha in coarsenings(beta) if alpha != beta), weights)
+            yield {"beta": beta}, Fraction(total, d), 0
 
 
 def _class_size(n: int, r: int, s: int) -> int:
@@ -235,8 +243,8 @@ def _tn_vandermonde(n_max: int, census_max: int) -> Iterator[Case]:
         census: Counter = Counter()
         for alpha in all_compositions(n):
             if alpha[0] % 2:
-                st = stats(alpha)
-                census[(st.k_o, st.k_e)] += 1
+                k_o = sum(a & 1 for a in alpha)
+                census[(k_o, len(alpha) - k_o)] += 1
         for r in range(1, n + 1):
             if (n - r) % 2:
                 continue
@@ -245,13 +253,12 @@ def _tn_vandermonde(n_max: int, census_max: int) -> Iterator[Case]:
                 yield params, census[(r, s)], _class_size(n, r, s)
 
 
-def _signed_census(m: int, stat: str) -> Counter:
-    """{j: sum of (-1)^(number of parts) over the compositions of m whose
-    statistic stat (a field of compositions.stats) is j}."""
+def _signed_census(m: int, first: int) -> Counter:
+    """{j: sum of (-1)^(number of parts) over the compositions of m with j
+    parts > 1 from position first on}; first is 0 or 1, and m >= first."""
     census: Counter = Counter()
     for gamma in all_compositions(m):
-        st = stats(gamma)
-        census[getattr(st, stat)] += (-1) ** st.k
+        census[len(gamma) - first - gamma[first:].count(1)] += -1 if len(gamma) & 1 else 1
     return census
 
 
@@ -259,7 +266,7 @@ def _signs_a(m_max: int) -> Iterator[Case]:
     """sum over compositions of m with j parts > 1 of (-1)^(number of parts)
     equals (-1)^(m+j) binomial(floor(m/2), j)."""
     for m in range(0, m_max + 1):
-        census = _signed_census(m, "v")
+        census = _signed_census(m, 0)
         for j in range(0, m + 1):
             yield {"m": m, "j": j}, census[j], (-1) ** (m + j) * en.binomial(m // 2, j)
 
@@ -269,7 +276,7 @@ def _signs_b(m_max: int) -> Iterator[Case]:
     even m, the signs_a value for odd m.  (m = 0 is a genuine exception and
     is excluded.)"""
     for m in range(1, m_max + 1):
-        census = _signed_census(m, "u")
+        census = _signed_census(m, 1)
         for j in range(0, m + 1):
             rhs = 0 if m % 2 == 0 else (-1) ** (m + j) * en.binomial(m // 2, j)
             yield {"m": m, "j": j}, census[j], rhs
@@ -294,7 +301,7 @@ def _h_minus_closed(n_max: int) -> Iterator[Case]:
         for alpha in all_compositions(n):
             rhs = 0
             if alpha[-1] % 2:
-                k_o = stats(alpha).k_o
+                k_o = sum(a & 1 for a in alpha)
                 rhs = (-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
             yield {"alpha": alpha}, characters.h_minus(alpha), rhs
 
@@ -306,7 +313,7 @@ def _h_plus_closed(n_max: int) -> Iterator[Case]:
             if len(alpha) == 1:
                 rhs = 2 ** n
             elif alpha[0] % 2 and alpha[-1] % 2:
-                k_o = stats(alpha).k_o
+                k_o = sum(a & 1 for a in alpha)
                 rhs = 2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1)
             else:
                 rhs = 0
@@ -335,19 +342,19 @@ def _app_f2(n_max: int) -> Iterator[Case]:
     """The odd character convolved with its bar image is the counit, as a
     vanishing ribbon-cut sum."""
     for n in range(1, n_max + 1):
+        half = n // 2
         for alpha in all_compositions(n):
+            # each term over the common denominator 4^half
             lhs = 0
             for cut in ribbon_cuts(alpha):
                 i = cut.index
                 lm = p_minus(cut.left)
                 rm = p_minus(cut.right)
                 fi, fr = i // 2, (n - i) // 2
-                term = Fraction(
-                    en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm),
-                    4 ** (fi + fr),
-                )
+                term = en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm)
+                term *= 4 ** (half - fi - fr)
                 lhs += -term if (lm + rm + i) % 2 else term
-            yield {"alpha": alpha}, lhs, 0
+            yield {"alpha": alpha}, Fraction(lhs, 4 ** half), 0
 
 
 def _cc_convolution(a: int, b: int, h: int) -> Fraction:
@@ -439,14 +446,16 @@ def _app_zetainv_plus_m(n_max: int) -> Iterator[Case]:
     """Even-character analogue of the antipode sum, over coarsenings with
     both end parts odd (even weight)."""
     for n in range(0, n_max + 1, 2):
+        # Cat(h - 1) at h - 1, for the h = floor(k_o/2) >= 1 of the summands
+        catalans = [en.catalan(h) for h in range(n // 2)]
         for beta in all_compositions(n):
-            k_o = stats(beta).k_o
+            k_o = sum(a & 1 for a in beta)
             lhs = 0
             for alpha in coarsenings(beta):
-                if alpha and alpha[0] % 2 and alpha[-1] % 2:
-                    st = stats(alpha)
-                    term = 2 ** (k_o - st.k_o + 1) * en.catalan(st.k_o // 2 - 1)
-                    lhs += -term if st.k_e % 2 else term
+                if alpha and alpha[0] & 1 and alpha[-1] & 1:
+                    a_o = sum(a & 1 for a in alpha)
+                    term = catalans[a_o // 2 - 1] << (k_o - a_o + 1)
+                    lhs += -term if (len(alpha) - a_o) & 1 else term
             yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
 
 
@@ -492,8 +501,9 @@ def _associator(bound: int) -> Iterator[Case]:
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
             for c in range(0, bound + 1):
-                lhs = Fraction(H(a, b, c), 4 ** c)
-                rhs = sum(Fraction(H(b + 1, a + 1, j - 2), 4 ** j) for j in range(1, c + 1))
+                # both sides over 4^c
+                rhs = sum(H(b + 1, a + 1, j - 2) * 4 ** (c - j) for j in range(1, c + 1))
+                lhs, rhs = Fraction(H(a, b, c), 4 ** c), Fraction(rhs, 4 ** c)
                 yield {"a": a, "b": b, "c": c}, lhs, rhs
 
 
@@ -533,16 +543,19 @@ def _zeta_power(n_max: int) -> Iterator[Case]:
         char_id = characters.zeta_power(m)
         table = powers[m]
         for n in range(0, n_max + 1):
-            for alpha in all_compositions(n):
+            row, d = table.numerators[n], table.denominators[n]
+            # phi(F_alpha) sums phi(M_beta) over the super-masks beta of alpha
+            f_row = _mask_pass(row, n, True, 1)
+            for mask, alpha in enumerate(all_compositions(n)):
                 yield (
                     {"basis": "M", "m": m, "alpha": alpha},
                     characters.eval_M(char_id, alpha),
-                    table.value(alpha),
+                    Fraction(row[mask], d),
                 )
                 yield (
                     {"basis": "F", "m": m, "alpha": alpha},
                     characters.eval_F(char_id, alpha),
-                    sum(table.value(beta) for beta in refinements(alpha)),
+                    Fraction(f_row[mask], d),
                 )
 
 

@@ -7,7 +7,7 @@ the (unique) permutation of 0.
 
 import itertools
 
-from .compositions import Composition, all_compositions, from_index
+from .compositions import Composition, _mask_pass, all_compositions, from_index
 from .exactnum import LinearCombination, multinomial
 
 __all__ = [
@@ -169,12 +169,7 @@ def descent_classes(n: int):
     [((1, 2, 3), 1), ((3, 1, 2), 2), ((2, 3, 1), 2), ((3, 2, 1), 1)]
     """
     runs = all_compositions(n)
-    counts = [multinomial(alpha) for alpha in runs]
-    for i in range(n - 1):
-        bit = 1 << i
-        for mask in range(len(counts)):
-            if mask & bit:
-                counts[mask] -= counts[mask ^ bit]
+    counts = _mask_pass([multinomial(alpha) for alpha in runs], n, False, -1)
     for alpha, count in zip(runs, counts):
         top, sigma = n, []
         for a in alpha:

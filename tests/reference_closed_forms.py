@@ -1,17 +1,51 @@
 """The definitional closed-form route: the M-basis closed forms evaluated
-one composition at a time from its part statistics (``compositions.stats``).
+one composition at a time from its part statistics (``stats``).
 
 This is how the package evaluated them before ``characters._closed_M`` was
 keyed by the shape of a composition and ``restrict`` walked the shapes of a
 whole degree at once.  It stays here, slow and literal, as the reference
-that ``eval_M`` and ``restrict`` are compared against.
+that ``eval_M`` and ``restrict`` are compared against.  ``stats`` is the
+part-statistics record the package computed for every composition before
+its closed forms and identity checks counted the statistics they need
+inline.
 """
 
 from fractions import Fraction
+from typing import NamedTuple
 
 from qsymx import exactnum as en
 from qsymx.characters import TruncatedCharacter, _parse_id
-from qsymx.compositions import Composition, all_compositions, stats
+from qsymx.compositions import Composition, all_compositions
+
+
+class CompositionStats(NamedTuple):
+    weight: int
+    k: int          # number of parts
+    k_e: int        # number of even parts
+    k_o: int        # number of odd parts
+    u: int          # parts > 1 excluding the first
+    v: int          # parts > 1
+
+
+def stats(alpha: Composition) -> CompositionStats:
+    """The part statistics of alpha.  The peak statistics are
+    compositions.p_minus and compositions.p_plus.
+
+    >>> s = stats((1, 3, 1, 2, 2))
+    >>> s.k_e, s.k_o, s.u, s.v
+    (2, 3, 3, 3)
+    """
+    k = len(alpha)
+    k_e = sum(1 for a in alpha if a % 2 == 0)
+    big = [i for i, a in enumerate(alpha) if a > 1]
+    return CompositionStats(
+        weight=sum(alpha),
+        k=k,
+        k_e=k_e,
+        k_o=k - k_e,
+        u=sum(1 for i in big if i != 0),
+        v=len(big),
+    )
 
 
 def eval_M(char_id: str, alpha: Composition) -> Fraction:

@@ -1,0 +1,228 @@
+"""The definitional route of the registry checks that now count their part
+statistics inline and sum ints over one denominator per degree.
+
+Each check here is the form the package ran before that change: it takes
+the part statistics of every composition from ``stats``, adds rational
+terms one Fraction at a time, looks up each peak weight once per
+refinement, and sums the F-basis values of a table over ``refinements``.
+They stay here, slow and literal, as the references that the registry's
+checks must match case by case (``CHECKS``, by registry id, each taking the
+same bounds as its registry check).
+"""
+
+from collections import Counter
+from fractions import Fraction
+
+from qsymx import characters
+from qsymx import exactnum as en
+from qsymx.compositions import (
+    all_compositions,
+    coarsenings,
+    p_minus,
+    p_plus,
+    refinements,
+    ribbon_cuts,
+)
+from reference_closed_forms import stats
+
+
+def _b_over_4(h):
+    return Fraction(en.central_binomial(h), 4 ** h)
+
+
+def _odd_head_weight(alpha):
+    st = stats(alpha)
+    value = _b_over_4(st.k_o // 2)
+    return -value if st.k_e % 2 else value
+
+
+def antipode_sum(n_max):
+    for n in range(1, n_max + 1):
+        for beta in all_compositions(n):
+            lhs = sum(_odd_head_weight(alpha) for alpha in coarsenings(beta) if alpha[0] % 2)
+            rhs = _b_over_4(stats(beta).k_o // 2) if beta[-1] % 2 else 0
+            yield {"beta": beta}, lhs, rhs
+
+
+def app_antipodeM(n_max):
+    for n in range(1, n_max + 1):
+        for beta in all_compositions(n):
+            st = stats(beta)
+            if st.k_e % 2 or (beta[0] - beta[-1]) % 2:
+                continue
+            lhs = sum(
+                _odd_head_weight(alpha)
+                for alpha in coarsenings(beta)
+                if alpha != beta and alpha[0] % 2
+            )
+            yield {"beta": beta}, lhs, 0
+
+
+def _class_size(n, r, s):
+    return en.binomial((n + r) // 2 - 1, r + s - 1) * en.binomial(r + s - 1, r - 1)
+
+
+def tn_vandermonde(n_max, census_max):
+    for n in range(1, n_max + 1):
+        total = 0
+        for r in range(1, n):
+            if (n - r) % 2:
+                continue
+            for s in range(0, (n - r) // 2 + 1):
+                term = _class_size(n, r, s) * _b_over_4(r // 2)
+                total += -term if s % 2 else term
+        yield {"part": "tn-sum", "n": n}, total, 0
+    for n in range(1, n_max + 1):
+        for r in range(1, n):
+            if (n - r) % 2:
+                continue
+            inner = sum((-1) ** s * _class_size(n, r, s) for s in range(0, (n - r) // 2 + 1))
+            yield {"part": "vandermonde", "n": n, "r": r}, inner, 0
+    for n in range(1, census_max + 1):
+        census = Counter()
+        for alpha in all_compositions(n):
+            if alpha[0] % 2:
+                st = stats(alpha)
+                census[(st.k_o, st.k_e)] += 1
+        for r in range(1, n + 1):
+            if (n - r) % 2:
+                continue
+            for s in range(0, (n - r) // 2 + 1):
+                params = {"part": "count", "n": n, "r": r, "s": s}
+                yield params, census[(r, s)], _class_size(n, r, s)
+
+
+def _signed_census(m, stat):
+    census = Counter()
+    for gamma in all_compositions(m):
+        st = stats(gamma)
+        census[getattr(st, stat)] += (-1) ** st.k
+    return census
+
+
+def signs_a(m_max):
+    for m in range(0, m_max + 1):
+        census = _signed_census(m, "v")
+        for j in range(0, m + 1):
+            yield {"m": m, "j": j}, census[j], (-1) ** (m + j) * en.binomial(m // 2, j)
+
+
+def signs_b(m_max):
+    for m in range(1, m_max + 1):
+        census = _signed_census(m, "u")
+        for j in range(0, m + 1):
+            rhs = 0 if m % 2 == 0 else (-1) ** (m + j) * en.binomial(m // 2, j)
+            yield {"m": m, "j": j}, census[j], rhs
+
+
+def _h_sum(alpha, peaks, half):
+    total = 0
+    for beta in refinements(alpha):
+        q = peaks(beta)
+        term = en.bivariate_catalan(q, half - q)
+        total += -term if (len(beta) + q + 1) % 2 else term
+    return Fraction(total)
+
+
+def h_minus_closed(n_max):
+    for n in range(1, n_max + 1):
+        for alpha in all_compositions(n):
+            rhs = 0
+            if alpha[-1] % 2:
+                k_o = stats(alpha).k_o
+                rhs = (-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
+            yield {"alpha": alpha}, _h_sum(alpha, p_minus, n // 2), rhs
+
+
+def h_plus_closed(n_max):
+    for n in range(2, n_max + 1, 2):
+        for alpha in all_compositions(n):
+            if len(alpha) == 1:
+                rhs = 2 ** n
+            elif alpha[0] % 2 and alpha[-1] % 2:
+                k_o = stats(alpha).k_o
+                rhs = 2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1)
+            else:
+                rhs = 0
+            yield {"alpha": alpha}, _h_sum(alpha, p_plus, n // 2), rhs
+
+
+def app_f2(n_max):
+    for n in range(1, n_max + 1):
+        for alpha in all_compositions(n):
+            lhs = 0
+            for cut in ribbon_cuts(alpha):
+                i = cut.index
+                lm = p_minus(cut.left)
+                rm = p_minus(cut.right)
+                fi, fr = i // 2, (n - i) // 2
+                term = Fraction(
+                    en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm),
+                    4 ** (fi + fr),
+                )
+                lhs += -term if (lm + rm + i) % 2 else term
+            yield {"alpha": alpha}, lhs, 0
+
+
+def app_zetainv_plus_m(n_max):
+    for n in range(0, n_max + 1, 2):
+        for beta in all_compositions(n):
+            k_o = stats(beta).k_o
+            lhs = 0
+            for alpha in coarsenings(beta):
+                if alpha and alpha[0] % 2 and alpha[-1] % 2:
+                    st = stats(alpha)
+                    term = 2 ** (k_o - st.k_o + 1) * en.catalan(st.k_o // 2 - 1)
+                    lhs += -term if st.k_e % 2 else term
+            yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
+
+
+def associator(bound):
+    def H(x, y, z):
+        return en.bivariate_catalan(x, y + z) - en.bivariate_catalan(y, x + z)
+
+    for a in range(0, bound + 1):
+        for b in range(0, bound + 1):
+            for c in range(0, bound + 1):
+                lhs = Fraction(H(a, b, c), 4 ** c)
+                rhs = sum(Fraction(H(b + 1, a + 1, j - 2), 4 ** j) for j in range(1, c + 1))
+                yield {"a": a, "b": b, "c": c}, lhs, rhs
+
+
+def zeta_power(n_max):
+    zeta_t = characters.restrict(characters.ZETA, n_max)
+    powers = {0: characters.restrict(characters.COUNIT, n_max)}
+    for m in range(1, 4):
+        powers[m] = characters.convolve(powers[m - 1], zeta_t)
+    for m in range(1, 4):
+        powers[-m] = characters.inverse(powers[m])
+    for m in range(-3, 4):
+        char_id = characters.zeta_power(m)
+        table = powers[m]
+        for n in range(0, n_max + 1):
+            for alpha in all_compositions(n):
+                yield (
+                    {"basis": "M", "m": m, "alpha": alpha},
+                    characters.eval_M(char_id, alpha),
+                    table.value(alpha),
+                )
+                yield (
+                    {"basis": "F", "m": m, "alpha": alpha},
+                    characters.eval_F(char_id, alpha),
+                    sum(table.value(beta) for beta in refinements(alpha)),
+                )
+
+
+CHECKS = {
+    "antipode_sum": antipode_sum,
+    "app_antipodeM": app_antipodeM,
+    "tn_vandermonde": tn_vandermonde,
+    "signs_a": signs_a,
+    "signs_b": signs_b,
+    "h_minus_closed": h_minus_closed,
+    "h_plus_closed": h_plus_closed,
+    "app_f2": app_f2,
+    "app_zetainv_plus_m": app_zetainv_plus_m,
+    "associator": associator,
+    "zeta_power": zeta_power,
+}

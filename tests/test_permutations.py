@@ -6,7 +6,7 @@ import pytest
 
 from qsymx import compositions as co
 from qsymx import permutations as pm
-from qsymx.exactnum import binomial
+from qsymx.exactnum import binomial, multinomial
 
 
 def test_permutation_validation():
@@ -99,6 +99,17 @@ def test_descent_classes_against_all_of_s_n():
             for sigma, count in classes:
                 census[peaks(sigma)] += count
             assert census == Counter(map(peaks, itertools.permutations(range(1, n + 1))))
+
+
+def test_mask_pass_signed_sub_masks_count_descent_classes():
+    # Moebius inversion of the multinomials counts the permutations with
+    # each descent set, here against a census of S_n by enumeration
+    for n in range(8):
+        comps = co.all_compositions(n)
+        census = Counter(map(pm.descent_composition, itertools.permutations(range(1, n + 1))))
+        counts = co._mask_pass([multinomial(alpha) for alpha in comps], n, False, -1)
+        assert counts == [census[alpha] for alpha in comps]
+        assert counts == [count for _, count in pm.descent_classes(n)]
 
 
 def test_descent_classes_rejects_bad_n():
