@@ -27,13 +27,17 @@ distinct shape once.
 over one denominator, reduced so that the gcd of the denominator and the
 row is 1; its ``tables`` and ``value`` hand out Fractions.  The oracle runs
 on these rows through one deconcatenation kernel indexed by partial-sum
-bitmask.  On entry, degree n is scaled by c**n, with c the lcm of the
-input denominators (twice that in ``decompose``, which halves), so each
-row is multiplied by one factor; on exit each row is divided by the gcd of
-c**n and its entries.  Scaling degree n by c**n commutes with convolution,
-so every step in between is exact integer arithmetic, and the only
-division, the halving in the square root, is checked to leave no
-remainder.
+bitmask.  The kernel works by blocks: the cut at partial sum s splits each
+composition of n that has s as a partial sum into one of s and one of
+n - s, so its terms form the outer product of the degree-s row and the
+degree-(n - s) row, which the kernel adds one slice (contiguous, or of
+stride 2^s) per nonzero entry of the shorter row.  On entry, degree n is
+scaled by c**n, with c the lcm of the input denominators (twice that in
+``decompose``, which halves), so each row is multiplied by one factor; on
+exit each row is divided by the gcd of c**n and its entries.  Scaling
+degree n by c**n commutes with convolution, so every step in between is
+exact integer arithmetic, and the only division, the halving in the square
+root, is checked to leave no remainder.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -416,21 +420,31 @@ def _proper_cuts(left, right, n: int) -> list[int]:
     """The deconcatenation kernel: for every composition of n (by mask), the
     sum of left(first parts) * right(remaining parts) over its proper cuts.
 
-    A set bit ``low`` of mask is the partial sum s = low.bit_length(); the
-    cut there leaves mask & (low - 1) in degree s and mask >> s in degree
-    n - s.  Only degrees 1..n-1 of left and right are read, so a recursion
-    may pass tables that end at degree n - 1.
+    The cut at partial sum s (bit s - 1) covers exactly the masks
+    ``high << s | 1 << (s - 1) | low``, leaving low in degree s and high in
+    degree n - s, so it adds the outer product of left[s] and right[n - s]
+    to the row.  It is added by slices, once per nonzero entry of the
+    shorter of the two rows: r * left[s] over the contiguous block of
+    2^(s-1) masks that share high, or l * right[n - s] over the masks of
+    stride 2^s that share low.  Only degrees 1..n-1 of left and right are
+    read, so a recursion may pass tables that end at degree n - 1.
     """
-    row = []
-    for mask in range(1 << (n - 1)):
-        total = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            s = low.bit_length()
-            total += left[s][mask & (low - 1)] * right[n - s][mask >> s]
-            rest ^= low
-        row.append(total)
+    row = [0] * (1 << (n - 1))
+    for s in range(1, n):
+        a, b = left[s], right[n - s]
+        half = 1 << (s - 1)
+        if len(b) <= len(a):
+            for high, r in enumerate(b):
+                if r:
+                    start = high << s | half
+                    stop = start + half
+                    row[start:stop] = [x + r * v for x, v in zip(row[start:stop], a)]
+        else:
+            step = half << 1
+            for low, l in enumerate(a):
+                if l:
+                    start = half | low
+                    row[start::step] = [x + l * v for x, v in zip(row[start::step], b)]
     return row
 
 

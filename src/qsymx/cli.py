@@ -213,16 +213,15 @@ def _row_strings(phi: characters.TruncatedCharacter, n: int) -> list[str]:
     return list(map(text.__getitem__, row))
 
 
-def _compare_row(oracle, closed, n: int):
-    """The degree-n strings of the oracle and of the closed form, and per
-    entry whether they agree.  Equal rows are compared and formatted once;
-    any other row is compared entry by entry."""
-    text = _row_strings(oracle, n)
+def _mismatched(oracle, closed, n: int) -> set:
+    """The masks of degree n at which the oracle and the closed form
+    disagree.  Rows are reduced, so equal rows (the usual case) are compared
+    once; any other row is compared entry by entry."""
     o, c = oracle.numerators[n], closed.numerators[n]
     do, dc = oracle.denominators[n], closed.denominators[n]
     if do == dc and o == c:
-        return text, text, [True] * len(o)
-    return text, _row_strings(closed, n), [x * dc == y * do for x, y in zip(o, c)]
+        return set()
+    return {mask for mask, (x, y) in enumerate(zip(o, c)) if x * dc != y * do}
 
 
 def _cmd_decompose(parser, args) -> int:
@@ -234,47 +233,54 @@ def _cmd_decompose(parser, args) -> int:
     plus, minus = characters.decompose(base)
     closed_plus = characters.restrict(args.char + "-plus", degree)
     closed_minus = characters.restrict(args.char + "-minus", degree)
-    rows = []
-    mismatches = 0
-    for n in range(degree + 1):
-        op, cp, plus_ok = _compare_row(plus, closed_plus, n)
-        om, cm, minus_ok = _compare_row(minus, closed_minus, n)
-        ok = [a and b for a, b in zip(plus_ok, minus_ok)]
-        mismatches += ok.count(False)
-        rows.extend(zip(all_compositions(n), op, om, cp, cm, ok))
+    wrong = [
+        (_mismatched(plus, closed_plus, n), _mismatched(minus, closed_minus, n))
+        for n in range(degree + 1)
+    ]
+    mismatches = sum(len(p | m) for p, m in wrong)
+    # written one degree at a time, byte for byte as json.dumps of the whole
+    # payload (or one line per entry), so only one degree's strings are held
+    out = sys.stdout
     if args.json:
-        payload = {
-            "char": args.char,
-            "degree": degree,
-            "mismatches": mismatches,
-            "tables": [
-                {
-                    "comp": list(alpha),
-                    "plus": op,
-                    "minus": om,
-                    "plus_closed": cp,
-                    "minus_closed": cm,
-                    "match": ok,
-                }
-                for alpha, op, om, cp, cm, ok in rows
-            ],
-        }
-        print(json.dumps(payload))
+        out.write(
+            '{"char": %s, "degree": %d, "mismatches": %d, "tables": ['
+            % (json.dumps(args.char), degree, mismatches)
+        )
     else:
-        width = max(len(format_composition(r[0])) for r in rows)
+        # (1,) * degree has the longest name of any composition up to degree
+        width = max(len(format_composition((1,) * degree)), len(format_composition(())))
         print(
             "# even/odd decomposition of %s up to degree %d (oracle vs closed form)"
             % (args.char, degree)
         )
-        for alpha, op, om, cp, cm, ok in rows:
-            flag = "" if ok else "   MISMATCH closed=(%s, %s)" % (cp, cm)
-            print(
-                "%-*s  plus=%-10s minus=%-10s%s"
-                % (width, format_composition(alpha), op, om, flag)
-            )
-        print(
-            "%d mismatches out of %d entries" % (mismatches, len(rows))
-        )
+    for n, (wrong_plus, wrong_minus) in enumerate(wrong):
+        op, om = _row_strings(plus, n), _row_strings(minus, n)
+        cp = _row_strings(closed_plus, n) if wrong_plus else op
+        cm = _row_strings(closed_minus, n) if wrong_minus else om
+        bad = wrong_plus | wrong_minus
+        rows = zip(all_compositions(n), op, om, cp, cm)
+        if args.json:
+            entries = [
+                '{"comp": %s, "plus": "%s", "minus": "%s", "plus_closed": "%s", '
+                '"minus_closed": "%s", "match": %s}'
+                % (list(alpha), p, m, pc, mc, "false" if mask in bad else "true")
+                for mask, (alpha, p, m, pc, mc) in enumerate(rows)
+            ]
+            out.write((", " if n else "") + ", ".join(entries))
+        else:
+            lines = [
+                "%-*s  plus=%-10s minus=%-10s%s\n"
+                % (
+                    width, format_composition(alpha), p, m,
+                    "   MISMATCH closed=(%s, %s)" % (pc, mc) if mask in bad else "",
+                )
+                for mask, (alpha, p, m, pc, mc) in enumerate(rows)
+            ]
+            out.write("".join(lines))
+    if args.json:
+        out.write("]}\n")
+    else:
+        print("%d mismatches out of %d entries" % (mismatches, 1 << degree))
     return 1 if mismatches else 0
 
 

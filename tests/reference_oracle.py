@@ -9,12 +9,38 @@ not the square root of bar(phi)^-1 phi that the package now takes
 here, slow and literal, as the reference the oracle is compared against.
 It only reads values through ``TruncatedCharacter.value`` and builds
 results through the public constructor.
+
+``proper_cuts`` is the package's former deconcatenation kernel, which
+walks the set bits of every mask one at a time; it is the reference for
+the block kernel ``characters._proper_cuts`` on integer rows.
 """
 
 from fractions import Fraction
 
 from qsymx.characters import TruncatedCharacter
 from qsymx.compositions import all_compositions, to_index
+
+
+def proper_cuts(left, right, n: int) -> list[int]:
+    """The deconcatenation kernel: for every composition of n (by mask), the
+    sum of left(first parts) * right(remaining parts) over its proper cuts.
+
+    A set bit ``low`` of mask is the partial sum s = low.bit_length(); the
+    cut there leaves mask & (low - 1) in degree s and mask >> s in degree
+    n - s.  Only degrees 1..n-1 of left and right are read, so a recursion
+    may pass tables that end at degree n - 1.
+    """
+    row = []
+    for mask in range(1 << (n - 1)):
+        total = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            s = low.bit_length()
+            total += left[s][mask & (low - 1)] * right[n - s][mask >> s]
+            rest ^= low
+        row.append(total)
+    return row
 
 
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -387,6 +388,36 @@ def test_decompose_makes_one_kernel_pass_per_degree_and_operation(monkeypatch):
         ch.decompose(ch.restrict(ch.ZETA, degree))
         # the quotient, the square root and the product
         assert len(calls) == 3 * degree
+
+
+def _kernel_rows(rng, kind, n):
+    """Integer tables for degrees 0..n-1, as a recursion passes them to the
+    kernel for degree n: all zero, sparse with small entries, or dense with
+    200-bit signed entries."""
+    rows = []
+    for m in range(n):
+        size = 1 if m == 0 else 1 << (m - 1)
+        if kind == "zero":
+            rows.append([0] * size)
+        elif kind == "sparse":
+            rows.append([rng.randint(-5, 5) if rng.random() < 0.2 else 0 for _ in range(size)])
+        else:
+            rows.append([rng.getrandbits(200) - (1 << 199) for _ in range(size)])
+    return rows
+
+
+def test_block_kernel_matches_the_bit_walk():
+    rng = random.Random(13)
+    kinds = [("zero", "big"), ("big", "zero"), ("sparse", "big"),
+             ("big", "sparse"), ("sparse", "sparse"), ("big", "big")]
+    for n in range(1, 15):
+        for left_kind, right_kind in kinds:
+            left = _kernel_rows(rng, left_kind, n)
+            right = _kernel_rows(rng, right_kind, n)
+            want = ref.proper_cuts(left, right, n)
+            assert ch._proper_cuts(left, right, n) == want, (n, left_kind, right_kind)
+        # the square root passes one table as both factors
+        assert ch._proper_cuts(left, left, n) == ref.proper_cuts(left, left, n)
 
 
 def _raise(*args):

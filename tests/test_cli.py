@@ -8,6 +8,7 @@ import pytest
 
 from qsymx import characters, cli
 from qsymx import exactnum as en
+from qsymx.compositions import all_compositions, format_composition, to_index
 from qsymx.qsym import element_from_json, qsym_basis, multiply, antipode, to_F
 
 
@@ -107,21 +108,29 @@ def test_decompose_matches_closed_forms(capsys):
     assert "0 mismatches" in out
 
 
-def test_decompose_reports_one_planted_mismatch(capsys, monkeypatch):
+def _plant_one_wrong(monkeypatch, target, alpha=(1, 2, 3)):
+    """Make characters.restrict return the closed form target with a third
+    added to its value at alpha; every other character is unchanged."""
     real = characters.restrict
-    alpha = (1, 2, 3)  # mask 5 in degree 6
+    n, mask = sum(alpha), to_index(alpha)
 
     def one_wrong(char_id, max_degree):
         phi = real(char_id, max_degree)
-        if char_id != characters.ZETA_MINUS:
+        if char_id != target:
             return phi
         # a third changes the row's denominator, so every integer of the
         # row differs from the oracle's while one value does
         tables = [list(row) for row in phi.tables]
-        tables[6][5] += Fraction(1, 3)
+        tables[n][mask] += Fraction(1, 3)
         return characters.TruncatedCharacter(max_degree, tables)
 
     monkeypatch.setattr(characters, "restrict", one_wrong)
+    return real
+
+
+def test_decompose_reports_one_planted_mismatch(capsys, monkeypatch):
+    alpha = (1, 2, 3)  # mask 5 in degree 6
+    real = _plant_one_wrong(monkeypatch, characters.ZETA_MINUS, alpha)
     plus, minus = real("zeta-plus", 6).value(alpha), real("zeta-minus", 6).value(alpha)
     code, out, _ = run(capsys, "decompose", "--degree", "6", "--json")
     assert code == 1
@@ -143,6 +152,71 @@ def test_decompose_reports_one_planted_mismatch(capsys, monkeypatch):
     assert flagged[0].split()[0] == "1,2,3"
     assert flagged[0].endswith("MISMATCH closed=(%s, %s)" % (plus, minus + Fraction(1, 3)))
     assert out.splitlines()[-1] == "1 mismatches out of 64 entries"
+
+
+def _whole_table_output(char, degree):
+    """The decompose output (exit code, --json text, plain text) as the
+    command wrote it when it held the whole table: one dict per entry and
+    one json.dumps, or one loop over every row.  Values are read one by one
+    through TruncatedCharacter.value."""
+    plus, minus = characters.decompose(characters.restrict(char, degree))
+    closed_plus = characters.restrict(char + "-plus", degree)
+    closed_minus = characters.restrict(char + "-minus", degree)
+    rows = []
+    for n in range(degree + 1):
+        for alpha in all_compositions(n):
+            op, om = plus.value(alpha), minus.value(alpha)
+            cp, cm = closed_plus.value(alpha), closed_minus.value(alpha)
+            ok = op == cp and om == cm
+            rows.append((alpha, str(op), str(om), str(cp), str(cm), ok))
+    mismatches = sum(1 for row in rows if not row[-1])
+    payload = {
+        "char": char,
+        "degree": degree,
+        "mismatches": mismatches,
+        "tables": [
+            {
+                "comp": list(alpha),
+                "plus": op,
+                "minus": om,
+                "plus_closed": cp,
+                "minus_closed": cm,
+                "match": ok,
+            }
+            for alpha, op, om, cp, cm, ok in rows
+        ],
+    }
+    lines = ["# even/odd decomposition of %s up to degree %d (oracle vs closed form)"
+             % (char, degree)]
+    width = max(len(format_composition(r[0])) for r in rows)
+    for alpha, op, om, cp, cm, ok in rows:
+        flag = "" if ok else "   MISMATCH closed=(%s, %s)" % (cp, cm)
+        lines.append("%-*s  plus=%-10s minus=%-10s%s"
+                     % (width, format_composition(alpha), op, om, flag))
+    lines.append("%d mismatches out of %d entries" % (mismatches, len(rows)))
+    return 1 if mismatches else 0, json.dumps(payload) + "\n", "\n".join(lines) + "\n"
+
+
+def _assert_streams_the_whole_table(capsys, char, degree):
+    code, want_json, want_text = _whole_table_output(char, degree)
+    argv = ("decompose", "--degree", str(degree), "--char", char)
+    assert run(capsys, *argv, "--json")[:2] == (code, want_json), (char, degree)
+    assert run(capsys, *argv)[:2] == (code, want_text), (char, degree)
+    return code
+
+
+@pytest.mark.parametrize("char", ["zeta", "zeta-inv"])
+def test_decompose_streams_the_whole_table_bytes(capsys, char):
+    for degree in (0, 1, 6, 9):
+        assert _assert_streams_the_whole_table(capsys, char, degree) == 0
+
+
+@pytest.mark.parametrize("char", ["zeta", "zeta-inv"])
+@pytest.mark.parametrize("side", ["-minus", "-plus"])
+def test_decompose_streams_a_planted_mismatch(capsys, monkeypatch, char, side):
+    # zeta-plus is 0 on (1, 2, 3), so a wrong value there differs too
+    _plant_one_wrong(monkeypatch, char + side)
+    assert _assert_streams_the_whole_table(capsys, char, 6) == 1
 
 
 def test_decompose_degree_env_default(capsys, monkeypatch):
