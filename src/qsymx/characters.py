@@ -45,6 +45,7 @@ Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
 
 from . import exactnum as en
@@ -55,7 +56,6 @@ from .compositions import (
     conjugate,
     p_minus,
     p_plus,
-    refinements,
     reversal,
 )
 from .permutations import Permutation, descent_composition, permutation
@@ -564,27 +564,64 @@ def compose_T(phi: TruncatedCharacter) -> TruncatedCharacter:
     return _compose(phi, t_involution)
 
 
-def _h_sum(alpha: Composition, peaks, half: int) -> Fraction:
+def _peak_census(alpha: Composition, augmented: bool) -> dict:
+    """{q: the sum of (-1)^(k(beta) + q + 1) over the refinements beta of
+    alpha with q peaks}, the peaks being p_plus(beta) if augmented, else
+    p_minus(beta).
+
+    One walk over the n - 1 unit gaps of alpha: at a partial sum of alpha
+    a new part starts, and at any other gap the last part either grows or
+    a new part starts.  A state is (closed parts > 1 counted, last part > 1,
+    still one part), and its multiplicity carries the sign
+    (-1)^(k + counted + 1), so a new part negates it unless the part it
+    closes is counted.  p_minus counts every closed part > 1; p_plus is 0 on
+    one part and otherwise 1 + the closed parts > 1 after the first."""
+    if not alpha:
+        return {0: -1}  # the one refinement (), with k = 0 and no peak
+    cuts = set(accumulate(alpha))
+    states = {(0, False, True): 1}
+    for gap in range(1, sum(alpha)):
+        walked, free = {}, gap not in cuts
+        for (q, big, single), c in states.items():
+            if free:
+                key = (q, True, single)
+                walked[key] = walked.get(key, 0) + c
+            if big and not (augmented and single):
+                key = (q + 1, False, False)
+            else:
+                key, c = (q, False, False), -c
+            walked[key] = walked.get(key, 0) + c
+        states = walked
+    census = {}
+    for (q, big, single), c in states.items():
+        if augmented:
+            q, c = (0, c) if single else (q + 1, -c)
+        census[q] = census.get(q, 0) + c
+    return census
+
+
+def _h_sum(alpha: Composition, augmented: bool) -> Fraction:
     """The alternating sum over refinements beta of alpha of
-    (-1)^(k(beta) + q + 1) C(q, half - q), q = peaks(beta), added as ints."""
+    (-1)^(k(beta) + q + 1) C(q, n//2 - q), q the peaks of beta, added as
+    ints from the peak census."""
+    half = sum(alpha) // 2
     weights = [en.bivariate_catalan(q, half - q) for q in range(half + 1)]
-    total = 0
-    for beta in refinements(alpha):
-        q = peaks(beta)
-        total += -weights[q] if (len(beta) + q + 1) & 1 else weights[q]
-    return Fraction(total)
+    return Fraction(sum(c * weights[q] for q, c in _peak_census(alpha, augmented).items()))
 
 
 def h_minus(alpha: Composition) -> Fraction:
     """The definitional alternating sum over refinements beta of alpha of
-    (-1)^(k(beta) + p_minus(beta) + 1) C(p_minus(beta), floor(n/2) - p_minus(beta))."""
-    return _h_sum(alpha, p_minus, sum(alpha) // 2)
+    (-1)^(k(beta) + p_minus(beta) + 1) C(p_minus(beta), floor(n/2) - p_minus(beta));
+    -1 at the empty composition.  A part that is not a positive int raises
+    ValueError."""
+    return _h_sum(composition(alpha), False)
 
 
 def h_plus(alpha: Composition) -> Fraction:
     """Companion sum with the augmented peak statistic; the weight of alpha
-    must be even."""
+    must be even, and its parts positive ints (ValueError otherwise)."""
+    alpha = composition(alpha)
     n = sum(alpha)
     if n % 2:
         raise ValueError("h_plus requires even weight, got %d" % n)
-    return _h_sum(alpha, p_plus, n // 2)
+    return _h_sum(alpha, True)

@@ -18,6 +18,7 @@ while they are integral, which they are on basis elements, so that a
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 __all__ = [
@@ -227,13 +228,21 @@ def bivariate_catalan(m: int, n: int) -> int:
 
     Computed by the factorial formula so it can serve as an independent
     oracle for the recursions it satisfies.  The division is asserted exact;
-    a nonzero remainder signals an arithmetic bug, not a caller error.
+    a nonzero remainder signals an arithmetic bug, not a caller error.  The
+    arguments are validated on every call, before the cache is read, so a
+    bool or float never reaches a cached int's entry.
 
     >>> bivariate_catalan(0, 0), bivariate_catalan(1, 1), bivariate_catalan(2, 3)
     (1, 2, 12)
     """
     if type(m) is not int or type(n) is not int or m < 0 or n < 0:
         raise ValueError("bivariate_catalan requires ints m, n >= 0, got (%r, %r)" % (m, n))
+    return _bivariate_catalan(m, n)
+
+
+# one verify --all --depth deep asks for about 1,300 distinct arguments
+@lru_cache(maxsize=4096)
+def _bivariate_catalan(m: int, n: int) -> int:
     num = factorial(2 * m) * factorial(2 * n)
     den = factorial(m) * factorial(m + n) * factorial(n)
     q, r = divmod(num, den)

@@ -15,10 +15,11 @@ there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
 bounds, "standard" uses them as is, "deep" raises them by about 25%.  The
 S_n checks sum over the 2^(n-1) descent classes, not the n! permutations,
-so deep runs S_11 in milliseconds; the whole battery takes about 3.3 s at
-deep against about 0.5 s at standard (Python 3.11.7, shared 2-vCPU
-machine), most of it in the h-sums and the other checks that sum over the
-coarsenings, refinements or ribbon cuts of every composition.
+so deep runs S_11 in milliseconds; the whole battery takes about 0.9 s at
+deep against about 0.2 s at standard (``qsymx verify --all``, interpreter
+start-up included; Python 3.11.7 on a shared 2-vCPU machine, which in a
+slow phase reads up to about twice that), most of it in the checks that sum
+over the coarsenings or ribbon cuts of every composition.
 """
 
 import re

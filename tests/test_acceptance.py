@@ -449,6 +449,15 @@ def _row_left_undivided(real):
     return lambda row, d: (row, real(row, d)[1])
 
 
+def _peak_census_sign_without_peaks(real):
+    """The fault: each census entry misses the (-1)^q of its sign, as when
+    the walk negates on every new part, also where the part it closes is a
+    counted peak."""
+    return lambda alpha, augmented: {
+        q: -c if q & 1 else c for q, c in real(alpha, augmented).items()
+    }
+
+
 def _odd_head_sum_unsigned(alphas, weights):
     """The antipode sums with every summand counted as if its number of even
     parts were even."""
@@ -517,6 +526,8 @@ FAULTS = [
     # reduced on the way out of the kernel, see this fault
     ("characters._reduced", _row_left_undivided,
      ("decompose", "criterion 5:inverse even part")),
+    ("characters._peak_census", _peak_census_sign_without_peaks,
+     ("registry:h_minus_closed", "registry:h_plus_closed")),
     ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),
      ("criterion 2:zeta-plus", "criterion 6:peak formulas")),
     # the swap leaves the F coproduct as it is, since the cuts at t and
@@ -524,13 +535,13 @@ FAULTS = [
     ("compositions.ribbon_cuts", _ribbon_cuts_swapped, ("registry:app_f1", "registry:app_f2")),
     ("compositions.conjugate", lambda real: co.reversal,
      ("registry:peak_rev_con", "criterion 4:basis change of S")),
-    ("compositions.refinements", _drop_last, ("criterion 2:zeta", "registry:h_minus_closed")),
+    ("compositions.refinements", _drop_last, ("criterion 2:zeta",)),
     ("compositions.coarsenings", _drop_last,
      ("criterion 4:M antipode axiom", "registry:antipode_sum")),
     ("compositions.p_minus", lambda real: lambda alpha: sum(a > 1 for a in alpha),
      ("criterion 6:interior peaks", "registry:peak_rev_con")),
     ("compositions.p_plus", lambda real: lambda alpha: max(real(alpha) - 1, 0),
-     ("criterion 6:augmented peaks", "registry:h_plus_closed")),
+     ("criterion 6:augmented peaks", "registry:app_f1")),
     ("compositions.to_index",
      lambda real: lambda alpha: real(alpha[::-1] if len(alpha) == 3 else alpha),
      ("criterion 4:F S(S(x))", "registry:peak_rev_con")),

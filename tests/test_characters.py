@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_closed_forms
+import reference_identities
 import reference_oracle as ref
 from qsymx import characters as ch
 from qsymx import compositions as co
@@ -324,6 +325,24 @@ def test_h_sums():
     # closed forms on a couple of hand-sized compositions
     assert ch.h_minus((2, 1)) == (-1) ** 2 * 2 ** (3 - 1) * en.bivariate_catalan(0, 0)
     assert ch.h_plus((1, 2, 1)) == 2 ** (4 - 2) * en.bivariate_catalan(1, 0)
+    # the empty composition has the one refinement (), with k = 0 and no peak
+    assert ch.h_minus(()) == ch.h_plus(()) == -1
+
+
+def test_h_sums_reject_a_part_that_is_not_a_positive_int():
+    for alpha in ((2, 0, 1), (0,), (1.0, 2), (True, 1), (2, -1)):
+        for h in (ch.h_minus, ch.h_plus):
+            with pytest.raises(ValueError, match="positive integers"):
+                h(alpha)
+
+
+def test_h_sums_match_the_refinement_sum():
+    # the walk over unit gaps against the sum over every refinement
+    for n in range(13):
+        for alpha in co.all_compositions(n):
+            assert ch.h_minus(alpha) == reference_identities._h_sum(alpha, co.p_minus, n // 2)
+            if n % 2 == 0:
+                assert ch.h_plus(alpha) == reference_identities._h_sum(alpha, co.p_plus, n // 2)
 
 
 def test_zeta_power_values():

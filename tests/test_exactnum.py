@@ -47,9 +47,13 @@ def test_multinomial_rejects_a_bool_part():
 
 
 def test_bivariate_catalan_rejects_a_bool():
-    for m, n in ((True, 1), (1, False), (2.0, 1)):
+    # True == 1 and 2.0 == 2 hash as the ints do: the arguments are checked
+    # before the cache, which already holds (1, 1) and (2, 1)
+    assert (en.bivariate_catalan(1, 1), en.bivariate_catalan(2, 1)) == (2, 4)
+    for m, n in ((True, 1), (1, False), (2.0, 1), (-1, 2)):
         with pytest.raises(ValueError, match="requires ints"):
             en.bivariate_catalan(m, n)
+    assert en._bivariate_catalan.cache_info().maxsize is not None
 
 
 def test_bivariate_catalan_small():
