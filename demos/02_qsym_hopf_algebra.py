@@ -34,8 +34,8 @@ print("   F[2] in M:", to_M(qsym_basis("F", (2,))))
 
 print()
 print("The F coproduct cuts the ribbon diagram; (2,3) has 6 cuts:")
-for cut in ribbon_cuts((2, 3)):
-    print("   cut %d: %r | %r" % (cut.index, cut.left, cut.right))
+for i, (left, right) in enumerate(ribbon_cuts((2, 3))):
+    print("   cut %d: %r | %r" % (i, left, right))
 print("so coproduct(F[2,3]) =", coproduct(qsym_basis("F", (2, 3))))
 
 print()

@@ -19,7 +19,6 @@ from .exactnum import (
 )
 from .compositions import (
     Composition,
-    CutPair,
     all_compositions,
     coarsenings,
     composition,

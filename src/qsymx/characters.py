@@ -57,6 +57,7 @@ from .compositions import (
     p_minus,
     p_plus,
     reversal,
+    to_index,
 )
 from .permutations import Permutation, descent_composition, permutation
 from .qsym import QSymElement, antipode, qsym_basis, t_involution
@@ -319,22 +320,13 @@ class TruncatedCharacter:
         )
 
     def value(self, alpha) -> Fraction:
-        n = mask = 0
-        for a in alpha:
-            if type(a) is not int or a < 1:
-                raise ValueError(
-                    "composition parts must be positive integers: %r" % (tuple(alpha),)
-                )
-            if n:
-                mask |= 1 << (n - 1)
-            n += a
+        alpha = composition(alpha)
+        n = sum(alpha)
         if n > self.max_degree:
             raise ValueError(
                 "composition of weight %d exceeds truncation %d" % (n, self.max_degree)
             )
-        v, d = self.numerators[n][mask], self.denominators[n]
-        # an integer row needs no gcd: Fraction(v) skips it
-        return Fraction(v) if d == 1 else Fraction(v, d)
+        return Fraction(self.numerators[n][to_index(alpha)], self.denominators[n])
 
     def __eq__(self, other):
         return (
@@ -475,15 +467,12 @@ def _bar_rows(rows) -> list[list]:
     return [[-v for v in row] if n % 2 else row for n, row in enumerate(rows)]
 
 
-def _halve(row) -> list[int]:
+def _halve(row: list[int]) -> list[int]:
     """Exact halves of the entries of row; an odd entry means a fault."""
-    halves = []
-    for v in row:
-        q, r = divmod(v, 2)
-        if r:
-            raise ArithmeticError("odd value %d in an exact halving" % v)
-        halves.append(q)
-    return halves
+    odd = next((v for v in row if v & 1), None)
+    if odd is not None:
+        raise ArithmeticError("odd value %d in an exact halving" % odd)
+    return [v >> 1 for v in row]
 
 
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:
@@ -538,7 +527,7 @@ def decompose(phi: TruncatedCharacter):
     minus = [[1]]
     for n in range(1, len(rows)):
         cuts = _proper_cuts(minus, minus, n)
-        minus.append(_halve(v - x for v, x in zip(square[n], cuts)))
+        minus.append(_halve([v - x for v, x in zip(square[n], cuts)]))
     plus = _product_rows(rows, _bar_rows(minus))
     return _unscaled(plus, c), _unscaled(minus, c)
 

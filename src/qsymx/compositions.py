@@ -12,14 +12,12 @@ results in increasing bitmask order; ``all_compositions`` and
 """
 
 from functools import lru_cache
-from typing import NamedTuple
 
 __all__ = [
     "Composition",
     "composition",
     "parse_composition",
     "format_composition",
-    "weight",
     "to_index",
     "from_index",
     "all_compositions",
@@ -34,7 +32,6 @@ __all__ = [
     "LatticePath",
     "delannoy_paths",
     "quasi_shuffle",
-    "CutPair",
     "ribbon_cuts",
 ]
 
@@ -81,10 +78,6 @@ def format_composition(alpha: Composition) -> str:
     if not alpha:
         return "()"
     return ",".join(str(a) for a in alpha)
-
-
-def weight(alpha: Composition) -> int:
-    return sum(alpha)
 
 
 def to_index(alpha: Composition) -> int:
@@ -294,29 +287,21 @@ def quasi_shuffle(alpha: Composition, beta: Composition, path: LatticePath) -> C
     return tuple(out)
 
 
-class CutPair(NamedTuple):
-    left: Composition
-    right: Composition
-    index: int
+def ribbon_cuts(alpha: Composition) -> list[tuple[Composition, Composition]]:
+    """The n+1 ways of cutting the ribbon diagram of alpha in two, as
+    (left, right) pairs in order of the cut position 0..n along the ribbon,
+    which is the weight of left.  A cut strictly inside a row of length a at
+    offset t splits that row into a trailing row of t squares and a leading
+    row of a - t squares; a cut at a row boundary splits between parts.
 
-
-def ribbon_cuts(alpha: Composition) -> list[CutPair]:
-    """The n+1 ways of cutting the ribbon diagram of alpha in two, reading
-    the cut position 0..n along the ribbon.  A cut strictly inside a row of
-    length a at offset t splits that row into a trailing row of t squares
-    and a leading row of a - t squares; a cut at a row boundary splits
-    between parts.
-
-    >>> [(c.left, c.right) for c in ribbon_cuts((2,))]
+    >>> ribbon_cuts((2,))
     [((), (2,)), ((1,), (1,)), ((2,), ())]
     """
     n = sum(alpha)
-    cuts = [CutPair((), alpha, 0)]
-    acc = 0
+    cuts = [((), alpha)]
     for j, a in enumerate(alpha):
         for t in range(1, a):
-            cuts.append(CutPair(alpha[:j] + (t,), (a - t,) + alpha[j + 1:], acc + t))
-        acc += a
-        cuts.append(CutPair(alpha[: j + 1], alpha[j + 1:], acc))
+            cuts.append((alpha[:j] + (t,), (a - t,) + alpha[j + 1:]))
+        cuts.append((alpha[: j + 1], alpha[j + 1:]))
     assert len(cuts) == n + 1
     return cuts

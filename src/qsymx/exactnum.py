@@ -14,6 +14,9 @@ every key and coerces every coefficient.  ``from_terms`` is the door for the
 package's own producers: it trusts their keys and adds their terms as ints
 while they are integral, which they are on basis elements, so that a
 ``Fraction`` is built once per result coefficient, not once per term.
+Every product (M and F products, tensor products, the shuffle product of
+permutations) is a rule on pairs of keys, and ``bilinear`` extends it to
+elements, handing its terms to ``from_terms``.
 """
 
 import itertools
@@ -121,6 +124,23 @@ class LinearCombination:
             k: c if type(c) is Fraction else Fraction(c) for k, c in total.items() if c
         }
         return element
+
+    @classmethod
+    def bilinear(cls, basis, x, y, rule):
+        """The bilinear extension of rule to x and y: the sum of
+        a * b * count B_key over the terms (k, a) of x, (l, b) of y and
+        the items (key, count) of rule(k, l), a {key: int multiplicity}
+        dict with trusted keys.  Integral coefficients multiply as ints."""
+
+        def terms():
+            y_terms = y.terms()
+            for k, a in x.terms():
+                for l, b in y_terms:
+                    ab = a * b
+                    for key, count in rule(k, l).items():
+                        yield key, ab * count
+
+        return cls.from_terms(basis, terms())
 
     def terms(self) -> list:
         """The (key, coefficient) pairs, each integral coefficient read as

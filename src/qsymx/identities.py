@@ -330,9 +330,9 @@ def _app_f1(n_max: int) -> Iterator[Case]:
             fl = n // 2
             lhs = 0
             for j in range(fl + 1):
-                cut = cuts[2 * j]
-                lp = p_plus(cut.left)
-                rm = p_minus(cut.right)
+                left, right = cuts[2 * j]
+                lp = p_plus(left)
+                rm = p_minus(right)
                 term = en.bivariate_catalan(lp, j - lp) * en.bivariate_catalan(rm, fl - j - rm)
                 lhs += -term if (lp + rm) % 2 else term
             rhs = 4 ** fl if len(alpha) == 1 else 0
@@ -347,10 +347,9 @@ def _app_f2(n_max: int) -> Iterator[Case]:
         for alpha in all_compositions(n):
             # each term over the common denominator 4^half
             lhs = 0
-            for cut in ribbon_cuts(alpha):
-                i = cut.index
-                lm = p_minus(cut.left)
-                rm = p_minus(cut.right)
+            for i, (left, right) in enumerate(ribbon_cuts(alpha)):
+                lm = p_minus(left)
+                rm = p_minus(right)
                 fi, fr = i // 2, (n - i) // 2
                 term = en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm)
                 term *= 4 ** (half - fi - fr)

@@ -124,21 +124,16 @@ def shuffles(sigma: Permutation, tau: Permutation) -> list[Permutation]:
     binomial(n+m, n) permutations of n+m, each preserving the relative
     order of sigma and of the shifted tau."""
     n = len(sigma)
-    shifted = tuple(x + n for x in tau)
-
-    def merge(a, b):
-        if not a:
-            yield b
-            return
-        if not b:
-            yield a
-            return
-        for rest in merge(a[1:], b):
-            yield (a[0],) + rest
-        for rest in merge(a, b[1:]):
-            yield (b[0],) + rest
-
-    return list(merge(sigma, shifted))
+    shifted = [x + n for x in tau]
+    out = []
+    # sigma's letters go to the positions of each n-subset, in lexicographic
+    # order: those with sigma's first letter in front come first, recursively
+    for positions in itertools.combinations(range(n + len(tau)), n):
+        word = shifted.copy()
+        for i, x in zip(positions, sigma):
+            word.insert(i, x)
+        out.append(tuple(word))
+    return out
 
 
 def all_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND):
@@ -211,13 +206,6 @@ def ssym_basis(sigma) -> SSymElement:
 def multiply_ssym(x: SSymElement, y: SSymElement) -> SSymElement:
     """Bilinear extension of the shuffle product on basis elements."""
     x.check_compatible(y)
-
-    def terms():
-        y_terms = y.terms()
-        for sigma, a in x.terms():
-            for tau, b in y_terms:
-                ab = a * b
-                for rho in shuffles(sigma, tau):
-                    yield rho, ab
-
-    return SSymElement.from_terms(None, terms())
+    return SSymElement.bilinear(
+        None, x, y, lambda sigma, tau: dict.fromkeys(shuffles(sigma, tau), 1)
+    )

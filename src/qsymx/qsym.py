@@ -24,8 +24,9 @@ integer multiplicities, and the two rules share no code:
 
 Every producer below reads its operands' coefficients with ``terms`` (the
 integral ones as ints) and hands its (key, coefficient) terms, with keys it
-built itself, to ``from_terms``; only the public constructors and
-``element_from_json`` validate keys.
+built itself, to ``from_terms``; the products keep only their rule on pairs
+of basis keys and reach ``from_terms`` through ``bilinear``.  Only the
+public constructors and ``element_from_json`` validate keys.
 """
 
 from fractions import Fraction
@@ -202,16 +203,7 @@ def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
     QSymElement.require(x)
     x.check_compatible(y)
     product = _product_F if x.basis == "F" else _product_M
-
-    def terms():
-        y_terms = y.terms()
-        for alpha, a in x.terms():
-            for beta, b in y_terms:
-                ab = a * b
-                for gamma, count in product(alpha, beta).items():
-                    yield gamma, ab * count
-
-    return QSymElement.from_terms(x.basis, terms())
+    return QSymElement.bilinear(x.basis, x, y, product)
 
 
 def _tensor_key(key) -> tuple[Composition, Composition]:
@@ -254,17 +246,14 @@ def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
     s.check_compatible(t)
     product = _product_F if s.basis == "F" else _product_M
 
-    def terms():
-        t_terms = t.terms()
-        for (l1, r1), c1 in s.terms():
-            for (l2, r2), c2 in t_terms:
-                prod_r = product(r1, r2)
-                c12 = c1 * c2
-                for la, ca in product(l1, l2).items():
-                    for rb, cb in prod_r.items():
-                        yield (la, rb), c12 * (ca * cb)
+    def rule(key1, key2):
+        (l1, r1), (l2, r2) = key1, key2
+        prod_r = product(r1, r2)
+        return {
+            (la, rb): ca * cb for la, ca in product(l1, l2).items() for rb, cb in prod_r.items()
+        }
 
-    return TensorElement.from_terms(s.basis, terms())
+    return TensorElement.bilinear(s.basis, s, t, rule)
 
 
 def coproduct(x: QSymElement) -> TensorElement:
@@ -277,11 +266,7 @@ def coproduct(x: QSymElement) -> TensorElement:
             for i in range(len(alpha) + 1)
         )
     else:
-        terms = (
-            ((cut.left, cut.right), c)
-            for alpha, c in x.terms()
-            for cut in ribbon_cuts(alpha)
-        )
+        terms = ((cut, c) for alpha, c in x.terms() for cut in ribbon_cuts(alpha))
     return TensorElement.from_terms(x.basis, terms)
 
 

@@ -151,10 +151,9 @@ def app_f2(n_max):
     for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
             lhs = 0
-            for cut in ribbon_cuts(alpha):
-                i = cut.index
-                lm = p_minus(cut.left)
-                rm = p_minus(cut.right)
+            for i, (left, right) in enumerate(ribbon_cuts(alpha)):
+                lm = p_minus(left)
+                rm = p_minus(right)
                 fi, fr = i // 2, (n - i) // 2
                 term = Fraction(
                     en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm),

@@ -2,17 +2,20 @@
 paths, one ``quasi_shuffle`` per path, and the F product computed by
 converting both factors to M, multiplying there and converting back.  For
 Gessel's rule itself, ``with_descent_composition`` gives the permutations
-whose shuffles define an F product.
+whose shuffles define an F product.  For the permutation algebra,
+``shuffles`` is the recursive merge and ``multiply_ssym`` the sum over all
+of S_(n+m) that define the shuffle product.
 
 This is the route the package used before each basis got its own product
 rule; it stays here, slow and literal, as the reference the products in
 ``qsymx.qsym`` are compared against.  It only uses public functions.
 """
 
+import itertools
 from fractions import Fraction
 
 from qsymx.compositions import delannoy_paths, quasi_shuffle
-from qsymx.permutations import Permutation
+from qsymx.permutations import Permutation, SSymElement
 from qsymx.qsym import QSymElement, TensorElement, qsym_basis, to_F, to_M
 
 
@@ -58,3 +61,40 @@ def multiply_tensor(s: TensorElement, t: TensorElement) -> TensorElement:
                     key = (la, rb)
                     out[key] = out.get(key, Fraction(0)) + c1 * c2 * ca * cb
     return TensorElement(basis, out)
+
+
+def shuffles(sigma: Permutation, tau: Permutation) -> list[Permutation]:
+    """The shuffles of sigma with tau shifted up by len(sigma), by the
+    recursive merge: those that start with sigma's first letter, then those
+    that start with the shifted tau's."""
+    n = len(sigma)
+
+    def merge(a, b):
+        if not a:
+            yield b
+            return
+        if not b:
+            yield a
+            return
+        for rest in merge(a[1:], b):
+            yield (a[0],) + rest
+        for rest in merge(a, b[1:]):
+            yield (b[0],) + rest
+
+    return list(merge(sigma, tuple(x + n for x in tau)))
+
+
+def multiply_ssym(x: SSymElement, y: SSymElement) -> SSymElement:
+    """F_sigma F_tau as the sum of F_rho over the rho in S_(n+m) whose
+    letters up to n read sigma and whose letters above n, less n, read
+    tau."""
+    out: dict = {}
+    for sigma, a in x.coeffs.items():
+        for tau, b in y.coeffs.items():
+            n = len(sigma)
+            for rho in itertools.permutations(range(1, n + len(tau) + 1)):
+                low = tuple(v for v in rho if v <= n)
+                high = tuple(v - n for v in rho if v > n)
+                if low == sigma and high == tau:
+                    out[rho] = out.get(rho, Fraction(0)) + a * b
+    return SSymElement(out)

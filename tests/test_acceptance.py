@@ -425,9 +425,9 @@ def _ribbon_cuts_swapped(real):
     squares on the left and t on the right."""
     def cuts(alpha):
         return [
-            c._replace(left=c.left[:-1] + c.right[:1], right=c.left[-1:] + c.right[1:])
-            if len(c.left) + len(c.right) > len(alpha) else c
-            for c in real(alpha)
+            (left[:-1] + right[:1], left[-1:] + right[1:])
+            if len(left) + len(right) > len(alpha) else (left, right)
+            for left, right in real(alpha)
         ]
     return cuts
 

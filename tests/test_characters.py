@@ -358,7 +358,7 @@ def test_zeta_power_values():
 
 def test_value_rejects_non_compositions():
     phi = ch.restrict(ch.ZETA, 4)
-    for bad in [(0,), (0, 2), (-1, 1, 2), (1.5, 0.5)]:
+    for bad in [(0,), (0, 2), (-1, 1, 2), (1.5, 0.5), (True, 1)]:
         with pytest.raises(ValueError, match="positive integers"):
             phi.value(bad)
 
@@ -379,6 +379,9 @@ def test_decompose_degree_12_matches_closed_forms():
 def test_halving_with_remainder_raises(monkeypatch):
     with pytest.raises(ArithmeticError):
         ch._halve([4, 3])
+    assert ch._halve([-4, 6]) == [-2, 3]
+    with pytest.raises(ArithmeticError, match="odd value -3"):
+        ch._halve([-3])
     # a quotient off by one in degree 2 makes the square odd there, so the
     # square root's halving must fail
     real = ch._quotient_rows

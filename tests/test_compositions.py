@@ -199,12 +199,14 @@ def test_delannoy_census():
 
 
 def test_ribbon_cuts_examples():
-    cuts = co.ribbon_cuts((2,))
-    assert [(c.left, c.right) for c in cuts] == [((), (2,)), ((1,), (1,)), ((2,), ())]
-    assert co.ribbon_cuts((1, 1))[1] == ((1,), (1,), 1)
+    assert co.ribbon_cuts((2,)) == [((), (2,)), ((1,), (1,)), ((2,), ())]
+    assert co.ribbon_cuts((1, 1)) == [((), (1, 1)), ((1,), (1,)), ((1, 1), ())]
     for n in range(11):
         for alpha in co.all_compositions(n):
-            assert len(co.ribbon_cuts(alpha)) == n + 1
+            cuts = co.ribbon_cuts(alpha)
+            assert len(cuts) == n + 1
+            for i, (left, right) in enumerate(cuts):
+                assert sum(left) == i
 
 
 def test_ribbon_cut_reassembly():
@@ -212,11 +214,11 @@ def test_ribbon_cut_reassembly():
     # the severed row
     for n in range(1, 11):
         for alpha in co.all_compositions(n):
-            for cut in co.ribbon_cuts(alpha):
-                assert sum(cut.left) == cut.index
-                if not cut.left or not cut.right:
-                    assert cut.left + cut.right == alpha
+            for i, (left, right) in enumerate(co.ribbon_cuts(alpha)):
+                assert sum(left) == i
+                if not left or not right:
+                    assert left + right == alpha
                     continue
-                plain = cut.left + cut.right
-                merged = cut.left[:-1] + (cut.left[-1] + cut.right[0],) + cut.right[1:]
+                plain = left + right
+                merged = left[:-1] + (left[-1] + right[0],) + right[1:]
                 assert alpha in (plain, merged)

@@ -1,9 +1,11 @@
 import itertools
 import math
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
+import reference_qsym as ref
 from qsymx import compositions as co
 from qsymx import permutations as pm
 from qsymx.exactnum import binomial, multinomial
@@ -147,6 +149,30 @@ def test_shuffles_cardinality_and_distinctness():
             assert len(set(result)) == len(result)
             for rho in result:
                 assert pm.permutation(rho) == rho
+
+
+def test_shuffles_match_the_recursive_merge():
+    # the same list, in the same order, for every sigma and tau of size <= 4
+    perms = [sigma for n in range(5) for sigma in itertools.permutations(range(1, n + 1))]
+    for sigma in perms:
+        for tau in perms:
+            assert pm.shuffles(sigma, tau) == ref.shuffles(sigma, tau), (sigma, tau)
+
+
+HALF = Fraction(1, 2)
+SSYM_OPERANDS = [
+    pm.SSymElement({(2, 1): 3, (1,): -1, (): 2}),  # integral
+    pm.SSymElement({(1, 3, 2): HALF, (2, 1): Fraction(-3, 4)}),  # non-integral
+    pm.SSymElement({(3, 1, 2): HALF, (1, 2): 1, (1,): -2, (): 5}),  # mixed
+]
+
+
+@pytest.mark.parametrize("x", SSYM_OPERANDS, ids=["integral", "non-integral", "mixed"])
+@pytest.mark.parametrize("y", SSYM_OPERANDS, ids=["integral", "non-integral", "mixed"])
+def test_multiply_ssym_matches_the_definition(x, y):
+    product = pm.multiply_ssym(x, y)
+    assert product == ref.multiply_ssym(x, y)
+    assert all(type(c) is Fraction for c in product.coeffs.values())
 
 
 def test_all_permutations():
