@@ -23,13 +23,11 @@ from .compositions import (
     coarsenings,
     composition,
     conjugate,
-    deconcatenate,
     delannoy_paths,
     format_composition,
     parse_composition,
     quasi_shuffle,
     refinements,
-    refines,
     reversal,
     ribbon_cuts,
 )

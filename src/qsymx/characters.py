@@ -302,14 +302,6 @@ class TruncatedCharacter:
         self.denominators = tuple(d for _, d in reduced)
         return self
 
-    @classmethod
-    def tabulate(cls, max_degree: int, fn) -> "TruncatedCharacter":
-        tables = [
-            [fn(alpha) for alpha in all_compositions(n)]
-            for n in range(max_degree + 1)
-        ]
-        return cls(max_degree, tables)
-
     @property
     def tables(self) -> tuple:
         """The values as Fractions, one tuple per degree, built on each
@@ -540,7 +532,8 @@ def _compose(phi: TruncatedCharacter, f) -> TruncatedCharacter:
         image = f(qsym_basis("M", alpha))
         return sum((c * phi.value(beta) for beta, c in image.coeffs.items()), Fraction(0))
 
-    return TruncatedCharacter.tabulate(phi.max_degree, value)
+    tables = [[value(alpha) for alpha in all_compositions(n)] for n in range(phi.max_degree + 1)]
+    return TruncatedCharacter(phi.max_degree, tables)
 
 
 def compose_antipode(phi: TruncatedCharacter) -> TruncatedCharacter:

@@ -23,12 +23,10 @@ __all__ = [
     "all_compositions",
     "p_minus",
     "p_plus",
-    "refines",
     "refinements",
     "coarsenings",
     "reversal",
     "conjugate",
-    "deconcatenate",
     "LatticePath",
     "delannoy_paths",
     "quasi_shuffle",
@@ -145,20 +143,6 @@ def p_plus(alpha: Composition) -> int:
     return 1 + sum(1 for i, a in enumerate(alpha) if a > 1 and i not in (0, k - 1))
 
 
-def refines(beta: Composition, alpha: Composition) -> bool:
-    """True iff beta refines alpha (alpha is obtained by merging adjacent
-    parts of beta); written beta >= alpha.  Compositions of different
-    weights never refine each other.
-
-    >>> refines((1, 1, 1), (3,)), refines((3,), (1, 1, 1))
-    (True, False)
-    """
-    if sum(beta) != sum(alpha):
-        return False
-    a, b = to_index(alpha), to_index(beta)
-    return a & b == a
-
-
 def refinements(alpha: Composition) -> list[Composition]:
     """All beta with beta >= alpha (including alpha), in bitmask order:
     each part of alpha is refined on its own, and the later part's choice
@@ -229,13 +213,6 @@ def conjugate(alpha: Composition) -> Composition:
     full = (1 << (n - 1)) - 1
     # the partial sums of the reversal are n minus those of alpha
     return from_index(n, full & ~to_index(alpha[::-1]))
-
-
-def deconcatenate(alpha: Composition, i: int) -> tuple[Composition, Composition]:
-    """Split alpha after its first i parts."""
-    if not 0 <= i <= len(alpha):
-        raise ValueError("deconcatenation index %d out of range for %r" % (i, alpha))
-    return alpha[:i], alpha[i:]
 
 
 @lru_cache(maxsize=512)

@@ -193,9 +193,6 @@ class LinearCombination:
 
     __rmul__ = __mul__
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
 
 def binomial(n: int, k: int) -> int:
     """Binomial coefficient C(n, k) for n >= 0; zero outside 0 <= k <= n.

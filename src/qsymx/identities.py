@@ -15,11 +15,13 @@ there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
 bounds, "standard" uses them as is, "deep" raises them by about 25%.  The
 S_n checks sum over the 2^(n-1) descent classes, not the n! permutations,
-so deep runs S_11 in milliseconds; the whole battery takes about 0.9 s at
-deep against about 0.2 s at standard (``qsymx verify --all``, interpreter
-start-up included; Python 3.11.7 on a shared 2-vCPU machine, which in a
-slow phase reads up to about twice that), most of it in the checks that sum
-over the coarsenings or ribbon cuts of every composition.
+so deep runs S_11 in milliseconds, and the coarsenings of beta are the
+sub-masks of its mask, so the sums over them take one sub-mask pass per
+weight.  The whole battery takes about 1.6 s at deep against about 0.45 s
+at standard (``qsymx verify --all``, interpreter start-up included; Python
+3.11.7 on a shared 2-vCPU machine in a slow phase), most of it in signs_a,
+signs_b, app_f2 and h_minus_closed, which visit every composition or
+ribbon cut of each weight.
 """
 
 import re
@@ -34,7 +36,6 @@ from . import characters, exactnum as en
 from .compositions import (
     _mask_pass,
     all_compositions,
-    coarsenings,
     conjugate,
     p_minus,
     p_plus,
@@ -170,22 +171,17 @@ def _catalan_prod(b: int) -> Iterator[Case]:
         yield {"special": "n=m", "n": n}, lhs, rhs
 
 
-def _odd_head_weights(n: int) -> list[int]:
-    """B(h) / 4^h for h = 0..n//2, over the common denominator 4^(n//2)."""
-    return [en.central_binomial(h) * 4 ** (n // 2 - h) for h in range(n // 2 + 1)]
-
-
-def _odd_head_sum(alphas, weights: list[int]) -> int:
-    """sum over the alphas with odd first part of
-    (-1)^(k_e) weights[floor(k_o/2)], with k_o and k_e the numbers of odd
-    and even parts of alpha."""
-    total = 0
-    for alpha in alphas:
-        if alpha[0] & 1:
-            k_o = sum(a & 1 for a in alpha)
-            w = weights[k_o // 2]
-            total += -w if (len(alpha) - k_o) & 1 else w
-    return total
+def _odd_head_row(n: int) -> list[int]:
+    """The antipode-sum summand of each composition alpha of n, by mask,
+    over 4^(n//2): (-1)^(k_e) B(h) 4^(n//2 - h) with h = floor(k_o/2) if the
+    first part of alpha is odd, else 0 (k_o, k_e: its odd and even parts)."""
+    weights = [en.central_binomial(h) * 4 ** (n // 2 - h) for h in range(n // 2 + 1)]
+    row = []
+    for alpha in all_compositions(n):
+        k_o = sum(a & 1 for a in alpha)
+        w = weights[k_o // 2] if alpha[0] & 1 else 0
+        row.append(-w if (len(alpha) - k_o) & 1 else w)
+    return row
 
 
 def _antipode_sum(n_max: int) -> Iterator[Case]:
@@ -193,11 +189,11 @@ def _antipode_sum(n_max: int) -> Iterator[Case]:
     beta, the weighted sum over coarsenings with odd first part collapses to
     the single beta term (or 0 when the last part is even)."""
     for n in range(1, n_max + 1):
-        weights, d = _odd_head_weights(n), 4 ** (n // 2)
-        for beta in all_compositions(n):
-            lhs = Fraction(_odd_head_sum(coarsenings(beta), weights), d)
+        d = 4 ** (n // 2)
+        sums = _mask_pass(_odd_head_row(n), n, False, 1)
+        for beta, total in zip(all_compositions(n), sums):
             rhs = _b_over_4(sum(a & 1 for a in beta) // 2) if beta[-1] & 1 else 0
-            yield {"beta": beta}, lhs, rhs
+            yield {"beta": beta}, Fraction(total, d), rhs
 
 
 def _app_antipodeM(n_max: int) -> Iterator[Case]:
@@ -205,13 +201,13 @@ def _app_antipodeM(n_max: int) -> Iterator[Case]:
     and matching end parities, the sum over proper coarsenings with odd
     first part vanishes.  An empty sum counts as 0."""
     for n in range(1, n_max + 1):
-        weights, d = _odd_head_weights(n), 4 ** (n // 2)
-        for beta in all_compositions(n):
+        row, d = _odd_head_row(n), 4 ** (n // 2)
+        sums = _mask_pass(row, n, False, 1)
+        for beta, total, own in zip(all_compositions(n), sums, row):
             k_e = len(beta) - sum(a & 1 for a in beta)
             if k_e % 2 or (beta[0] - beta[-1]) % 2:
                 continue
-            total = _odd_head_sum((alpha for alpha in coarsenings(beta) if alpha != beta), weights)
-            yield {"beta": beta}, Fraction(total, d), 0
+            yield {"beta": beta}, Fraction(total - own, d), 0
 
 
 def _class_size(n: int, r: int, s: int) -> int:
@@ -444,18 +440,22 @@ def _app_zetainv_m(m_max: int) -> Iterator[Case]:
 
 def _app_zetainv_plus_m(n_max: int) -> Iterator[Case]:
     """Even-character analogue of the antipode sum, over coarsenings with
-    both end parts odd (even weight)."""
+    both end parts odd (even weight).  The summands are summed over 2^n,
+    then the sum of beta is divided by 2^(n - k_o)."""
     for n in range(0, n_max + 1, 2):
         # Cat(h - 1) at h - 1, for the h = floor(k_o/2) >= 1 of the summands
         catalans = [en.catalan(h) for h in range(n // 2)]
-        for beta in all_compositions(n):
+        comps = all_compositions(n)
+        row = []
+        for alpha in comps:
+            a_o = sum(a & 1 for a in alpha)
+            w = catalans[a_o // 2 - 1] << (n + 1 - a_o) if alpha and alpha[0] & alpha[-1] & 1 else 0
+            row.append(-w if (len(alpha) - a_o) & 1 else w)
+        for beta, total in zip(comps, _mask_pass(row, n, False, 1)):
             k_o = sum(a & 1 for a in beta)
-            lhs = 0
-            for alpha in coarsenings(beta):
-                if alpha and alpha[0] & 1 and alpha[-1] & 1:
-                    a_o = sum(a & 1 for a in alpha)
-                    term = catalans[a_o // 2 - 1] << (k_o - a_o + 1)
-                    lhs += -term if (len(alpha) - a_o) & 1 else term
+            lhs, rest = divmod(total, 1 << (n - k_o))
+            if rest:
+                raise ArithmeticError("the sum of %r is not a multiple of 2^%d" % (beta, n - k_o))
             yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
 
 

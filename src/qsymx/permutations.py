@@ -23,7 +23,6 @@ __all__ = [
     "shuffles",
     "all_permutations",
     "descent_classes",
-    "DEFAULT_PERMUTATION_BOUND",
     "SSymElement",
     "ssym_basis",
     "multiply_ssym",
@@ -31,7 +30,7 @@ __all__ = [
 
 Permutation = tuple[int, ...]
 
-DEFAULT_PERMUTATION_BOUND = 9
+_PERMUTATION_CAP = 9
 
 
 def permutation(word) -> Permutation:
@@ -51,9 +50,11 @@ def parse_permutation(text: str) -> Permutation:
     text = text.strip()
     if text in ("()", ""):
         return ()
-    if "," in text:
-        return permutation(int(x) for x in text.split(","))
-    return permutation(int(ch) for ch in text)
+    try:
+        letters = [int(x) for x in (text.split(",") if "," in text else text)]
+    except ValueError:
+        raise ValueError("cannot parse permutation %r" % text) from None
+    return permutation(letters)
 
 
 def format_permutation(sigma: Permutation) -> str:
@@ -136,13 +137,13 @@ def shuffles(sigma: Permutation, tau: Permutation) -> list[Permutation]:
     return out
 
 
-def all_permutations(n: int, bound: int = DEFAULT_PERMUTATION_BOUND):
+def all_permutations(n: int):
     """Iterate over S_n in lexicographic order.  Enumerating S_n is
-    factorial work, so n is capped by an explicit bound."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n > bound:
-        raise ValueError("all_permutations(%d) exceeds bound %d" % (n, bound))
+    factorial work, so n is capped at _PERMUTATION_CAP."""
+    if type(n) is not int or n < 0:
+        raise ValueError("n must be a non-negative int, got %r" % (n,))
+    if n > _PERMUTATION_CAP:
+        raise ValueError("all_permutations(%d) exceeds the cap %d" % (n, _PERMUTATION_CAP))
     return itertools.permutations(range(1, n + 1))
 
 

@@ -7,7 +7,8 @@ whole degree at once.  It stays here, slow and literal, as the reference
 that ``eval_M`` and ``restrict`` are compared against.  ``stats`` is the
 part-statistics record the package computed for every composition before
 its closed forms and identity checks counted the statistics they need
-inline.
+inline.  ``refines`` is the refinement order by its definition, the
+reference for ``compositions.refinements`` and ``coarsenings``.
 """
 
 from fractions import Fraction
@@ -15,7 +16,7 @@ from typing import NamedTuple
 
 from qsymx import exactnum as en
 from qsymx.characters import TruncatedCharacter, _parse_id
-from qsymx.compositions import Composition, all_compositions
+from qsymx.compositions import Composition, all_compositions, to_index
 
 
 class CompositionStats(NamedTuple):
@@ -46,6 +47,20 @@ def stats(alpha: Composition) -> CompositionStats:
         u=sum(1 for i in big if i != 0),
         v=len(big),
     )
+
+
+def refines(beta: Composition, alpha: Composition) -> bool:
+    """True iff beta refines alpha (alpha is obtained by merging adjacent
+    parts of beta); written beta >= alpha.  Compositions of different
+    weights never refine each other.
+
+    >>> refines((1, 1, 1), (3,)), refines((3,), (1, 1, 1))
+    (True, False)
+    """
+    if sum(beta) != sum(alpha):
+        return False
+    a, b = to_index(alpha), to_index(beta)
+    return a & b == a
 
 
 def eval_M(char_id: str, alpha: Composition) -> Fraction:

@@ -277,6 +277,10 @@ def test_usage_errors_exit_2_with_no_stdout(capsys):
     assert code == 2 and out == ""
     code, out, _ = run_usage_error(capsys, "eval", "--char", "zeta", "--perm", "112")
     assert code == 2 and out == ""
+    for text in ("3,x", "1,,2"):
+        code, out, err = run_usage_error(capsys, "eval", "--char", "zeta", "--perm", text)
+        assert code == 2 and out == ""
+        assert "cannot parse permutation %r" % text in err
     code, out, _ = run_usage_error(capsys, "nonsense")
     assert code == 2 and out == ""
 

@@ -278,7 +278,7 @@ def _zeta_wrong_at_2_1(real):
 # check id -> (target, fault): one planted fault for each check of
 # reference_identities.CHECKS that makes it fail at depth small
 GOLDEN_FAULTS = {
-    "antipode_sum": ("compositions.coarsenings", lambda real: lambda alpha: real(alpha)[:-1]),
+    "antipode_sum": ("identities._b_over_4", _plus_one_at(1)),
     "app_antipodeM": ("compositions.coarsenings", lambda real: lambda alpha: real(alpha)[1:]),
     "tn_vandermonde": ("compositions.all_compositions", _drop_last_in_degree(5)),
     "signs_a": ("compositions.all_compositions", _drop_last_in_degree(6)),

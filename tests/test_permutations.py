@@ -181,13 +181,15 @@ def test_all_permutations():
     assert len(list(pm.all_permutations(4))) == 24
     with pytest.raises(ValueError):
         pm.all_permutations(10)
-    assert sum(1 for _ in pm.all_permutations(8, bound=8)) == 40320
+    assert sum(1 for _ in pm.all_permutations(8)) == 40320
 
 
 def test_all_permutations_rejects_negative_n():
-    # as all_compositions(-1) does, rather than yielding [()]
-    with pytest.raises(ValueError, match="non-negative"):
-        pm.all_permutations(-1)
+    # as all_compositions does, rather than yielding [()] for -1, [(1,)]
+    # for True or raising TypeError for 2.0
+    for bad in (-1, True, 2.0):
+        with pytest.raises(ValueError, match="non-negative"):
+            pm.all_permutations(bad)
 
 
 def test_ssym_product_examples():
