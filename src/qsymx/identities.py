@@ -17,11 +17,13 @@ bounds, "standard" uses them as is, "deep" raises them by about 25%.  The
 S_n checks sum over the 2^(n-1) descent classes, not the n! permutations,
 so deep runs S_11 in milliseconds, and the coarsenings of beta are the
 sub-masks of its mask, so the sums over them take one sub-mask pass per
-weight.  The whole battery takes about 1.6 s at deep against about 0.45 s
-at standard (``qsymx verify --all``, interpreter start-up included; Python
-3.11.7 on a shared 2-vCPU machine in a slow phase), most of it in signs_a,
-signs_b, app_f2 and h_minus_closed, which visit every composition or
-ribbon cut of each weight.
+weight.  signs_a and signs_b walk the unit gaps of m instead of listing its
+compositions, and app_f1 and app_f2 read the peak counts of both pieces of
+every ribbon cut from one pass along alpha.  The whole battery takes about
+1.1 s at deep against about 0.4 s at standard (``qsymx verify --all``,
+interpreter start-up included; Python 3.11.7 on a shared 2-vCPU machine),
+most of it in h_minus_closed, zeta_power and peak_rev_con (about 0.14,
+0.12 and 0.08 s at deep), which visit every composition of each weight.
 """
 
 import re
@@ -34,13 +36,13 @@ from typing import Callable, Iterable, Iterator, Optional
 # the module is the one the checks see
 from . import characters, exactnum as en
 from .compositions import (
+    _cut_peaks,
     _mask_pass,
     all_compositions,
     conjugate,
     p_minus,
     p_plus,
     reversal,
-    ribbon_cuts,
 )
 from .permutations import augmented_peaks, descent_classes, interior_peaks, shuffles
 
@@ -250,12 +252,30 @@ def _tn_vandermonde(n_max: int, census_max: int) -> Iterator[Case]:
                 yield params, census[(r, s)], _class_size(n, r, s)
 
 
-def _signed_census(m: int, first: int) -> Counter:
+def _signed_census(m: int, first: int) -> dict:
     """{j: sum of (-1)^(number of parts) over the compositions of m with j
-    parts > 1 from position first on}; first is 0 or 1, and m >= first."""
-    census: Counter = Counter()
-    for gamma in all_compositions(m):
-        census[len(gamma) - first - gamma[first:].count(1)] += -1 if len(gamma) & 1 else 1
+    parts > 1 from position first on}; first is 0 or 1, and m >= first.
+
+    One walk over the m - 1 unit gaps, as characters._peak_census walks
+    refinements: at each gap the last part either grows or is closed and a
+    new part 1 starts.  A state is (closed parts > 1 counted, last part > 1,
+    last part exempt because it is part 0 and first is 1), and its int
+    multiplicity carries the sign (-1)^(parts so far)."""
+    if m == 0:
+        return {0: 1}
+    states = {(0, False, first == 1): -1}
+    for _ in range(m - 1):
+        walked: dict = {}
+        for (j, big, exempt), c in states.items():
+            key = (j, True, exempt)
+            walked[key] = walked.get(key, 0) + c
+            key = (j + 1 if big and not exempt else j, False, False)
+            walked[key] = walked.get(key, 0) - c
+        states = walked
+    census: dict = {}
+    for (j, big, exempt), c in states.items():
+        j = j + 1 if big and not exempt else j
+        census[j] = census.get(j, 0) + c
     return census
 
 
@@ -265,7 +285,7 @@ def _signs_a(m_max: int) -> Iterator[Case]:
     for m in range(0, m_max + 1):
         census = _signed_census(m, 0)
         for j in range(0, m + 1):
-            yield {"m": m, "j": j}, census[j], (-1) ** (m + j) * en.binomial(m // 2, j)
+            yield {"m": m, "j": j}, census.get(j, 0), (-1) ** (m + j) * en.binomial(m // 2, j)
 
 
 def _signs_b(m_max: int) -> Iterator[Case]:
@@ -276,7 +296,7 @@ def _signs_b(m_max: int) -> Iterator[Case]:
         census = _signed_census(m, 1)
         for j in range(0, m + 1):
             rhs = 0 if m % 2 == 0 else (-1) ** (m + j) * en.binomial(m // 2, j)
-            yield {"m": m, "j": j}, census[j], rhs
+            yield {"m": m, "j": j}, census.get(j, 0), rhs
 
 
 def _g_convolve(bound: int) -> Iterator[Case]:
@@ -317,19 +337,23 @@ def _h_plus_closed(n_max: int) -> Iterator[Case]:
             yield {"alpha": alpha}, characters.h_plus(alpha), rhs
 
 
+def _catalan_grid(half: int) -> list[list[int]]:
+    """[p][q] -> C(p, q) for p + q <= half, looked up through exactnum at
+    call time."""
+    return [[en.bivariate_catalan(p, q) for q in range(half + 1 - p)] for p in range(half + 1)]
+
+
 def _app_f1(n_max: int) -> Iterator[Case]:
     """Ribbon-cut convolution of the even and odd characters recovers the
     universal character on the fundamental basis."""
     for n in range(1, n_max + 1):
+        fl = n // 2
+        grid = _catalan_grid(fl)
         for alpha in all_compositions(n):
-            cuts = ribbon_cuts(alpha)
-            fl = n // 2
             lhs = 0
-            for j in range(fl + 1):
-                left, right = cuts[2 * j]
-                lp = p_plus(left)
-                rm = p_minus(right)
-                term = en.bivariate_catalan(lp, j - lp) * en.bivariate_catalan(rm, fl - j - rm)
+            # the cuts at the even positions 2j, j = 0 .. fl
+            for j, (_, lp, rm) in enumerate(_cut_peaks(alpha)[::2]):
+                term = grid[lp][j - lp] * grid[rm][fl - j - rm]
                 lhs += -term if (lp + rm) % 2 else term
             rhs = 4 ** fl if len(alpha) == 1 else 0
             yield {"alpha": alpha}, lhs, rhs
@@ -340,15 +364,13 @@ def _app_f2(n_max: int) -> Iterator[Case]:
     vanishing ribbon-cut sum."""
     for n in range(1, n_max + 1):
         half = n // 2
+        grid = _catalan_grid(half)
         for alpha in all_compositions(n):
             # each term over the common denominator 4^half
             lhs = 0
-            for i, (left, right) in enumerate(ribbon_cuts(alpha)):
-                lm = p_minus(left)
-                rm = p_minus(right)
+            for i, (lm, _, rm) in enumerate(_cut_peaks(alpha)):
                 fi, fr = i // 2, (n - i) // 2
-                term = en.bivariate_catalan(lm, fi - lm) * en.bivariate_catalan(rm, fr - rm)
-                term *= 4 ** (half - fi - fr)
+                term = grid[lm][fi - lm] * grid[rm][fr - rm] << 2 * (half - fi - fr)
                 lhs += -term if (lm + rm + i) % 2 else term
             yield {"alpha": alpha}, Fraction(lhs, 4 ** half), 0
 

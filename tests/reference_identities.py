@@ -4,7 +4,8 @@ statistics inline and sum ints over one denominator per degree.
 Each check here is the form the package ran before that change: it takes
 the part statistics of every composition from ``stats``, adds rational
 terms one Fraction at a time, looks up each peak weight once per
-refinement, and sums the F-basis values of a table over ``refinements``.
+refinement, calls ``p_minus``/``p_plus`` on both pieces of every ribbon
+cut, and sums the F-basis values of a table over ``refinements``.
 They stay here, slow and literal, as the references that the registry's
 checks must match case by case (``CHECKS``, by registry id, each taking the
 same bounds as its registry check).
@@ -147,6 +148,22 @@ def h_plus_closed(n_max):
             yield {"alpha": alpha}, _h_sum(alpha, p_plus, n // 2), rhs
 
 
+def app_f1(n_max):
+    for n in range(1, n_max + 1):
+        for alpha in all_compositions(n):
+            cuts = ribbon_cuts(alpha)
+            fl = n // 2
+            lhs = 0
+            for j in range(fl + 1):
+                left, right = cuts[2 * j]
+                lp = p_plus(left)
+                rm = p_minus(right)
+                term = en.bivariate_catalan(lp, j - lp) * en.bivariate_catalan(rm, fl - j - rm)
+                lhs += -term if (lp + rm) % 2 else term
+            rhs = 4 ** fl if len(alpha) == 1 else 0
+            yield {"alpha": alpha}, lhs, rhs
+
+
 def app_f2(n_max):
     for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
@@ -220,6 +237,7 @@ CHECKS = {
     "signs_b": signs_b,
     "h_minus_closed": h_minus_closed,
     "h_plus_closed": h_plus_closed,
+    "app_f1": app_f1,
     "app_f2": app_f2,
     "app_zetainv_plus_m": app_zetainv_plus_m,
     "associator": associator,

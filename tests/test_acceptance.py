@@ -420,18 +420,6 @@ def _quotient_rows_without_unit_term(a, b):
     return x
 
 
-def _ribbon_cuts_swapped(real):
-    """The fault: a cut inside a row of length a at offset t leaves a - t
-    squares on the left and t on the right."""
-    def cuts(alpha):
-        return [
-            (left[:-1] + right[:1], left[-1:] + right[1:])
-            if len(left) + len(right) > len(alpha) else (left, right)
-            for left, right in real(alpha)
-        ]
-    return cuts
-
-
 def _last_part_parity_flipped_in_degree_5(real):
     """The fault: the shape walk gives every composition of 5 the wrong
     parity of its last part."""
@@ -524,9 +512,15 @@ FAULTS = [
      ("registry:h_minus_closed", "registry:h_plus_closed")),
     ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),
      ("criterion 2:zeta-plus", "criterion 6:peak formulas")),
-    # the swap leaves the F coproduct as it is, since the cuts at t and
-    # a - t trade places; only the cut positions show it
-    ("compositions.ribbon_cuts", _ribbon_cuts_swapped, ("registry:app_f1", "registry:app_f2")),
+    # the F coproduct loses its term (alpha, ()); the registry reads the
+    # ribbon cuts through _cut_peaks, not ribbon_cuts
+    ("compositions.ribbon_cuts", _drop_last,
+     ("criterion 4:F coassociativity", "criterion 4:F coproduct of a product",
+      "criterion 4:basis change of the coproduct")),
+    # every right piece counts one part > 1 fewer, never below 0
+    ("compositions._cut_peaks",
+     lambda real: lambda alpha: [(lm, lp, max(rm - 1, 0)) for lm, lp, rm in real(alpha)],
+     ("registry:app_f1", "registry:app_f2")),
     ("compositions.conjugate", lambda real: co.reversal,
      ("registry:peak_rev_con", "criterion 4:basis change of S")),
     ("compositions.refinements", _drop_last, ("criterion 2:zeta",)),
@@ -534,7 +528,7 @@ FAULTS = [
     ("compositions.p_minus", lambda real: lambda alpha: sum(a > 1 for a in alpha),
      ("criterion 6:interior peaks", "registry:peak_rev_con")),
     ("compositions.p_plus", lambda real: lambda alpha: max(real(alpha) - 1, 0),
-     ("criterion 6:augmented peaks", "registry:app_f1")),
+     ("criterion 6:augmented peaks", "registry:peak_rev_con")),
     ("compositions.to_index",
      lambda real: lambda alpha: real(alpha[::-1] if len(alpha) == 3 else alpha),
      ("criterion 4:F S(S(x))", "registry:peak_rev_con")),
@@ -566,6 +560,10 @@ FAULTS = [
     # every summand counted as if its number of even parts were even
     ("identities._odd_head_row", lambda real: lambda n: [abs(v) for v in real(n)],
      ("registry:antipode_sum", "registry:app_antipodeM")),
+    # every composition counted as if its number of parts were even
+    ("identities._signed_census",
+     lambda real: lambda m, first: {j: abs(c) for j, c in real(m, first).items()},
+     ("registry:signs_a", "registry:signs_b")),
     ("identities._cc_convolution", _plus_one_at(3, 3, 2), ("registry:cg6",)),
     ("identities._signed_peak_sum",
      lambda real: lambda words, peaks, half: real(words, peaks, half) + (half == 2),
