@@ -585,10 +585,11 @@ def _peak_census(alpha: Composition, augmented: bool) -> dict:
 def _h_sum(alpha: Composition, augmented: bool) -> Fraction:
     """The alternating sum over refinements beta of alpha of
     (-1)^(k(beta) + q + 1) C(q, n//2 - q), q the peaks of beta, added as
-    ints from the peak census."""
+    ints from the peak census, with one weight per peak count it holds."""
     half = sum(alpha) // 2
-    weights = [en.bivariate_catalan(q, half - q) for q in range(half + 1)]
-    return Fraction(sum(c * weights[q] for q, c in _peak_census(alpha, augmented).items()))
+    return Fraction(sum(
+        c * en.bivariate_catalan(q, half - q) for q, c in _peak_census(alpha, augmented).items()
+    ))
 
 
 def h_minus(alpha: Composition) -> Fraction:

@@ -13,7 +13,11 @@ constructor is the door for values from outside the package: it validates
 every key and coerces every coefficient.  ``from_terms`` is the door for the
 package's own producers: it trusts their keys and adds their terms as ints
 while they are integral, which they are on basis elements, so that a
-``Fraction`` is built once per result coefficient, not once per term.
+``Fraction`` is built once per result coefficient, not once per term.  An
+integral coefficient is a shared ``Fraction``: ``from_terms`` takes it from
+one bounded table, one object per value, which is safe because Fractions
+are immutable, and lets equal elements compare their coefficients by
+identity.
 Every product (M and F products, tensor products, the shuffle product of
 permutations) is a rule on pairs of keys, and ``bilinear`` extends it to
 elements, handing its terms to ``from_terms``.
@@ -57,6 +61,10 @@ def as_fraction(value) -> Fraction:
             % (type(value).__name__, value)
         )
     return Fraction(value)
+
+
+# a hopf-products pass makes about 30,900 integral coefficients of 41 values
+_integral = lru_cache(maxsize=1024)(Fraction)
 
 
 def _summand(c: Fraction):
@@ -109,8 +117,8 @@ class LinearCombination:
 
         The keys are trusted: each must already be a valid key of the class
         (the constructor is the validating route).  Sums of int terms stay
-        ints, and each nonzero sum becomes a Fraction once, at the end.  The
-        basis is checked."""
+        ints, and each nonzero sum becomes a Fraction at the end, the one
+        shared Fraction of its value.  The basis is checked."""
         cls.check_basis(basis)
         total = {}
         for k, c in terms:
@@ -121,7 +129,7 @@ class LinearCombination:
         element = cls.__new__(cls)
         element.basis = basis
         element.coeffs = {
-            k: c if type(c) is Fraction else Fraction(c) for k, c in total.items() if c
+            k: c if type(c) is Fraction else _integral(c) for k, c in total.items() if c
         }
         return element
 
@@ -130,7 +138,7 @@ class LinearCombination:
         """The bilinear extension of rule to x and y: the sum of
         a * b * count B_key over the terms (k, a) of x, (l, b) of y and
         the items (key, count) of rule(k, l), a {key: int multiplicity}
-        dict with trusted keys.  Integral coefficients multiply as ints."""
+        mapping with trusted keys.  Integral coefficients multiply as ints."""
 
         def terms():
             y_terms = y.terms()

@@ -22,6 +22,14 @@ integer multiplicities, and the two rules share no code:
   source of each letter of w matters, so the descent composition is built
   part by part while walking the interleavings.
 
+Both rules are memoized per process behind bounded ``lru_cache``s, and a
+cached result is read-only (a ``MappingProxyType``), its keys shared
+through one bounded table so that each composition is one tuple across
+results.  A rule is built from the parts of its arguments alone: besides
+``_frozen`` it calls no function of the package, so a fault planted in one
+for a while cannot leave a wrong product in the cache.  ``multiply`` and
+``multiply_tensor`` look a rule up by its module-global name at each call.
+
 Every producer below reads its operands' coefficients with ``terms`` (the
 integral ones as ints) and hands its (key, coefficient) terms, with keys it
 built itself, to ``from_terms``; the products keep only their rule on pairs
@@ -30,6 +38,9 @@ public constructors and ``element_from_json`` validate keys.
 """
 
 from fractions import Fraction
+from functools import lru_cache
+from itertools import accumulate
+from types import MappingProxyType
 
 from .exactnum import LinearCombination, as_fraction
 from .compositions import (
@@ -121,7 +132,18 @@ def to_M(x: QSymElement) -> QSymElement:
     ))
 
 
-def _product_M(alpha: Composition, beta: Composition) -> dict[Composition, int]:
+# one hopf-products pass caches about 8,300 result entries over 256 distinct
+# compositions, and multiplies about 240 distinct pairs in each basis
+_shared_key = lru_cache(maxsize=8192)(lambda key: key)
+
+
+def _frozen(counts: dict) -> MappingProxyType:
+    """counts as a read-only mapping whose keys are the shared tuples."""
+    return MappingProxyType({_shared_key(k): c for k, c in counts.items()})
+
+
+@lru_cache(maxsize=1024)
+def _product_M(alpha: Composition, beta: Composition) -> MappingProxyType:
     """M_alpha M_beta as {gamma: multiplicity}: the quasi-shuffles of alpha
     and beta.  Built from the back, one row of the (len(alpha) + 1) x
     (len(beta) + 1) grid at a time: the quasi-shuffles of alpha[i:] and
@@ -142,18 +164,19 @@ def _product_M(alpha: Composition, beta: Composition) -> dict[Composition, int]:
                     gamma = head + tail
                     out[gamma] = out.get(gamma, 0) + count
             row[j] = out
-    return row[0]
+    return _frozen(row[0])
 
 
-def _product_F(alpha: Composition, beta: Composition) -> dict[Composition, int]:
+@lru_cache(maxsize=1024)
+def _product_F(alpha: Composition, beta: Composition) -> MappingProxyType:
     """F_alpha F_beta as {gamma: multiplicity}, by Gessel's shuffle rule.
 
     Let sigma have descent composition alpha (weight m) and tau descent
     composition beta (weight n), with tau's letters shifted above sigma's.
     Each of the C(m + n, m) interleavings w contributes F_Des(w).  Whether
     two adjacent letters of w descend depends only on where they come from:
-    sigma's letters i and i + 1 descend iff bit i - 1 of to_index(alpha) is
-    set, likewise for tau with to_index(beta); a letter of sigma before one
+    sigma's letters i and i + 1 descend iff i is a proper partial sum of
+    alpha, likewise for tau with beta; a letter of sigma before one
     of tau is an ascent, a letter of tau before one of sigma a descent.  So
     the walk never builds a permutation: it carries, for each prefix, the
     closed parts of the prefix's descent composition and the length of its
@@ -161,8 +184,8 @@ def _product_F(alpha: Composition, beta: Composition) -> dict[Composition, int]:
     complete interleaving contributes the closed parts and its last run."""
     m, n = sum(alpha), sum(beta)
     if not m or not n:
-        return {alpha + beta: 1}
-    des_sigma, des_tau = to_index(alpha), to_index(beta)
+        return _frozen({alpha + beta: 1})
+    des_sigma, des_tau = set(accumulate(alpha[:-1])), set(accumulate(beta[:-1]))
     out: dict[Composition, int] = {}
     # (letters of sigma placed, letters of tau placed, closed parts, length
     # of the last run, whether the last letter is tau's), from the prefixes
@@ -175,16 +198,16 @@ def _product_F(alpha: Composition, beta: Composition) -> dict[Composition, int]:
             out[gamma] = out.get(gamma, 0) + 1
             continue
         if i < m:
-            if after_tau or des_sigma >> (i - 1) & 1:
+            if after_tau or i in des_sigma:
                 stack.append((i + 1, j, head + (run,), 1, False))
             else:
                 stack.append((i + 1, j, head, run + 1, False))
         if j < n:
-            if after_tau and des_tau >> (j - 1) & 1:
+            if after_tau and j in des_tau:
                 stack.append((i, j + 1, head + (run,), 1, True))
             else:
                 stack.append((i, j + 1, head, run + 1, True))
-    return out
+    return _frozen(out)
 
 
 def multiply(x: QSymElement, y: QSymElement) -> QSymElement:

@@ -1,5 +1,6 @@
 import itertools
 import json
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -280,6 +281,36 @@ def test_product_F_matches_the_shuffle_definition():
         assert qs._product_F(a, b) == Counter(
             pm.descent_composition(w) for w in pm.shuffles(sigma, tau)
         ), (a, b)
+
+
+# the rules are cached per process: a product must not keep what a fault,
+# planted for a while in a function a rule could call, made of it
+def test_a_fault_planted_for_a_while_leaves_no_wrong_product(monkeypatch):
+    alpha, beta = (1, 1, 2), (2,)
+    qs._product_F.cache_clear()
+    qs._product_M.cache_clear()
+    real = co.to_index
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qsymx") and vars(module).get("to_index") is real:
+                patch.setattr(module, "to_index", lambda a: real(a[::-1] if len(a) == 3 else a))
+        for basis in ("F", "M"):
+            qs.multiply(qs.qsym_basis(basis, alpha), qs.qsym_basis(basis, beta))
+    for basis in ("F", "M"):
+        x, y = qs.qsym_basis(basis, alpha), qs.qsym_basis(basis, beta)
+        assert qs.multiply(x, y) == ref.multiply(x, y), basis
+    sigma, tau = ref.with_descent_composition(alpha), ref.with_descent_composition(beta)
+    assert qs._product_F(alpha, beta) == Counter(
+        pm.descent_composition(w) for w in pm.shuffles(sigma, tau)
+    )
+
+
+def test_cached_rule_results_are_read_only():
+    for rule in (qs._product_F, qs._product_M):
+        first = rule((1, 2), (1,))
+        with pytest.raises(TypeError):
+            first[(1,)] = 5
+        assert rule((1, 2), (1,)) == first == dict(first)
 
 
 # -- coefficients stay Fractions, with int sums inside the producers ----------
