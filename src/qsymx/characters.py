@@ -520,6 +520,7 @@ def decompose(phi: TruncatedCharacter):
     for n in range(1, len(rows)):
         cuts = _proper_cuts(minus, minus, n)
         minus.append(_halve([v - x for v, x in zip(square[n], cuts)]))
+    del square  # freed before the product builds its table
     plus = _product_rows(rows, _bar_rows(minus))
     return _unscaled(plus, c), _unscaled(minus, c)
 

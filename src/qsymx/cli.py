@@ -10,10 +10,11 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice, repeat
 from math import gcd
 
 from . import characters, identities
-from .compositions import all_compositions, format_composition, parse_composition
+from .compositions import _ascii_int, all_compositions, format_composition, parse_composition
 from .permutations import parse_permutation
 from .qsym import (
     coproduct,
@@ -28,6 +29,9 @@ from .qsym import (
 
 DEFAULT_MAX_DEGREE = 9
 HARD_DEGREE_CAP = 18
+# the exit code of a command whose reader closed stdout early, as a shell
+# reports a process killed by SIGPIPE (128 + 13)
+EXIT_BROKEN_PIPE = 141
 
 _CHAR_CHOICES = ", ".join(characters.CHARACTER_IDS) + ", zeta-pow:<m>"
 
@@ -47,6 +51,14 @@ def _parse_comp(parser: argparse.ArgumentParser, text: str):
         parser.error(str(exc))
 
 
+def _degree_arg(text: str) -> int:
+    """argparse type of --degree: an int written in ASCII digits."""
+    try:
+        return _ascii_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+
+
 def _capped_degree(requested: int) -> int:
     if requested > HARD_DEGREE_CAP:
         print(
@@ -64,7 +76,7 @@ def _default_degree() -> int:
     if raw is None:
         return DEFAULT_MAX_DEGREE
     try:
-        value = int(raw)
+        value = _ascii_int(raw)
     except ValueError:
         value = -1
     if value < 0:
@@ -126,7 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
         "decompose",
         help="even/odd decomposition tables, checked against the closed forms",
     )
-    p_dec.add_argument("--degree", type=int, default=None)
+    p_dec.add_argument("--degree", type=_degree_arg, default=None)
     p_dec.add_argument(
         "--char", choices=("zeta", "zeta-inv"), default="zeta",
         help="character to decompose (closed forms exist for both)",
@@ -136,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_tab = sub.add_parser("table", help="all values of a character in one degree")
     p_tab.add_argument("--char", required=True)
     p_tab.add_argument("--basis", choices=("M", "F"), default="M")
-    p_tab.add_argument("--degree", type=int, required=True)
+    p_tab.add_argument("--degree", type=_degree_arg, required=True)
     p_tab.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run identity checks")
@@ -224,13 +236,49 @@ def _mismatched(oracle, closed, n: int) -> set:
     return {mask for mask, (x, y) in enumerate(zip(o, c)) if x * dc != y * do}
 
 
+def _composition_texts(max_degree: int, open_: str, sep: str, close: str, empty: str):
+    """For n = 0..max_degree, yield the texts of the compositions of n in
+    mask order: open_, the parts joined by sep, then close; empty for ().
+
+    Grown as _shape_walk grows shapes, from (prefix, last part) pairs of
+    degree n - 1: growing the last part keeps the prefix, and appending a
+    part 1 extends it by the old last part.  Each yield is a lazy map over
+    the current pairs, to be read before the next."""
+    yield (empty,)
+    prefixes, lasts = [open_], [1]
+    for n in range(1, max_degree + 1):
+        if n > 1:
+            parts = ["%d%s" % (a, sep) for a in range(n)]
+            prefixes = prefixes + list(map(str.__add__, prefixes, map(parts.__getitem__, lasts)))
+            lasts = [a + 1 for a in lasts] + [1] * len(lasts)
+        ends = ["%d%s" % (a, close) for a in range(n + 1)]
+        yield map(str.__add__, prefixes, map(ends.__getitem__, lasts))
+
+
+# entries per write of a decompose table, so that no degree's output is
+# held as one string
+_CHUNK = 4096
+
+
+# the rest of one decompose entry after its composition, --json or text
+def _json_tail(p, m, pc, mc, wrong):
+    return (
+        ', "plus": "%s", "minus": "%s", "plus_closed": "%s", "minus_closed": "%s", '
+        '"match": %s}' % (p, m, pc, mc, "false" if wrong else "true")
+    )
+
+
+def _text_tail(p, m, pc, mc, wrong):
+    flag = "   MISMATCH closed=(%s, %s)" % (pc, mc) if wrong else ""
+    return "  plus=%-10s minus=%-10s%s\n" % (p, m, flag)
+
+
 def _cmd_decompose(parser, args) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
     if degree < 0:
         parser.error("--degree must be non-negative")
     degree = _capped_degree(degree)
-    base = characters.restrict(args.char, degree)
-    plus, minus = characters.decompose(base)
+    plus, minus = characters.decompose(characters.restrict(args.char, degree))
     closed_plus = characters.restrict(args.char + "-plus", degree)
     closed_minus = characters.restrict(args.char + "-minus", degree)
     wrong = [
@@ -238,14 +286,16 @@ def _cmd_decompose(parser, args) -> int:
         for n in range(degree + 1)
     ]
     mismatches = sum(len(p | m) for p, m in wrong)
-    # written one degree at a time, byte for byte as json.dumps of the whole
-    # payload (or one line per entry), so only one degree's strings are held
+    # written in chunks of entries, byte for byte as json.dumps of the whole
+    # payload (or one line per entry), so only one degree's rows are held
     out = sys.stdout
     if args.json:
         out.write(
             '{"char": %s, "degree": %d, "mismatches": %d, "tables": ['
             % (json.dumps(args.char), degree, mismatches)
         )
+        names = _composition_texts(degree, '{"comp": [', ", ", "]", '{"comp": []')
+        tail, sep = _json_tail, ", "
     else:
         # (1,) * degree has the longest name of any composition up to degree
         width = max(len(format_composition((1,) * degree)), len(format_composition(())))
@@ -253,30 +303,23 @@ def _cmd_decompose(parser, args) -> int:
             "# even/odd decomposition of %s up to degree %d (oracle vs closed form)"
             % (args.char, degree)
         )
-    for n, (wrong_plus, wrong_minus) in enumerate(wrong):
+        names = (
+            map(str.ljust, texts, repeat(width))
+            for texts in _composition_texts(degree, "", ",", "", "()")
+        )
+        tail, sep = _text_tail, ""
+    lead = ""
+    for n, ((wrong_plus, wrong_minus), texts) in enumerate(zip(wrong, names)):
         op, om = _row_strings(plus, n), _row_strings(minus, n)
         cp = _row_strings(closed_plus, n) if wrong_plus else op
         cm = _row_strings(closed_minus, n) if wrong_minus else om
-        bad = wrong_plus | wrong_minus
-        rows = zip(all_compositions(n), op, om, cp, cm)
-        if args.json:
-            entries = [
-                '{"comp": %s, "plus": "%s", "minus": "%s", "plus_closed": "%s", '
-                '"minus_closed": "%s", "match": %s}'
-                % (list(alpha), p, m, pc, mc, "false" if mask in bad else "true")
-                for mask, (alpha, p, m, pc, mc) in enumerate(rows)
-            ]
-            out.write((", " if n else "") + ", ".join(entries))
-        else:
-            lines = [
-                "%-*s  plus=%-10s minus=%-10s%s\n"
-                % (
-                    width, format_composition(alpha), p, m,
-                    "   MISMATCH closed=(%s, %s)" % (pc, mc) if mask in bad else "",
-                )
-                for mask, (alpha, p, m, pc, mc) in enumerate(rows)
-            ]
-            out.write("".join(lines))
+        wrong_at = list(map((wrong_plus | wrong_minus).__contains__, range(len(op))))
+        # one tail per distinct key of the degree
+        tails = {key: tail(*key) for key in set(zip(op, om, cp, cm, wrong_at))}
+        entries = map(str.__add__, texts, map(tails.__getitem__, zip(op, om, cp, cm, wrong_at)))
+        while chunk := list(islice(entries, _CHUNK)):
+            out.write(lead + sep.join(chunk))
+            lead = sep
     if args.json:
         out.write("]}\n")
     else:
@@ -386,7 +429,16 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return _COMMANDS[args.command](parser, args)
+    try:
+        code = _COMMANDS[args.command](parser, args)
+        # a closed reader shows up here, not in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader of stdout stopped early, as in "qsymx ... | head"; point
+        # stdout at devnull so that the flush at exit is quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -54,6 +54,14 @@ def composition(parts) -> Composition:
     return alpha
 
 
+def _ascii_int(text: str) -> int:
+    """int(text), refusing what int() alone would coerce: "1_2" (read as 12)
+    and non-ASCII digits such as "\u0663" (read as 3) raise ValueError."""
+    if "_" in text or not text.isascii():
+        raise ValueError("invalid literal for an integer: %r" % (text,))
+    return int(text)
+
+
 def parse_composition(text: str) -> Composition:
     """Parse the text form used by the CLI: comma-separated parts, "()" for
     the empty composition.
@@ -65,7 +73,7 @@ def parse_composition(text: str) -> Composition:
     if text in ("()", ""):
         return ()
     try:
-        parts = [int(piece) for piece in text.split(",")]
+        parts = [_ascii_int(piece) for piece in text.split(",")]
     except ValueError:
         raise ValueError("cannot parse composition %r" % text) from None
     return composition(parts)

@@ -20,17 +20,17 @@ sub-masks of its mask, so the sums over them take one sub-mask pass per
 weight.  signs_a and signs_b walk the unit gaps of m instead of listing its
 compositions, and app_f1 and app_f2 read the peak counts of both pieces of
 every ribbon cut from one pass along alpha.  The whole battery takes about
-1.1 s at deep against about 0.4 s at standard (``qsymx verify --all``,
-interpreter start-up included; Python 3.11.7 on a shared 2-vCPU machine),
-most of it in h_minus_closed, zeta_power and peak_rev_con (about 0.14,
-0.12 and 0.08 s at deep), which visit every composition of each weight.
+0.6 to 1.1 s at deep against 0.2 to 0.35 s at standard (``qsymx verify
+--all``, interpreter start-up included; Python 3.11.7 on a shared 2-vCPU
+machine), most of it in zeta_power, h_minus_closed and peak_rev_con (about
+0.10, 0.08 and 0.05 s at deep, in process), which visit every composition
+of each weight.
 """
 
 import re
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Iterator
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional
 
 # exactnum is looked up through the module, so that a function patched on
 # the module is the one the checks see
@@ -60,20 +60,22 @@ DEPTHS = ("small", "standard", "deep")
 Case = tuple[dict, int | Fraction, int | Fraction]
 
 
-@dataclass(frozen=True)
-class Counterexample:
-    params: dict
-    left: Fraction
-    right: Fraction
+# immutable records; namedtuple rather than a dataclass, so that importing
+# the package does not load dataclasses (and with it inspect, ast and dis)
+class Counterexample(namedtuple("Counterexample", "params left right")):
+    """The first failing case of a check: its params dict and both sides as
+    Fractions."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    id: str
-    domain: str
-    cases: int
-    status: str  # "pass" | "fail"
-    counterexample: Optional[Counterexample] = None
+class CheckReport(
+    namedtuple("CheckReport", "id domain cases status counterexample", defaults=(None,))
+):
+    """One check's run: id, domain text, case count, status ("pass" or
+    "fail") and the first Counterexample, or None."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:

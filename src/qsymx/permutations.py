@@ -7,7 +7,7 @@ the (unique) permutation of 0.
 
 import itertools
 
-from .compositions import Composition, _mask_pass, all_compositions, from_index
+from .compositions import Composition, _ascii_int, _mask_pass, all_compositions, from_index
 from .exactnum import LinearCombination, multinomial
 
 __all__ = [
@@ -51,7 +51,7 @@ def parse_permutation(text: str) -> Permutation:
     if text in ("()", ""):
         return ()
     try:
-        letters = [int(x) for x in (text.split(",") if "," in text else text)]
+        letters = [_ascii_int(x) for x in (text.split(",") if "," in text else text)]
     except ValueError:
         raise ValueError("cannot parse permutation %r" % text) from None
     return permutation(letters)

@@ -1,7 +1,11 @@
+import io
 import json
+import os
 import pathlib
 import runpy
+import subprocess
 import sys
+from contextlib import redirect_stdout
 from fractions import Fraction
 
 import pytest
@@ -219,6 +223,24 @@ def test_decompose_streams_a_planted_mismatch(capsys, monkeypatch, char, side):
     assert _assert_streams_the_whole_table(capsys, char, 6) == 1
 
 
+def test_decompose_writes_chunks_that_join_to_the_whole_table(capsys, monkeypatch):
+    # a chunk boundary inside every degree above 2, and the planted
+    # mismatch inside a chunk of degree 6
+    monkeypatch.setattr(cli, "_CHUNK", 3)
+    _plant_one_wrong(monkeypatch, "zeta-minus")
+    assert _assert_streams_the_whole_table(capsys, "zeta", 6) == 1
+
+
+def test_composition_texts_walk_matches_all_compositions():
+    walk = cli._composition_texts(12, "[", ", ", "]", "[]")
+    for n, texts in enumerate(walk):
+        assert list(texts) == [str(list(alpha)) for alpha in all_compositions(n)], n
+    assert n == 12
+    walk = cli._composition_texts(5, "", ",", "", "()")
+    for n, texts in enumerate(walk):
+        assert list(texts) == [format_composition(alpha) for alpha in all_compositions(n)], n
+
+
 def test_decompose_degree_env_default(capsys, monkeypatch):
     monkeypatch.setenv("QSYMX_MAX_DEGREE", "2")
     code, out, _ = run(capsys, "decompose", "--json")
@@ -227,12 +249,25 @@ def test_decompose_degree_env_default(capsys, monkeypatch):
 
 
 def test_decompose_degree_env_rejects_negative_and_non_integer(capsys, monkeypatch):
-    for raw in ("-3", "nine"):
+    # int() alone reads "1_2" as 12 and the Arabic-Indic digit three as 3
+    for raw in ("-3", "nine", "1_2", "\u0663"):
         monkeypatch.setenv("QSYMX_MAX_DEGREE", raw)
         code, out, err = run(capsys, "decompose", "--json")
         assert code == 0
         assert json.loads(out)["degree"] == cli.DEFAULT_MAX_DEGREE
         assert "QSYMX_MAX_DEGREE" in err and "--degree" not in err
+
+
+def test_degree_flags_coerce_no_digit_text(capsys):
+    for command in (("decompose",), ("table", "--char", "zeta")):
+        for text in ("1_2", "\u0663", "nine"):
+            code, out, err = run_usage_error(capsys, *command, "--degree", text)
+            assert code == 2 and out == ""
+            assert "argument --degree: invalid int value: %r" % text in err
+    code, out, err = run_usage_error(capsys, "decompose", "--degree", "-3")
+    assert code == 2 and "--degree must be non-negative" in err
+    code, out, _ = run(capsys, "decompose", "--degree", "0", "--json")
+    assert code == 0 and json.loads(out)["degree"] == 0
 
 
 def test_degree_cap_warning(capsys, monkeypatch):
@@ -277,7 +312,8 @@ def test_usage_errors_exit_2_with_no_stdout(capsys):
     assert code == 2 and out == ""
     code, out, _ = run_usage_error(capsys, "eval", "--char", "zeta", "--perm", "112")
     assert code == 2 and out == ""
-    for text in ("3,x", "1,,2"):
+    # int() alone reads the Arabic-Indic digits as 312 and "1_0" as 10
+    for text in ("3,x", "1,,2", "\u0663\u0661\u0662", "1_0,1,2,3,4,5,6,7,8,9"):
         code, out, err = run_usage_error(capsys, "eval", "--char", "zeta", "--perm", text)
         assert code == 2 and out == ""
         assert "cannot parse permutation %r" % text in err
@@ -291,3 +327,49 @@ def test_python_m_qsymx_runs_the_cli(capsys, monkeypatch):
         runpy.run_module("qsymx", run_name="__main__")
     assert info.value.code == 0
     assert capsys.readouterr().out.strip() == "1/2"
+
+
+def _fresh_python(*args):
+    """A fresh interpreter run with args, qsymx imported from the source
+    tree under test; stdout and stderr are pipes."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    return subprocess.Popen(
+        [sys.executable, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+
+
+def test_closed_reader_exits_141_without_a_traceback():
+    # the reader leaves after 10 bytes of a table larger than the pipe
+    # buffer, and before a short output is flushed at all
+    proc = _fresh_python("-m", "qsymx", "decompose", "--degree", "12", "--json")
+    assert proc.stdout.read(10) == b'{"char": "'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    proc = _fresh_python("-m", "qsymx", "eval", "--char", "zeta", "--comp", "1")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
+def test_in_process_stdout_is_left_alone():
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = cli.main(["eval", "--char", "zeta-minus", "--comp", "1,1"])
+    assert (code, buf.getvalue()) == (0, "1/2\n")
+    assert not buf.closed
+
+
+def test_import_loads_no_dataclasses_or_typing():
+    # the modules that dataclasses and typing pull into a -S interpreter
+    proc = _fresh_python(
+        "-S", "-c", "import json, sys, qsymx.cli; print(json.dumps(sorted(sys.modules)))"
+    )
+    out, err = proc.communicate(timeout=60)
+    assert proc.returncode == 0, err
+    loaded = set(json.loads(out))
+    assert {"qsymx.cli", "qsymx.identities"} <= loaded
+    assert not loaded & {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}

@@ -28,6 +28,11 @@ def test_parse_and_format():
         co.parse_composition("2,x")
     with pytest.raises(ValueError):
         co.parse_composition("0,1")
+    # int() alone reads "1_2" as 12 and the Arabic-Indic digit three as 3
+    for text in ("1_2,3", "\u0663,1", "1,\uff12"):
+        with pytest.raises(ValueError, match="cannot parse composition"):
+            co.parse_composition(text)
+    assert co.parse_composition(" 12, 3 ") == (12, 3)
 
 
 def test_all_compositions():

@@ -131,6 +131,28 @@ def test_counterexample_reporting(monkeypatch):
     assert ce.params["p"] + ce.params["q"] == 5
 
 
+def test_report_records_are_immutable_tuples_with_named_fields():
+    one, two = en.as_fraction(1), en.as_fraction(2)
+    ce = idn.Counterexample(params={"alpha": (1, 2)}, left=one, right=two)
+    report = idn.CheckReport(id="x", domain="d", cases=3, status="fail", counterexample=ce)
+    assert report.counterexample is ce and not report.passed
+    assert ce == idn.Counterexample({"alpha": (1, 2)}, 1, 2)
+    ok = idn.CheckReport(id="x", domain="d", cases=3, status="pass")
+    assert ok.passed and ok.counterexample is None
+    assert ok == idn.CheckReport("x", "d", 3, "pass", None) != report
+    for record, field in ((report, "status"), (ce, "left"), (ok, "elapsed")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+    assert cli._report_json(ok) == {"id": "x", "domain": "d", "cases": 3, "status": "pass"}
+    assert cli._report_json(report) == {
+        "id": "x",
+        "domain": "d",
+        "cases": 3,
+        "status": "fail",
+        "counterexample": {"params": {"alpha": [1, 2]}, "left": "1", "right": "2"},
+    }
+
+
 def test_signed_census_walk_matches_the_enumeration():
     # the walk over unit gaps against every composition of m, zero entries
     # included
