@@ -31,13 +31,19 @@ bitmask.  The kernel works by blocks: the cut at partial sum s splits each
 composition of n that has s as a partial sum into one of s and one of
 n - s, so its terms form the outer product of the degree-s row and the
 degree-(n - s) row, which the kernel adds one slice (contiguous, or of
-stride 2^s) per nonzero entry of the shorter row.  On entry, degree n is
-scaled by c**n, with c the lcm of the input denominators (twice that in
-``decompose``, which halves), so each row is multiplied by one factor; on
-exit each row is divided by the gcd of c**n and its entries.  Scaling
-degree n by c**n commutes with convolution, so every step in between is
-exact integer arithmetic, and the only division, the halving in the square
-root, is checked to leave no remainder.
+stride 2^s) per nonzero entry of the shorter row, times one int factor per
+cut.  ``convolve`` runs on the stored rows as they are: degree n of the
+product goes over one common denominator, the lcm E_n of the products of
+the two operands' denominators in degrees s and n - s, and the factor of
+the cut at s is E_n over that product, folded into the scalar the kernel
+takes from the shorter row.  ``decompose`` and ``inverse`` keep one scale
+instead: on entry degree n is multiplied by c**n, with c the lcm of the
+input denominators (twice that in ``decompose``, whose halving must be
+exact), and every cut factor is 1.  Scaling degree n by c**n commutes with
+convolution, so every step in between is exact integer arithmetic, and the
+only division, the halving in the square root, is checked to leave no
+remainder.  On exit each row is divided by the gcd of its denominator and
+its entries.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -269,15 +275,17 @@ class TruncatedCharacter:
     composition of n, indexed by partial-sum bitmask).  The value at mask
     in degree n is numerators[n][mask] / denominators[n], with every row
     reduced (gcd(denominators[n], *numerators[n]) == 1), so equal
-    characters have equal rows.  The constructor takes values (Fractions,
-    ints or "p/q" strings) through exactnum.as_fraction, so a float raises
-    TypeError; ``tables`` and ``value`` hand out Fractions."""
+    characters have equal rows.  The constructor takes ints as they are and
+    every other value (a Fraction or a "p/q" string) through
+    exactnum.as_fraction, so a bool or a float raises TypeError; ``tables``
+    and ``value`` hand out Fractions."""
 
     __slots__ = ("max_degree", "numerators", "denominators")
 
     def __init__(self, max_degree: int, tables):
         _require_degree(max_degree)
-        tables = [[en.as_fraction(v) for v in row] for row in tables]
+        # an int has a numerator and a denominator of its own
+        tables = [[v if type(v) is int else en.as_fraction(v) for v in row] for row in tables]
         if len(tables) != max_degree + 1:
             raise ValueError("expected %d degree tables" % (max_degree + 1,))
         for n, row in enumerate(tables):
@@ -381,45 +389,54 @@ def _require_same_degree(phi: TruncatedCharacter, psi: TruncatedCharacter):
         )
 
 
-def _denominator_lcm(*chars: TruncatedCharacter) -> int:
-    return lcm(*(d for phi in chars for d in phi.denominators))
-
-
-def _scaled(phi: TruncatedCharacter, c: int, base: int = 1) -> list[list[int]]:
-    """phi's rows as ints: the degree-n values times base * c**n, that is
-    numerators[n] times the one factor base * c**n / denominators[n]."""
+def _scaled(phi: TruncatedCharacter, c: int) -> list[list[int]]:
+    """phi's rows as ints: the degree-n values times c**n, that is
+    numerators[n] times the one factor c**n / denominators[n]."""
     rows = []
     for n, (row, d) in enumerate(zip(phi.numerators, phi.denominators)):
-        factor = base * c ** n // d
+        factor = c ** n // d
         rows.append([v * factor for v in row])
     return rows
 
 
-def _unscaled(rows, c: int, base: int = 1) -> TruncatedCharacter:
-    """The character whose degree-n values are rows[n] / (base * c**n)."""
-    return TruncatedCharacter._from_rows(rows, [base * c ** n for n in range(len(rows))])
+def _unscaled(rows, c: int) -> TruncatedCharacter:
+    """The character whose degree-n values are rows[n] / c**n."""
+    return TruncatedCharacter._from_rows(rows, [c ** n for n in range(len(rows))])
 
 
-def _proper_cuts(left, right, n: int) -> list[int]:
+def _cut_factors(left_d, right_d, n: int):
+    """(E, factors) for degree n of the product of two characters with
+    denominators left_d and right_d: E is the lcm over s = 0..n of
+    left_d[s] * right_d[n - s], and factors[s] = E // (left_d[s] * right_d[n - s])
+    puts the cut at s over E."""
+    products = [left_d[s] * right_d[n - s] for s in range(n + 1)]
+    common = lcm(*products)
+    return common, [common // p for p in products]
+
+
+def _proper_cuts(left, right, n: int, factors) -> list[int]:
     """The deconcatenation kernel: for every composition of n (by mask), the
-    sum of left(first parts) * right(remaining parts) over its proper cuts.
+    sum of factors[s] * left(first parts) * right(remaining parts) over its
+    proper cuts, s being the weight of the first parts.
 
     The cut at partial sum s (bit s - 1) covers exactly the masks
     ``high << s | 1 << (s - 1) | low``, leaving low in degree s and high in
     degree n - s, so it adds the outer product of left[s] and right[n - s]
-    to the row.  It is added by slices, once per nonzero entry of the
-    shorter of the two rows: r * left[s] over the contiguous block of
-    2^(s-1) masks that share high, or l * right[n - s] over the masks of
-    stride 2^s that share low.  Only degrees 1..n-1 of left and right are
-    read, so a recursion may pass tables that end at degree n - 1.
+    to the row, times factors[s].  It is added by slices, once per nonzero
+    entry of the shorter of the two rows, with factors[s] folded into that
+    entry: r * left[s] over the contiguous block of 2^(s-1) masks that share
+    high, or l * right[n - s] over the masks of stride 2^s that share low.
+    Only degrees 1..n-1 of left and right are read, so a recursion may pass
+    tables that end at degree n - 1.
     """
     row = [0] * (1 << (n - 1))
     for s in range(1, n):
-        a, b = left[s], right[n - s]
+        a, b, f = left[s], right[n - s], factors[s]
         half = 1 << (s - 1)
         if len(b) <= len(a):
             for high, r in enumerate(b):
                 if r:
+                    r *= f
                     start = high << s | half
                     stop = start + half
                     row[start:stop] = [x + r * v for x, v in zip(row[start:stop], a)]
@@ -427,19 +444,23 @@ def _proper_cuts(left, right, n: int) -> list[int]:
             step = half << 1
             for low, l in enumerate(a):
                 if l:
+                    l *= f
                     start = half | low
                     row[start::step] = [x + l * v for x, v in zip(row[start::step], b)]
     return row
 
 
-def _product_rows(left, right) -> list[list[int]]:
-    """Scaled tables of the convolution product: degree 0 is a * b, and
-    degree n is a * right_n + left_n * b plus the proper cuts."""
+def _product_rows(left, right, factors) -> list[list[int]]:
+    """Integer tables of the convolution product, with factors[n] the cut
+    factors of degree n (see _proper_cuts): degree 0 is a * b, and degree n
+    is f_0 a right_n + f_n left_n b plus the proper cuts."""
     a, b = left[0][0], right[0][0]
     rows = [[a * b]]
     for n in range(1, len(left)):
-        cuts = _proper_cuts(left, right, n)
-        rows.append([a * r + v * b + x for v, r, x in zip(left[n], right[n], cuts)])
+        f = factors[n]
+        cuts = _proper_cuts(left, right, n, f)
+        a_n, b_n = a * f[0], b * f[n]
+        rows.append([a_n * r + v * b_n + x for v, r, x in zip(left[n], right[n], cuts)])
     return rows
 
 
@@ -448,8 +469,9 @@ def _quotient_rows(a, b) -> list[list[int]]:
     x_n = b_n - a_n x_0 - sum over proper cuts of a(left) x(right)."""
     x0 = b[0][0]
     x = [[x0]]
+    ones = [1] * len(b)
     for n in range(1, len(b)):
-        cuts = _proper_cuts(a, x, n)
+        cuts = _proper_cuts(a, x, n, ones)
         x.append([w - v * x0 - y for w, v, y in zip(b[n], a[n], cuts)])
     return x
 
@@ -469,13 +491,15 @@ def _halve(row: list[int]) -> list[int]:
 
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:
     """Convolution product: on M_alpha, the sum over deconcatenations
-    alpha = (first i parts | rest) of phi(left) psi(right)."""
+    alpha = (first i parts | rest) of phi(left) psi(right).  It runs on the
+    stored rows, with degree n over the lcm of the products of the
+    operands' denominators that meet in it (see _cut_factors)."""
     _require_same_degree(phi, psi)
-    c = _denominator_lcm(phi, psi)
-    # degree 0 is scaled by base, so that non-integer phi(1), psi(1) work
-    base = lcm(phi.denominators[0], psi.denominators[0])
-    rows = _product_rows(_scaled(phi, c, base), _scaled(psi, c, base))
-    return _unscaled(rows, c, base * base)
+    scales = [
+        _cut_factors(phi.denominators, psi.denominators, n) for n in range(phi.max_degree + 1)
+    ]
+    rows = _product_rows(phi.numerators, psi.numerators, [f for _, f in scales])
+    return TruncatedCharacter._from_rows(rows, [common for common, _ in scales])
 
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
@@ -483,7 +507,7 @@ def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
     phi(1) = 1."""
     if phi.value(()) != 1:
         raise ValueError("inverse requires phi(1) = 1")
-    c = _denominator_lcm(phi)
+    c = lcm(*phi.denominators)
     counit = [[1]] + [[0] * (1 << (n - 1)) for n in range(1, phi.max_degree + 1)]
     return _unscaled(_quotient_rows(_scaled(phi, c), counit), c)
 
@@ -513,15 +537,16 @@ def decompose(phi: TruncatedCharacter):
     """
     if phi.value(()) != 1:
         raise ValueError("decompose requires phi(1) = 1")
-    c = 2 * _denominator_lcm(phi)
+    c = 2 * lcm(*phi.denominators)
     rows = _scaled(phi, c)
     square = _quotient_rows(_bar_rows(rows), rows)
     minus = [[1]]
+    ones = [1] * len(rows)
     for n in range(1, len(rows)):
-        cuts = _proper_cuts(minus, minus, n)
+        cuts = _proper_cuts(minus, minus, n, ones)
         minus.append(_halve([v - x for v, x in zip(square[n], cuts)]))
     del square  # freed before the product builds its table
-    plus = _product_rows(rows, _bar_rows(minus))
+    plus = _product_rows(rows, _bar_rows(minus), [ones] * len(rows))
     return _unscaled(plus, c), _unscaled(minus, c)
 
 

@@ -21,9 +21,11 @@ from qsymx.characters import TruncatedCharacter
 from qsymx.compositions import all_compositions, to_index
 
 
-def proper_cuts(left, right, n: int) -> list[int]:
+def proper_cuts(left, right, n: int, factors=None) -> list[int]:
     """The deconcatenation kernel: for every composition of n (by mask), the
-    sum of left(first parts) * right(remaining parts) over its proper cuts.
+    sum of factors[s] * left(first parts) * right(remaining parts) over its
+    proper cuts, s being the weight of the first parts; without factors,
+    every factor is 1.
 
     A set bit ``low`` of mask is the partial sum s = low.bit_length(); the
     cut there leaves mask & (low - 1) in degree s and mask >> s in degree
@@ -37,7 +39,8 @@ def proper_cuts(left, right, n: int) -> list[int]:
         while rest:
             low = rest & -rest
             s = low.bit_length()
-            total += left[s][mask & (low - 1)] * right[n - s][mask >> s]
+            term = left[s][mask & (low - 1)] * right[n - s][mask >> s]
+            total += term if factors is None else factors[s] * term
             rest ^= low
         row.append(total)
     return row

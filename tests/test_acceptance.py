@@ -213,8 +213,9 @@ def _character_failures(n_max):
     zeta-minus composed with S is its bar image ("odd S"); zeta-plus is
     fixed by bar and by T ("even bar", "even T"); and the parts of zeta^-1
     are bar(zeta-minus) composed with T ("inverse odd part") and
-    zeta-plus^-1 ("inverse even part").  Each failing check is mapped to
-    its first failing case."""
+    zeta-plus^-1 ("inverse even part"); the parts of zeta and of zeta^-1
+    multiply back to them ("product of parts").  Each failing check is
+    mapped to its first failing case."""
     ids = [char_id for char_id in ch.CHARACTER_IDS if char_id != ch.COUNIT]
     tables = {char_id: ch.restrict(char_id, n_max) for char_id in ids}
     comps = comps_up_to(n_max)
@@ -234,6 +235,11 @@ def _character_failures(n_max):
     failed.check("inverse odd part", n_max, lambda: (
         tables[ch.ZETA_INV_MINUS] == ch.compose_T(ch.bar(zm))))
     failed.check("inverse even part", n_max, lambda: tables[ch.ZETA_INV_PLUS] == ch.inverse(zp))
+    for whole, plus, minus in ((ch.ZETA, zp, zm),
+                               (ch.ZETA_INV, tables[ch.ZETA_INV_PLUS],
+                                tables[ch.ZETA_INV_MINUS])):
+        failed.check("product of parts", (whole, n_max), lambda: (
+            ch.convolve(plus, minus) == tables[whole]))
     return failed
 
 
@@ -402,11 +408,11 @@ def _drop_last(real):
 def _drop_last_cut(real):
     """The fault: the kernel skips the proper cut at the largest partial
     sum of each composition."""
-    def cuts(left, right, n):
-        row = real(left, right, n)
+    def cuts(left, right, n, factors):
+        row = real(left, right, n, factors)
         for mask in range(1, len(row)):
             s = mask.bit_length()
-            row[mask] -= left[s][mask ^ 1 << (s - 1)] * right[n - s][mask >> s]
+            row[mask] -= factors[s] * left[s][mask ^ 1 << (s - 1)] * right[n - s][mask >> s]
         return row
     return cuts
 
@@ -415,7 +421,7 @@ def _quotient_rows_without_unit_term(a, b):
     """The quotient recursion with the a_n x_0 term dropped."""
     x = [[b[0][0]]]
     for n in range(1, len(b)):
-        cuts = ch._proper_cuts(a, x, n)
+        cuts = ch._proper_cuts(a, x, n, [1] * (n + 1))
         x.append([w - y for w, y in zip(b[n], cuts)])
     return x
 
@@ -496,6 +502,11 @@ FAULTS = [
     # truncated coefficient on both sides
     ("exactnum._summand", lambda real: int, ("criterion 4:M product of a non-integral element",)),
     ("characters._proper_cuts", _drop_last_cut, ("decompose", "registry:zeta_power")),
+    # every cut of a product counted over its own denominator, not the
+    # degree's common one; the registry convolves only integer characters
+    ("characters._cut_factors",
+     lambda real: lambda left_d, right_d, n: (real(left_d, right_d, n)[0], [1] * (n + 1)),
+     ("criterion 5:product of parts",)),
     ("characters._halve", lambda real: list, ("decompose",)),
     ("characters._quotient_rows", lambda real: _quotient_rows_without_unit_term,
      ("decompose", "registry:zeta_power", "criterion 5:inverse even part")),

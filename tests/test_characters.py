@@ -396,20 +396,35 @@ def test_halving_with_remainder_raises(monkeypatch):
         ch.decompose(ch.restrict(ch.ZETA, 4))
 
 
-def test_decompose_makes_one_kernel_pass_per_degree_and_operation(monkeypatch):
+def _counting_kernel(monkeypatch):
+    """The degrees of the kernel calls made from now on."""
     real = ch._proper_cuts
     calls = []
 
-    def counting(left, right, n):
-        calls.append(n)
-        return real(left, right, n)
+    def counting(*args):
+        calls.append(args[2])
+        return real(*args)
 
     monkeypatch.setattr(ch, "_proper_cuts", counting)
+    return calls
+
+
+def test_decompose_makes_one_kernel_pass_per_degree_and_operation(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
     for degree in (0, 1, 7):
         calls.clear()
         ch.decompose(ch.restrict(ch.ZETA, degree))
         # the quotient, the square root and the product
         assert len(calls) == 3 * degree
+
+
+def test_convolve_makes_one_kernel_pass_per_degree(monkeypatch):
+    calls = _counting_kernel(monkeypatch)
+    for left, right in ((ch.ZETA, ch.ZETA), (ch.ZETA_PLUS, ch.ZETA_MINUS)):
+        for degree in (0, 1, 7):
+            calls.clear()
+            ch.convolve(ch.restrict(left, degree), ch.restrict(right, degree))
+            assert calls == list(range(1, degree + 1))
 
 
 def _kernel_rows(rng, kind, n):
@@ -433,13 +448,18 @@ def test_block_kernel_matches_the_bit_walk():
     kinds = [("zero", "big"), ("big", "zero"), ("sparse", "big"),
              ("big", "sparse"), ("sparse", "sparse"), ("big", "big")]
     for n in range(1, 15):
+        ones = [1] * (n + 1)
         for left_kind, right_kind in kinds:
             left = _kernel_rows(rng, left_kind, n)
             right = _kernel_rows(rng, right_kind, n)
             want = ref.proper_cuts(left, right, n)
-            assert ch._proper_cuts(left, right, n) == want, (n, left_kind, right_kind)
+            assert ch._proper_cuts(left, right, n, ones) == want, (n, left_kind, right_kind)
+            # convolve's cut factors, one positive int per cut
+            factors = [rng.randint(1, 1 << rng.choice((1, 8, 64))) for _ in range(n + 1)]
+            want = ref.proper_cuts(left, right, n, factors)
+            assert ch._proper_cuts(left, right, n, factors) == want, (n, left_kind, right_kind)
         # the square root passes one table as both factors
-        assert ch._proper_cuts(left, left, n) == ref.proper_cuts(left, left, n)
+        assert ch._proper_cuts(left, left, n, ones) == ref.proper_cuts(left, left, n)
 
 
 def _raise(*args):
@@ -517,7 +537,8 @@ def test_truncated_character_round_trips_its_values(phi):
 def test_equal_values_give_equal_characters(phi):
     degree = phi.max_degree
     counit = ch.restrict(ch.COUNIT, degree)
-    # the kernel scales by the lcm of the denominators and reduces on exit
+    # the kernel puts each degree over one lcm of denominator products and
+    # reduces on exit
     from_kernel = ch.convolve(phi, counit)
     assert from_kernel == phi == ch.convolve(counit, phi)
     assert from_kernel.numerators == phi.numerators
@@ -534,6 +555,74 @@ def test_equal_values_give_equal_characters(phi):
 def test_convolve_matches_reference(pair):
     phi, psi = pair
     assert ch.convolve(phi, psi) == ref.convolve(phi, psi)
+
+
+def _seeded_functional(rng, degree):
+    """A functional with phi(1) = 1 and values p/q, p in -9..9, q in 1..7."""
+    tables = [[1]] + [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(1 << (n - 1))]
+        for n in range(1, degree + 1)
+    ]
+    return ch.TruncatedCharacter(degree, tables)
+
+
+def test_convolve_keeps_growing_denominators_out_of_the_kernel(monkeypatch):
+    # the parts of a non-dyadic functional have denominators that grow with
+    # the degree; convolve hands the kernel their stored rows, so no int it
+    # passes is longer than the operands' longest numerator
+    real = ch._proper_cuts
+    seen = []
+
+    def recording(left, right, n, factors):
+        ints = [v for rows in (left, right) for row in rows[1:n] for v in row]
+        seen.append(max((abs(v).bit_length() for v in ints + factors[1:n]), default=0))
+        return real(left, right, n, factors)
+
+    rng = random.Random(20)
+    for degree in (1, 2, 5, 8, 8):
+        phi = _seeded_functional(rng, degree)
+        plus, minus = ch.decompose(phi)
+        for left, right in ((plus, minus), (ch.bar(minus), minus)):
+            seen.clear()
+            with monkeypatch.context() as patch:
+                patch.setattr(ch, "_proper_cuts", recording)
+                product = ch.convolve(left, right)
+            assert product == ref.convolve(left, right)
+            longest = max(abs(v).bit_length() for x in (left, right)
+                          for row in x.numerators for v in row)
+            assert max(seen, default=0) <= longest, (degree, seen, longest)
+        assert ch.convolve(plus, minus) == phi
+        assert ch.convolve(ch.bar(minus), minus) == ch.restrict(ch.COUNIT, degree)
+
+
+def test_truncated_character_takes_ints_as_they_are():
+    rng = random.Random(5)
+    degree = 6
+    ints = [[rng.randint(-9, 9) for _ in range(1 if n == 0 else 1 << (n - 1))]
+            for n in range(degree + 1)]
+    phi = ch.TruncatedCharacter(degree, ints)
+    assert phi.denominators == (1,) * (degree + 1)
+    assert phi.numerators == tuple(map(tuple, ints))
+    for same in ([[Fraction(v) for v in row] for row in ints],
+                 [["%d/1" % v for v in row] for row in ints],
+                 [[str(2 * v) + "/2" for v in row] for row in ints]):
+        other = ch.TruncatedCharacter(degree, same)
+        assert (other.numerators, other.denominators) == (phi.numerators, phi.denominators)
+    assert all(type(v) is Fraction for row in phi.tables for v in row)
+    assert phi.tables == tuple(tuple(Fraction(v) for v in row) for row in ints)
+    # ints mixed with other values share one denominator per row
+    mixed = ch.TruncatedCharacter(2, [[1], [Fraction(1, 2)], [3, "1/3"]])
+    assert mixed.numerators == ((1,), (1,), (9, 1))
+    assert mixed.denominators == (1, 2, 3)
+    # a bool or a float anywhere in a row is still refused
+    for bad in (True, 1.0, False, 0.5):
+        for n in range(1, degree + 1):
+            tables = [list(row) for row in ints]
+            tables[n][-1] = bad
+            with pytest.raises(TypeError):
+                ch.TruncatedCharacter(degree, tables)
+        with pytest.raises(TypeError):
+            ch.TruncatedCharacter(0, [[bad]])
 
 
 @KERNEL_SETTINGS
