@@ -32,18 +32,17 @@ composition of n that has s as a partial sum into one of s and one of
 n - s, so its terms form the outer product of the degree-s row and the
 degree-(n - s) row, which the kernel adds one slice (contiguous, or of
 stride 2^s) per nonzero entry of the shorter row, times one int factor per
-cut.  ``convolve`` runs on the stored rows as they are: degree n of the
-product goes over one common denominator, the lcm E_n of the products of
-the two operands' denominators in degrees s and n - s, and the factor of
-the cut at s is E_n over that product, folded into the scalar the kernel
-takes from the shorter row.  ``decompose`` and ``inverse`` keep one scale
-instead: on entry degree n is multiplied by c**n, with c the lcm of the
-input denominators (twice that in ``decompose``, whose halving must be
-exact), and every cut factor is 1.  Scaling degree n by c**n commutes with
-convolution, so every step in between is exact integer arithmetic, and the
-only division, the halving in the square root, is checked to leave no
-remainder.  On exit each row is divided by the gcd of its denominator and
-its entries.
+cut.  The product, the quotient and the square root all follow one rule
+(``_cut_factors``): degree n of the result goes over one common
+denominator E_n, the lcm of the denominator products that meet in it, and
+the term of each product is put over E_n by the int factor E_n over that
+product, which for a cut is folded into the scalar the kernel takes from
+the shorter row.  In ``convolve`` these are the products of the two
+operands' denominators in degrees s and n - s; the quotient and the square
+root add the denominator of the row they solve against, and reduce each
+degree they solve before the next degree reads it.  So every step is exact
+integer arithmetic on reduced rows, and the only division, the halving in
+the square root, is checked against the denominators it may reach.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -269,6 +268,13 @@ def _reduced(row, d: int):
     return [v // g for v in row], d // g
 
 
+def _over_lcm(values):
+    """(numerators, d): ints or Fractions put over d, the lcm of their
+    denominators, which leaves gcd(d, *numerators) == 1."""
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
+
+
 class TruncatedCharacter:
     """A linear functional on QSym truncated at degree N, stored as one
     dense row of monomial-basis values per degree (row n has one entry per
@@ -292,13 +298,10 @@ class TruncatedCharacter:
             want = 1 if n == 0 else 1 << (n - 1)
             if len(row) != want:
                 raise ValueError("degree-%d table must have %d entries" % (n, want))
-        denominators = [lcm(*(v.denominator for v in row)) for row in tables]
+        rows = [_over_lcm(row) for row in tables]
         self.max_degree = max_degree
-        self.numerators = tuple(
-            tuple(v.numerator * (d // v.denominator) for v in row)
-            for row, d in zip(tables, denominators)
-        )
-        self.denominators = tuple(denominators)
+        self.numerators = tuple(tuple(row) for row, _ in rows)
+        self.denominators = tuple(d for _, d in rows)
 
     @classmethod
     def _from_rows(cls, rows, denominators) -> "TruncatedCharacter":
@@ -374,9 +377,7 @@ def restrict(char_id: str, max_degree: int) -> TruncatedCharacter:
     _require_degree(max_degree)
     rows, denominators = [], []
     for n, shapes, index in _shape_walk(max_degree):
-        values = [_closed_M(kind, power, n, shape) for shape in shapes]
-        d = lcm(*(v.denominator for v in values))
-        numerators = [v.numerator * (d // v.denominator) for v in values]
+        numerators, d = _over_lcm([_closed_M(kind, power, n, shape) for shape in shapes])
         rows.append([numerators[i] for i in index])
         denominators.append(d)
     return TruncatedCharacter._from_rows(rows, denominators)
@@ -389,27 +390,10 @@ def _require_same_degree(phi: TruncatedCharacter, psi: TruncatedCharacter):
         )
 
 
-def _scaled(phi: TruncatedCharacter, c: int) -> list[list[int]]:
-    """phi's rows as ints: the degree-n values times c**n, that is
-    numerators[n] times the one factor c**n / denominators[n]."""
-    rows = []
-    for n, (row, d) in enumerate(zip(phi.numerators, phi.denominators)):
-        factor = c ** n // d
-        rows.append([v * factor for v in row])
-    return rows
-
-
-def _unscaled(rows, c: int) -> TruncatedCharacter:
-    """The character whose degree-n values are rows[n] / c**n."""
-    return TruncatedCharacter._from_rows(rows, [c ** n for n in range(len(rows))])
-
-
-def _cut_factors(left_d, right_d, n: int):
-    """(E, factors) for degree n of the product of two characters with
-    denominators left_d and right_d: E is the lcm over s = 0..n of
-    left_d[s] * right_d[n - s], and factors[s] = E // (left_d[s] * right_d[n - s])
-    puts the cut at s over E."""
-    products = [left_d[s] * right_d[n - s] for s in range(n + 1)]
+def _cut_factors(products):
+    """(E, factors) for the products of denominators that meet in one
+    degree of a recursion: E is their lcm, and factors[i] = E // products[i]
+    puts the term of products[i] over E."""
     common = lcm(*products)
     return common, [common // p for p in products]
 
@@ -450,56 +434,56 @@ def _proper_cuts(left, right, n: int, factors) -> list[int]:
     return row
 
 
-def _product_rows(left, right, factors) -> list[list[int]]:
-    """Integer tables of the convolution product, with factors[n] the cut
-    factors of degree n (see _proper_cuts): degree 0 is a * b, and degree n
-    is f_0 a right_n + f_n left_n b plus the proper cuts."""
-    a, b = left[0][0], right[0][0]
-    rows = [[a * b]]
-    for n in range(1, len(left)):
-        f = factors[n]
-        cuts = _proper_cuts(left, right, n, f)
-        a_n, b_n = a * f[0], b * f[n]
-        rows.append([a_n * r + v * b_n + x for v, r, x in zip(left[n], right[n], cuts)])
-    return rows
+def _quotient_rows(a: TruncatedCharacter, b: TruncatedCharacter):
+    """(rows, denominators) of x = a^-1 b for a(1) = 1, from a x = b:
+    x_n = b_n - a_n x_0 - sum over proper cuts of a(left) x(right), put
+    over the lcm of b's denominator (slot 0) and the products of a's and
+    x's denominators that meet in degree n (slot s for a_s x_(n-s)), and
+    reduced before the next degree reads it."""
+    a_rows, a_d = a.numerators, a.denominators
+    x0 = b.numerators[0][0]
+    x, x_d = [[x0]], [b.denominators[0]]
+    for n in range(1, len(a_rows)):
+        common, f = _cut_factors(
+            [b.denominators[n]] + [a_d[s] * x_d[n - s] for s in range(1, n + 1)]
+        )
+        cuts = _proper_cuts(a_rows, x, n, f)
+        b_n, a_n = f[0], x0 * f[n]
+        row, d = _reduced(
+            [b_n * w - a_n * v - y for w, v, y in zip(b.numerators[n], a_rows[n], cuts)], common
+        )
+        x.append(row)
+        x_d.append(d)
+    return x, x_d
 
 
-def _quotient_rows(a, b) -> list[list[int]]:
-    """Scaled tables of x = a^-1 b for a(1) = 1, from a x = b:
-    x_n = b_n - a_n x_0 - sum over proper cuts of a(left) x(right)."""
-    x0 = b[0][0]
-    x = [[x0]]
-    ones = [1] * len(b)
-    for n in range(1, len(b)):
-        cuts = _proper_cuts(a, x, n, ones)
-        x.append([w - v * x0 - y for w, v, y in zip(b[n], a[n], cuts)])
-    return x
-
-
-def _bar_rows(rows) -> list[list]:
-    """The degree-sign involution: degree-n values pick up (-1)^n."""
-    return [[-v for v in row] if n % 2 else row for n, row in enumerate(rows)]
-
-
-def _halve(row: list[int]) -> list[int]:
-    """Exact halves of the entries of row; an odd entry means a fault."""
-    odd = next((v for v in row if v & 1), None)
-    if odd is not None:
-        raise ArithmeticError("odd value %d in an exact halving" % odd)
-    return [v >> 1 for v in row]
+def _halve(row: list[int], d: int, bound: int):
+    """row / 2d in lowest terms, as (row, denominator); a denominator that
+    does not divide bound means a fault."""
+    row, d = _reduced(row, 2 * d)
+    if bound % d:
+        raise ArithmeticError("denominator %d does not divide %d in an exact halving" % (d, bound))
+    return row, d
 
 
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:
     """Convolution product: on M_alpha, the sum over deconcatenations
     alpha = (first i parts | rest) of phi(left) psi(right).  It runs on the
     stored rows, with degree n over the lcm of the products of the
-    operands' denominators that meet in it (see _cut_factors)."""
+    operands' denominators that meet in it (see _cut_factors): degree 0 is
+    a * b, and degree n is f_0 a psi_n + f_n phi_n b plus the proper cuts."""
     _require_same_degree(phi, psi)
-    scales = [
-        _cut_factors(phi.denominators, psi.denominators, n) for n in range(phi.max_degree + 1)
-    ]
-    rows = _product_rows(phi.numerators, psi.numerators, [f for _, f in scales])
-    return TruncatedCharacter._from_rows(rows, [common for common, _ in scales])
+    left, right = phi.numerators, psi.numerators
+    left_d, right_d = phi.denominators, psi.denominators
+    a, b = left[0][0], right[0][0]
+    rows, denominators = [[a * b]], [left_d[0] * right_d[0]]
+    for n in range(1, len(left)):
+        common, f = _cut_factors([left_d[s] * right_d[n - s] for s in range(n + 1)])
+        cuts = _proper_cuts(left, right, n, f)
+        a_n, b_n = a * f[0], b * f[n]
+        rows.append([a_n * r + v * b_n + x for v, r, x in zip(left[n], right[n], cuts)])
+        denominators.append(common)
+    return TruncatedCharacter._from_rows(rows, denominators)
 
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
@@ -507,14 +491,15 @@ def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
     phi(1) = 1."""
     if phi.value(()) != 1:
         raise ValueError("inverse requires phi(1) = 1")
-    c = lcm(*phi.denominators)
-    counit = [[1]] + [[0] * (1 << (n - 1)) for n in range(1, phi.max_degree + 1)]
-    return _unscaled(_quotient_rows(_scaled(phi, c), counit), c)
+    rows = [[1]] + [[0] * (1 << (n - 1)) for n in range(1, phi.max_degree + 1)]
+    counit = TruncatedCharacter._from_rows(rows, [1] * len(rows))
+    return TruncatedCharacter._from_rows(*_quotient_rows(phi, counit))
 
 
 def bar(phi: TruncatedCharacter) -> TruncatedCharacter:
     """The degree-sign involution: degree-n values pick up (-1)^n."""
-    return TruncatedCharacter._from_rows(_bar_rows(phi.numerators), phi.denominators)
+    rows = [[-v for v in row] if n % 2 else row for n, row in enumerate(phi.numerators)]
+    return TruncatedCharacter._from_rows(rows, phi.denominators)
 
 
 def decompose(phi: TruncatedCharacter):
@@ -529,25 +514,29 @@ def decompose(phi: TruncatedCharacter):
     phi_-(left) phi_-(right), so each of the quotient, the square root and
     the product makes one kernel pass per degree.
 
-    It runs on integer tables: with d the lcm of phi's denominators and
-    c = 2d, degree n is scaled by c**n.  For integer phi, phi_- and phi_+
-    have 2-adic valuation at least 1 - n in degree n, so every scaled value
-    is an integer and an odd value in the halving can only come from a
-    fault; it raises ArithmeticError.
+    Every step runs on reduced integer rows with one denominator per
+    degree, as convolve does: degree n of the square root goes over the lcm
+    of the square's denominator (slot 0) and the products of phi_-'s
+    denominators that meet in it.  With c twice the lcm of phi's
+    denominators, (phi_-)_n has a denominator dividing c**n (for integer
+    phi, 2-adic valuation at least 1 - n), so a halving whose reduced
+    denominator does not divide c**n can only come from a fault; it raises
+    ArithmeticError.
     """
     if phi.value(()) != 1:
         raise ValueError("decompose requires phi(1) = 1")
     c = 2 * lcm(*phi.denominators)
-    rows = _scaled(phi, c)
-    square = _quotient_rows(_bar_rows(rows), rows)
-    minus = [[1]]
-    ones = [1] * len(rows)
-    for n in range(1, len(rows)):
-        cuts = _proper_cuts(minus, minus, n, ones)
-        minus.append(_halve([v - x for v, x in zip(square[n], cuts)]))
+    square, square_d = _quotient_rows(bar(phi), phi)
+    minus, minus_d = [[1]], [1]
+    for n in range(1, len(square)):
+        common, f = _cut_factors([square_d[n]] + [minus_d[s] * minus_d[n - s] for s in range(1, n)])
+        cuts = _proper_cuts(minus, minus, n, f)
+        row, d = _halve([f[0] * v - y for v, y in zip(square[n], cuts)], common, c ** n)
+        minus.append(row)
+        minus_d.append(d)
     del square  # freed before the product builds its table
-    plus = _product_rows(rows, _bar_rows(minus), [ones] * len(rows))
-    return _unscaled(plus, c), _unscaled(minus, c)
+    phi_minus = TruncatedCharacter._from_rows(minus, minus_d)
+    return convolve(phi, bar(phi_minus)), phi_minus
 
 
 def _compose(phi: TruncatedCharacter, f) -> TruncatedCharacter:

@@ -208,6 +208,8 @@ def binomial(n: int, k: int) -> int:
     >>> binomial(4, 2), binomial(5, 0), binomial(3, 5), binomial(3, -1)
     (6, 1, 0, 0)
     """
+    if type(n) is not int or type(k) is not int:
+        raise ValueError("binomial needs plain ints, got (%r, %r)" % (n, k))
     if n < 0:
         raise ValueError("binomial requires n >= 0, got n=%d" % n)
     if k < 0 or k > n:
@@ -277,13 +279,17 @@ def _bivariate_catalan(m: int, n: int) -> int:
 
 
 def central_binomial(m: int) -> int:
-    """B(m) = C(2m, m), the central binomial coefficient."""
-    return binomial(2 * m, m)
+    """B(m) = C(2m, m), the central binomial coefficient, for an int m >= 0."""
+    if type(m) is not int or m < 0:
+        raise ValueError("central_binomial requires an int m >= 0, got %r" % (m,))
+    return comb(2 * m, m)
 
 
 def catalan(m: int) -> int:
-    """The Catalan number C(2m, m) / (m + 1)."""
-    q, r = divmod(binomial(2 * m, m), m + 1)
+    """The Catalan number C(2m, m) / (m + 1), for an int m >= 0."""
+    if type(m) is not int or m < 0:
+        raise ValueError("catalan requires an int m >= 0, got %r" % (m,))
+    q, r = divmod(comb(2 * m, m), m + 1)
     if r:
         raise ArithmeticError("catalan(%d): inexact division" % m)
     return q
@@ -298,6 +304,8 @@ def central_catalan(family: int, h: int) -> Fraction:
 
     Returned as a Fraction because family 3 at h = 0 is 1/2.
     """
+    if type(family) is not int or type(h) is not int:
+        raise ValueError("central_catalan needs plain ints, got (%r, %r)" % (family, h))
     if family == 1:
         value = bivariate_catalan(2 * h + 1, h + 1)
     elif family == 2:
@@ -327,14 +335,16 @@ def half_binomial(m: int, k: int) -> Fraction:
 
 
 def two_adic_valuation(x: int) -> int:
-    """Largest e with 2^e dividing x; x must be nonzero."""
+    """Largest e with 2^e dividing x; x must be a nonzero int."""
+    if type(x) is not int:
+        raise ValueError("two_adic_valuation needs a plain int, got %r" % (x,))
     if x == 0:
         raise ValueError("two_adic_valuation(0) is undefined")
     return (x & -x).bit_length() - 1
 
 
 def binary_digit_sum(m: int) -> int:
-    """Number of 1 bits in the binary expansion of m >= 0."""
-    if m < 0:
-        raise ValueError("binary_digit_sum requires m >= 0")
+    """Number of 1 bits in the binary expansion of an int m >= 0."""
+    if type(m) is not int or m < 0:
+        raise ValueError("binary_digit_sum requires an int m >= 0, got %r" % (m,))
     return m.bit_count()

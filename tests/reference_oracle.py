@@ -2,13 +2,14 @@
 decomposition computed directly over ``Fraction`` values, one composition at
 a time, by slicing tuples at every deconcatenation.
 
-This is the route the package used before its integer-scaled bitmask
-kernel, and its ``decompose`` is the former three-fold recursion for phi_+,
-not the square root of bar(phi)^-1 phi that the package now takes
-(Aguiar-Bergeron-Sottile, Compositio Math. 142 (2006), Thm 1.5).  It stays
-here, slow and literal, as the reference the oracle is compared against.
-It only reads values through ``TruncatedCharacter.value`` and builds
-results through the public constructor.
+This is the route the package used before its bitmask kernel on integer
+rows over per-degree denominators, and its ``decompose`` is the former
+three-fold recursion for phi_+, not the square root of bar(phi)^-1 phi
+that the package now takes (Aguiar-Bergeron-Sottile, Compositio Math. 142
+(2006), Thm 1.5).  It stays here, slow and literal, as the reference the
+oracle is compared against.  It only reads values through
+``TruncatedCharacter.value`` and builds results through the public
+constructor.
 
 ``proper_cuts`` is the package's former deconcatenation kernel, which
 walks the set bits of every mask one at a time; it is the reference for

@@ -419,11 +419,16 @@ def _drop_last_cut(real):
 
 def _quotient_rows_without_unit_term(a, b):
     """The quotient recursion with the a_n x_0 term dropped."""
-    x = [[b[0][0]]]
-    for n in range(1, len(b)):
-        cuts = ch._proper_cuts(a, x, n, [1] * (n + 1))
-        x.append([w - y for w, y in zip(b[n], cuts)])
-    return x
+    x, x_d = [list(b.numerators[0])], [b.denominators[0]]
+    for n in range(1, b.max_degree + 1):
+        common, f = ch._cut_factors(
+            [b.denominators[n]] + [a.denominators[s] * x_d[n - s] for s in range(1, n + 1)]
+        )
+        cuts = ch._proper_cuts(a.numerators, x, n, f)
+        row, d = ch._reduced([f[0] * w - y for w, y in zip(b.numerators[n], cuts)], common)
+        x.append(row)
+        x_d.append(d)
+    return x, x_d
 
 
 def _last_part_parity_flipped_in_degree_5(real):
@@ -502,12 +507,14 @@ FAULTS = [
     # truncated coefficient on both sides
     ("exactnum._summand", lambda real: int, ("criterion 4:M product of a non-integral element",)),
     ("characters._proper_cuts", _drop_last_cut, ("decompose", "registry:zeta_power")),
-    # every cut of a product counted over its own denominator, not the
-    # degree's common one; the registry convolves only integer characters
+    # every term counted over its own denominator, not the degree's common
+    # one; the registry convolves only integer characters
     ("characters._cut_factors",
-     lambda real: lambda left_d, right_d, n: (real(left_d, right_d, n)[0], [1] * (n + 1)),
-     ("criterion 5:product of parts",)),
-    ("characters._halve", lambda real: list, ("decompose",)),
+     lambda real: lambda products: (real(products)[0], [1] * len(products)),
+     ("criterion 5:product of parts", "criterion 5:inverse even part", "decompose")),
+    # the halving skipped: phi_- comes out doubled from degree 1 on
+    ("characters._halve", lambda real: lambda row, d, bound: real([2 * v for v in row], d, bound),
+     ("decompose",)),
     ("characters._quotient_rows", lambda real: _quotient_rows_without_unit_term,
      ("decompose", "registry:zeta_power", "criterion 5:inverse even part")),
     ("characters._closed_M",
@@ -518,7 +525,7 @@ FAULTS = [
     # the closed forms build reduced rows, so only the oracle's results,
     # reduced on the way out of the kernel, see this fault
     ("characters._reduced", _row_left_undivided,
-     ("decompose", "criterion 5:inverse even part")),
+     ("decompose", "criterion 5:product of parts")),
     ("characters._peak_census", _peak_census_sign_without_peaks,
      ("registry:h_minus_closed", "registry:h_plus_closed")),
     ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),

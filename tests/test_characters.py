@@ -377,22 +377,31 @@ def test_decompose_degree_12_matches_closed_forms():
 
 
 def test_halving_with_remainder_raises(monkeypatch):
-    with pytest.raises(ArithmeticError):
-        ch._halve([4, 3])
-    assert ch._halve([-4, 6]) == [-2, 3]
-    with pytest.raises(ArithmeticError, match="odd value -3"):
-        ch._halve([-3])
-    # a quotient off by one in degree 2 makes the square odd there, so the
-    # square root's halving must fail
+    # _halve(row, d, bound) is row / 2d reduced; its denominator must divide
+    # bound
+    assert ch._halve([-4, 6], 1, 1) == ([-2, 3], 1)
+    assert ch._halve([-3], 1, 2) == ([-3], 2)
+    assert ch._halve([6, 10], 3, 12) == ([3, 5], 3)
+    with pytest.raises(ArithmeticError, match="denominator 2 does not divide 1"):
+        ch._halve([4, 3], 1, 1)
+    with pytest.raises(ArithmeticError, match="exact halving"):
+        ch._halve([1], 2, 2)
+    # a quotient off by 1/c^2 in degree 2 (c = 2 for zeta) puts 1/8 into
+    # phi_- there, so the square root's halving must fail
     real = ch._quotient_rows
 
     def off_by_one(a, b):
-        x = real(a, b)
-        x[2][0] += 1
-        return x
+        rows, denominators = real(a, b)
+        c = 2 * math.lcm(*b.denominators)
+        d = math.lcm(denominators[2], c * c)
+        rows[2] = [v * (d // denominators[2]) for v in rows[2]]
+        rows[2][0] += d // (c * c)
+        denominators[2] = d
+        return rows, denominators
 
     monkeypatch.setattr(ch, "_quotient_rows", off_by_one)
-    with pytest.raises(ArithmeticError):
+    halving = "denominator 8 does not divide 4 in an exact halving"
+    with pytest.raises(ArithmeticError, match=halving):
         ch.decompose(ch.restrict(ch.ZETA, 4))
 
 
@@ -566,10 +575,16 @@ def _seeded_functional(rng, degree):
     return ch.TruncatedCharacter(degree, tables)
 
 
+def _longest(*characters):
+    """The bit length of the longest numerator of the characters."""
+    return max(abs(v).bit_length() for x in characters for row in x.numerators for v in row)
+
+
 def test_convolve_keeps_growing_denominators_out_of_the_kernel(monkeypatch):
     # the parts of a non-dyadic functional have denominators that grow with
-    # the degree; convolve hands the kernel their stored rows, so no int it
-    # passes is longer than the operands' longest numerator
+    # the degree; the oracle hands the kernel reduced rows over per-degree
+    # denominators, so no int it passes is longer than the longest
+    # numerator of the characters it reads and solves for
     real = ch._proper_cuts
     seen = []
 
@@ -578,21 +593,30 @@ def test_convolve_keeps_growing_denominators_out_of_the_kernel(monkeypatch):
         seen.append(max((abs(v).bit_length() for v in ints + factors[1:n]), default=0))
         return real(left, right, n, factors)
 
+    def kernel_bits(operation, *args):
+        seen.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(ch, "_proper_cuts", recording)
+            result = operation(*args)
+        return result, max(seen, default=0)
+
     rng = random.Random(20)
-    for degree in (1, 2, 5, 8, 8):
+    for degree in (1, 2, 5, 8, 8, 10):
         phi = _seeded_functional(rng, degree)
-        plus, minus = ch.decompose(phi)
+        (plus, minus), decompose_bits = kernel_bits(ch.decompose, phi)
+        inverse, inverse_bits = kernel_bits(ch.inverse, phi)
+        square = ch.convolve(ch.inverse(ch.bar(phi)), phi)
+        longest = _longest(phi, inverse, square, plus, minus)
+        assert decompose_bits <= longest, (degree, decompose_bits, longest)
+        assert inverse_bits <= longest, (degree, inverse_bits, longest)
         for left, right in ((plus, minus), (ch.bar(minus), minus)):
-            seen.clear()
-            with monkeypatch.context() as patch:
-                patch.setattr(ch, "_proper_cuts", recording)
-                product = ch.convolve(left, right)
+            product, bits = kernel_bits(ch.convolve, left, right)
             assert product == ref.convolve(left, right)
-            longest = max(abs(v).bit_length() for x in (left, right)
-                          for row in x.numerators for v in row)
-            assert max(seen, default=0) <= longest, (degree, seen, longest)
+            assert bits <= _longest(left, right), (degree, bits)
         assert ch.convolve(plus, minus) == phi
         assert ch.convolve(ch.bar(minus), minus) == ch.restrict(ch.COUNIT, degree)
+        assert ch.convolve(inverse, phi) == ch.restrict(ch.COUNIT, degree)
+        assert ch.convolve(minus, minus) == square
 
 
 def test_truncated_character_takes_ints_as_they_are():

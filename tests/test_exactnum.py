@@ -129,6 +129,28 @@ def test_two_adic_valuation_and_digit_sum():
         en.two_adic_valuation(0)
 
 
+def test_integer_functions_reject_what_is_not_a_plain_int():
+    # True == 1 and 2.0 == 2, but neither is an int anyone meant
+    calls = {
+        en.binomial: [(True, 1), (3, True), (4.0, 2), (Fraction(4), 2)],
+        en.central_binomial: [(True,), (2.0,), (Fraction(2),)],
+        en.catalan: [(True,), (3.0,)],
+        en.central_catalan: [(True, 2), (1, False), (1.0, 2), (1, 2.0)],
+        en.two_adic_valuation: [(True,), (12.0,), (Fraction(12),)],
+        en.binary_digit_sum: [(True,), (5.0,)],
+    }
+    for function, cases in calls.items():
+        for args in cases:
+            with pytest.raises(ValueError, match=function.__name__):
+                function(*args)
+    # a negative argument is reported as the caller gave it
+    for function in (en.central_binomial, en.catalan, en.binary_digit_sum):
+        message = r"%s requires an int m >= 0, got -1$" % function.__name__
+        with pytest.raises(ValueError, match=message):
+            function(-1)
+    assert en.central_catalan(1, 2) == en.binomial(10, 2) == 45
+
+
 def test_two_adic_valuation_structure():
     for total in range(1, 41):
         digit_sum = en.binary_digit_sum(total)
