@@ -39,10 +39,17 @@ the term of each product is put over E_n by the int factor E_n over that
 product, which for a cut is folded into the scalar the kernel takes from
 the shorter row.  In ``convolve`` these are the products of the two
 operands' denominators in degrees s and n - s; the quotient and the square
-root add the denominator of the row they solve against, and reduce each
-degree they solve before the next degree reads it.  So every step is exact
-integer arithmetic on reduced rows, and the only division, the halving in
-the square root, is checked against the denominators it may reach.
+root add the denominator of the row they solve against.  Each of the three
+reduces every degree it builds before the next degree reads it, so
+``_from_rows`` stores rows as they come.  So every step is exact integer
+arithmetic on reduced rows, and the only division, the halving in the
+square root, is checked against the denominators it may reach.
+
+The definitional h-sums ``h_minus`` and ``h_plus`` walk the unit gaps of a
+composition with a signed census of peak states (``_gap_step``,
+``_census_total``); ``_h_rows`` walks the same rule once over the tree of
+gap choices, giving the sums of every composition of each weight up to a
+bound with every prefix shared.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -50,6 +57,7 @@ Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -121,8 +129,10 @@ def zeta_power(m: int) -> str:
     return "%s%d" % (_POW_PREFIX, m)
 
 
+@lru_cache(maxsize=256)
 def _parse_id(char_id: str):
-    """Split an id into (kind, power); power is None except for zeta-pow."""
+    """Split an id into (kind, power); power is None except for zeta-pow.
+    Memoized: every eval_M and eval_F call parses its id."""
     if char_id in CHARACTER_IDS:
         return char_id, None
     if char_id.startswith(_POW_PREFIX):
@@ -305,12 +315,13 @@ class TruncatedCharacter:
 
     @classmethod
     def _from_rows(cls, rows, denominators) -> "TruncatedCharacter":
-        """The character whose degree-n values are rows[n] / denominators[n]."""
+        """The character whose degree-n values are rows[n] / denominators[n],
+        from rows that are already reduced (gcd(denominators[n], *rows[n])
+        == 1), as every producer of rows leaves them."""
         self = object.__new__(cls)
         self.max_degree = len(rows) - 1
-        reduced = [_reduced(row, d) for row, d in zip(rows, denominators)]
-        self.numerators = tuple(tuple(row) for row, _ in reduced)
-        self.denominators = tuple(d for _, d in reduced)
+        self.numerators = tuple(tuple(row) for row in rows)
+        self.denominators = tuple(denominators)
         return self
 
     @property
@@ -476,13 +487,16 @@ def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedChara
     left, right = phi.numerators, psi.numerators
     left_d, right_d = phi.denominators, psi.denominators
     a, b = left[0][0], right[0][0]
-    rows, denominators = [[a * b]], [left_d[0] * right_d[0]]
+    row, d = _reduced([a * b], left_d[0] * right_d[0])
+    rows, denominators = [row], [d]
     for n in range(1, len(left)):
         common, f = _cut_factors([left_d[s] * right_d[n - s] for s in range(n + 1)])
         cuts = _proper_cuts(left, right, n, f)
         a_n, b_n = a * f[0], b * f[n]
-        rows.append([a_n * r + v * b_n + x for v, r, x in zip(left[n], right[n], cuts)])
-        denominators.append(common)
+        row = [a_n * r + v * b_n + x for v, r, x in zip(left[n], right[n], cuts)]
+        row, d = _reduced(row, common)
+        rows.append(row)
+        denominators.append(d)
     return TruncatedCharacter._from_rows(rows, denominators)
 
 
@@ -561,40 +575,103 @@ def compose_T(phi: TruncatedCharacter) -> TruncatedCharacter:
     return _compose(phi, t_involution)
 
 
-def _peak_census(alpha: Composition, augmented: bool) -> dict:
-    """{q: the sum of (-1)^(k(beta) + q + 1) over the refinements beta of
-    alpha with q peaks}, the peaks being p_plus(beta) if augmented, else
-    p_minus(beta).
+# the walk's start: before the first gap, one part 1, not counted, and the
+# sign (-1)^(k + counted + 1) = +1
+_CENSUS_START = {(0, False, True): 1}
 
-    One walk over the n - 1 unit gaps of alpha: at a partial sum of alpha
-    a new part starts, and at any other gap the last part either grows or
-    a new part starts.  A state is (closed parts > 1 counted, last part > 1,
-    still one part), and its multiplicity carries the sign
-    (-1)^(k + counted + 1), so a new part negates it unless the part it
-    closes is counted.  p_minus counts every closed part > 1; p_plus is 0 on
-    one part and otherwise 1 + the closed parts > 1 after the first."""
-    if not alpha:
-        return {0: -1}  # the one refinement (), with k = 0 and no peak
-    cuts = set(accumulate(alpha))
-    states = {(0, False, True): 1}
-    for gap in range(1, sum(alpha)):
-        walked, free = {}, gap not in cuts
-        for (q, big, single), c in states.items():
-            if free:
-                key = (q, True, single)
-                walked[key] = walked.get(key, 0) + c
-            if big and not (augmented and single):
-                key = (q + 1, False, False)
-            else:
-                key, c = (q, False, False), -c
-            walked[key] = walked.get(key, 0) + c
-        states = walked
+
+def _gap_step(states: dict, augmented: bool):
+    """(grown, started): the census states after one more unit gap, from
+    those before it, where the last part grows and where a new part starts.
+    A cut gap leads to started only, any other gap to both, whose keys are
+    disjoint (the last part is > 1 in grown only), so to grown | started.
+
+    A state is (closed parts > 1 counted, last part > 1, still one part),
+    and its int multiplicity carries the sign (-1)^(k + counted + 1): a new
+    part negates it unless the part it closes is counted.  p_minus counts
+    every closed part > 1; p_plus counts none while the first part is open
+    (see _census_total)."""
+    grown, started = {}, {}
+    for (q, big, single), c in states.items():
+        key = (q, True, single)
+        grown[key] = grown.get(key, 0) + c
+        if big and not (augmented and single):
+            key = (q + 1, False, False)
+        else:
+            key, c = (q, False, False), -c
+        started[key] = started.get(key, 0) + c
+    return grown, started
+
+
+def _census_total(states: dict, augmented: bool) -> dict:
+    """{q: summed multiplicity} of the walked states, q being the peaks:
+    the closed parts counted for p_minus, where the last part never counts;
+    for p_plus, 0 on one part and otherwise 1 + the closed parts counted,
+    with the sign of that extra peak."""
     census = {}
     for (q, big, single), c in states.items():
         if augmented:
             q, c = (0, c) if single else (q + 1, -c)
         census[q] = census.get(q, 0) + c
     return census
+
+
+def _peak_census(alpha: Composition, augmented: bool) -> dict:
+    """{q: the sum of (-1)^(k(beta) + q + 1) over the refinements beta of
+    alpha with q peaks}, the peaks being p_plus(beta) if augmented, else
+    p_minus(beta): one _gap_step per unit gap of alpha, a gap being a cut
+    where it is a partial sum of alpha."""
+    if not alpha:
+        return {0: -1}  # the one refinement (), with k = 0 and no peak
+    cuts = set(accumulate(alpha))
+    states = _CENSUS_START
+    for gap in range(1, sum(alpha)):
+        grown, states = _gap_step(states, augmented)
+        if gap not in cuts:
+            states = grown | states
+    return _census_total(states, augmented)
+
+
+def _h_rows(n_max: int, augmented: bool) -> dict:
+    """{n: [the h-sum of each composition of n, by mask]} for n = 1..n_max,
+    or only the even n if augmented: h_minus, or h_plus if augmented, as
+    ints.
+
+    One depth-first walk over the tree of gap choices shares every prefix
+    among the weights: a node at depth n - 1 holds the census states of the
+    gaps of one composition of n (mask, its partial sums), and its children
+    take gap n free (a composition of n + 1 with the same mask) or cut (the
+    mask with bit n - 1 set).  So the census of every composition of 1..n_max
+    costs one _gap_step per inner node, about 2^(n_max - 1) in all, against
+    n - 1 per composition of n for _peak_census.
+
+    >>> _h_rows(3, False)
+    {1: [1], 2: [0, -2], 3: [4, 0, 4, 2]}
+    """
+    rows = {n: [0] * (1 << (n - 1)) for n in range(1 + augmented, n_max + 1, 1 + augmented)}
+    weights = {
+        n: [en.bivariate_catalan(q, n // 2 - q) for q in range(n // 2 + 1)] for n in rows
+    }
+    shares = {n: {} for n in rows}
+    # (states, n, mask) of the nodes still to visit, the free child on top
+    stack = [(_CENSUS_START, 1, 0)]
+    while stack:
+        states, n, mask = stack.pop()
+        if n in rows:
+            # the h-sum is linear in the states: each state's share is
+            # read once per weight through _census_total
+            w, share, total = weights[n], shares[n], 0
+            for key, c in states.items():
+                if key not in share:
+                    census = _census_total({key: 1}, augmented)
+                    share[key] = sum(s * w[q] for q, s in census.items())
+                total += c * share[key]
+            rows[n][mask] = total
+        if n < n_max:
+            grown, started = _gap_step(states, augmented)
+            stack.append((started, n + 1, mask | 1 << (n - 1)))
+            stack.append((grown | started, n + 1, mask))
+    return rows
 
 
 def _h_sum(alpha: Composition, augmented: bool) -> Fraction:

@@ -132,8 +132,8 @@ def p_minus(alpha: Composition) -> int:
     >>> p_minus((1, 3, 1, 2, 2))
     2
     """
-    k = len(alpha)
-    return sum(1 for i, a in enumerate(alpha) if a > 1 and i != k - 1)
+    # the parts are positive, so those > 1 are the ones that are not 1
+    return len(alpha) - 1 - alpha[:-1].count(1) if alpha else 0
 
 
 def p_plus(alpha: Composition) -> int:
@@ -148,7 +148,7 @@ def p_plus(alpha: Composition) -> int:
     k = len(alpha)
     if k <= 1:
         return 0
-    return 1 + sum(1 for i, a in enumerate(alpha) if a > 1 and i not in (0, k - 1))
+    return k - 1 - alpha[1:-1].count(1)
 
 
 def refinements(alpha: Composition) -> list[Composition]:

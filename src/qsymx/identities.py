@@ -13,18 +13,23 @@ sides of the first counterexample as Fractions.
 A check's bounds live only in its domain text in the registry: each {N}
 there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
-bounds, "standard" uses them as is, "deep" raises them by about 25%.  The
-S_n checks sum over the 2^(n-1) descent classes, not the n! permutations,
-so deep runs S_11 in milliseconds, and the coarsenings of beta are the
-sub-masks of its mask, so the sums over them take one sub-mask pass per
-weight.  signs_a and signs_b walk the unit gaps of m instead of listing its
-compositions, and app_f1 and app_f2 read the peak counts of both pieces of
-every ribbon cut from one pass along alpha.  The whole battery takes about
-0.6 to 1.1 s at deep against 0.2 to 0.35 s at standard (``qsymx verify
---all``, interpreter start-up included; Python 3.11.7 on a shared 2-vCPU
-machine), most of it in zeta_power, h_minus_closed and peak_rev_con (about
-0.10, 0.08 and 0.05 s at deep, in process), which visit every composition
-of each weight.
+bounds, "standard" uses them as is, "deep" raises them by half
+(``_scale_for``).  The S_n checks sum over the 2^(n-1) descent classes, not
+the n! permutations, so deep runs S_13 in about 0.1 s, and the coarsenings
+of beta are the sub-masks of its mask, so the sums over them take one
+sub-mask pass per weight.  signs_a and signs_b walk the unit gaps of m
+instead of listing its compositions, app_f1 and app_f2 read the peak counts
+of both pieces of every ribbon cut from one pass along alpha,
+h_minus_closed and h_plus_closed read the h-sums of every composition of
+each weight from one walk that shares prefixes (characters._h_rows), and
+peak_rev_con reads each alpha's peak statistics once.  The whole battery
+takes about 2.4 to 4.8 s at deep (median 3.3 s over 23 runs) against 0.2
+to 0.35 s at standard (``qsymx verify --all``, interpreter start-up
+included; Python 3.11.7 on a shared 2-vCPU machine).  In process,
+standard is led by zeta_power (about 0.02 s), then central_prod, associator
+and app_f2 (about 0.01 s each); deep by tn_vandermonde, app_f2, zeta_power,
+antipode_sum, app_f1 and h_minus_closed (0.45 to 0.22 s each), most of
+which visit every composition of each weight up to 15.
 """
 
 import re
@@ -83,12 +88,15 @@ class CheckReport(
 
 
 def _scale_for(depth: str) -> Callable[[int], int]:
+    """The map of a stated bound b at depth: "small" halves it (rounding
+    up, at least 1), "standard" keeps it, "deep" raises it by half,
+    b + max(1, b // 2), so 10 becomes 15 and 9 becomes 13."""
     if depth == "small":
         return lambda b: max(1, (b + 1) // 2)
     if depth == "standard":
         return lambda b: b
     if depth == "deep":
-        return lambda b: b + max(1, b // 4)
+        return lambda b: b + max(1, b // 2)
     raise ValueError("depth must be one of %s, got %r" % (DEPTHS, depth))
 
 
@@ -315,20 +323,24 @@ def _g_convolve(bound: int) -> Iterator[Case]:
 
 
 def _h_minus_closed(n_max: int) -> Iterator[Case]:
-    """The definitional h_minus sum against its closed form."""
+    """The definitional h_minus sum against its closed form; the sums of
+    each weight come from one shared-prefix walk (characters._h_rows)."""
+    rows = characters._h_rows(n_max, False)
     for n in range(1, n_max + 1):
-        for alpha in all_compositions(n):
+        for alpha, lhs in zip(all_compositions(n), rows[n]):
             rhs = 0
             if alpha[-1] % 2:
                 k_o = sum(a & 1 for a in alpha)
                 rhs = (-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
-            yield {"alpha": alpha}, characters.h_minus(alpha), rhs
+            yield {"alpha": alpha}, lhs, rhs
 
 
 def _h_plus_closed(n_max: int) -> Iterator[Case]:
-    """The definitional h_plus sum against its closed form (even weight)."""
+    """The definitional h_plus sum against its closed form (even weight),
+    the sums again from characters._h_rows."""
+    rows = characters._h_rows(n_max, True)
     for n in range(2, n_max + 1, 2):
-        for alpha in all_compositions(n):
+        for alpha, lhs in zip(all_compositions(n), rows[n]):
             if len(alpha) == 1:
                 rhs = 2 ** n
             elif alpha[0] % 2 and alpha[-1] % 2:
@@ -336,7 +348,7 @@ def _h_plus_closed(n_max: int) -> Iterator[Case]:
                 rhs = 2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1)
             else:
                 rhs = 0
-            yield {"alpha": alpha}, characters.h_plus(alpha), rhs
+            yield {"alpha": alpha}, lhs, rhs
 
 
 def _catalan_grid(half: int) -> list[list[int]]:
@@ -585,43 +597,30 @@ def _zeta_power(n_max: int) -> Iterator[Case]:
 
 def _peak_rev_con(n_max: int) -> Iterator[Case]:
     """How the two peak statistics transform under reversal and
-    conjugation: two invariances and the two three-case corrections."""
+    conjugation: two invariances and the two three-case corrections.  Each
+    alpha's statistics, conjugate and reversal are computed once."""
     for n in range(1, n_max + 1):
         for alpha in all_compositions(n):
             a1, ak = alpha[0], alpha[-1]
-            yield (
-                {"part": "p-minus-conjugate", "alpha": alpha},
-                p_minus(conjugate(alpha)),
-                p_minus(alpha),
-            )
-            yield (
-                {"part": "p-plus-reversal", "alpha": alpha},
-                p_plus(reversal(alpha)),
-                p_plus(alpha),
-            )
+            minus, plus = p_minus(alpha), p_plus(alpha)
+            con, rev = conjugate(alpha), reversal(alpha)
+            yield {"part": "p-minus-conjugate", "alpha": alpha}, p_minus(con), minus
+            yield {"part": "p-plus-reversal", "alpha": alpha}, p_plus(rev), plus
             if (a1 == 1) == (ak == 1):
-                expect_rev = p_minus(alpha)
+                expect_rev = minus
             elif a1 != 1:  # a1 > 1, ak == 1
-                expect_rev = p_minus(alpha) - 1
+                expect_rev = minus - 1
             else:  # a1 == 1, ak > 1
-                expect_rev = p_minus(alpha) + 1
-            yield (
-                {"part": "p-minus-reversal", "alpha": alpha},
-                p_minus(reversal(alpha)),
-                expect_rev,
-            )
+                expect_rev = minus + 1
+            yield {"part": "p-minus-reversal", "alpha": alpha}, p_minus(rev), expect_rev
             if n >= 2:
                 if (a1 == 1) != (ak == 1):
-                    expect_con = p_plus(alpha)
+                    expect_con = plus
                 elif a1 == 1:  # both end parts are 1
-                    expect_con = p_plus(alpha) - 1
+                    expect_con = plus - 1
                 else:  # neither end part is 1
-                    expect_con = p_plus(alpha) + 1
-                yield (
-                    {"part": "p-plus-conjugate", "alpha": alpha},
-                    p_plus(conjugate(alpha)),
-                    expect_con,
-                )
+                    expect_con = plus + 1
+                yield {"part": "p-plus-conjugate", "alpha": alpha}, p_plus(con), expect_con
 
 
 # id -> (check, domain text); each {N} in the text is one bound of the check

@@ -448,13 +448,15 @@ def _row_left_undivided(real):
     return lambda row, d: (row, real(row, d)[1])
 
 
-def _peak_census_sign_without_peaks(real):
-    """The fault: each census entry misses the (-1)^q of its sign, as when
-    the walk negates on every new part, also where the part it closes is a
-    counted peak."""
-    return lambda alpha, augmented: {
-        q: -c if q & 1 else c for q, c in real(alpha, augmented).items()
-    }
+def _gap_step_sign_by_gaps(real):
+    """The fault: the census step negates where the last part grows as well
+    as where a new part starts, so each sign counts the gaps walked, not
+    the parts.  A fault that only missed the (-1)^q of the peaks would
+    leave h_minus((2, 2)) = 0, whose census is {0: 0, 1: 0}."""
+    def step(states, augmented):
+        grown, started = real(states, augmented)
+        return {key: -c for key, c in grown.items()}, started
+    return step
 
 
 def _one_more_in_a_class_of_4(real):
@@ -526,7 +528,9 @@ FAULTS = [
     # reduced on the way out of the kernel, see this fault
     ("characters._reduced", _row_left_undivided,
      ("decompose", "criterion 5:product of parts")),
-    ("characters._peak_census", _peak_census_sign_without_peaks,
+    # the one census transition, shared by the per-alpha h_minus/h_plus and
+    # the shared-prefix walk the registry reads
+    ("characters._gap_step", _gap_step_sign_by_gaps,
      ("registry:h_minus_closed", "registry:h_plus_closed")),
     ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),
      ("criterion 2:zeta-plus", "criterion 6:peak formulas")),
@@ -659,3 +663,13 @@ def test_criterion_9_fault_matrix(monkeypatch, target, fault, catchers):
         found = _caught(catchers)
         # with no fault no catcher may fire; with a fault every one must
         assert set(found) == (set() if target is None else set(catchers)), found
+
+
+def test_gap_step_fault_reaches_both_census_routes(monkeypatch):
+    # the criterion 9 fault on the census transition changes the per-alpha
+    # sum too (h_minus((2, 2)) = 0 becomes -8), and the walk agrees with it
+    real = ch.h_minus((2, 2))
+    _plant(monkeypatch, "characters._gap_step", _gap_step_sign_by_gaps)
+    faulty = ch.h_minus((2, 2))
+    assert faulty != real
+    assert ch._h_rows(4, False)[4][co.to_index((2, 2))] == faulty

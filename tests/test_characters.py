@@ -345,6 +345,24 @@ def test_h_sums_match_the_refinement_sum():
                 assert ch.h_plus(alpha) == reference_identities._h_sum(alpha, co.p_plus, n // 2)
 
 
+def test_h_rows_match_the_per_alpha_sums():
+    # the shared-prefix walk against the walk of each composition by itself
+    minus, plus = ch._h_rows(12, False), ch._h_rows(12, True)
+    assert sorted(minus) == list(range(1, 13)) and sorted(plus) == list(range(2, 13, 2))
+    for n in range(1, 13):
+        comps = co.all_compositions(n)
+        assert minus[n] == [ch.h_minus(alpha) for alpha in comps], n
+        if n % 2 == 0:
+            assert plus[n] == [ch.h_plus(alpha) for alpha in comps], n
+    # and against the sum over every refinement
+    for n in range(1, 9):
+        for mask, alpha in enumerate(co.all_compositions(n)):
+            assert minus[n][mask] == reference_identities._h_sum(alpha, co.p_minus, n // 2)
+            if n % 2 == 0:
+                assert plus[n][mask] == reference_identities._h_sum(alpha, co.p_plus, n // 2)
+    assert all(type(v) is int for rows in (minus, plus) for row in rows.values() for v in row)
+
+
 def test_zeta_power_values():
     # binomial closed form against the convolution-group definition
     z = ch.restrict(ch.ZETA, 5)
@@ -617,6 +635,32 @@ def test_convolve_keeps_growing_denominators_out_of_the_kernel(monkeypatch):
         assert ch.convolve(ch.bar(minus), minus) == ch.restrict(ch.COUNIT, degree)
         assert ch.convolve(inverse, phi) == ch.restrict(ch.COUNIT, degree)
         assert ch.convolve(minus, minus) == square
+
+
+def test_oracle_rows_are_reduced():
+    # _from_rows stores rows as given, so every producer must leave each
+    # degree in lowest terms
+    def assert_reduced(phi):
+        for row, d in zip(phi.numerators, phi.denominators):
+            assert d >= 1 and math.gcd(d, *row) == 1, (row, d)
+
+    rng = random.Random(7)
+    seeded = [_seeded_functional(rng, degree) for degree in (0, 1, 3, 6, 8)]
+    canonical = [ch.restrict(c, 8) for c in ch.CHARACTER_IDS + (ch.zeta_power(-2),)]
+    for phi in canonical:
+        assert_reduced(phi)
+        assert_reduced(ch.bar(phi))
+    # numerators that cancel against the other side's denominators, in
+    # degree 0 too
+    left = ch.TruncatedCharacter(2, [[2], [2], [Fraction(3, 2), 6]])
+    right = ch.TruncatedCharacter(2, [[Fraction(1, 2)], [Fraction(3, 2)], [1, Fraction(2, 3)]])
+    assert_reduced(ch.convolve(left, right))
+    for phi in seeded + [canonical[0], canonical[3]]:
+        assert_reduced(ch.inverse(phi))
+        for part in ch.decompose(phi):
+            assert_reduced(part)
+        for psi in (phi, ch.bar(phi), ch.inverse(phi)):
+            assert_reduced(ch.convolve(phi, psi))
 
 
 def test_truncated_character_takes_ints_as_they_are():

@@ -147,6 +147,18 @@ def test_involutions():
             assert co.conjugate(co.conjugate(alpha)) == alpha
 
 
+def test_peak_statistics_match_their_definitions():
+    # the counts of parts equal to 1 against the parts > 1, counted one by
+    # one: other than the last for p_minus, and 1 + those other than the
+    # first and the last for p_plus on two parts or more
+    for n in range(11):
+        for alpha in co.all_compositions(n):
+            k = len(alpha)
+            assert co.p_minus(alpha) == sum(1 for a in alpha[:k - 1] if a > 1), alpha
+            plus = 1 + sum(1 for a in alpha[1:k - 1] if a > 1) if k > 1 else 0
+            assert co.p_plus(alpha) == plus, alpha
+
+
 def test_peak_statistics_under_reversal_and_conjugation():
     for n in range(1, 11):
         for alpha in co.all_compositions(n):

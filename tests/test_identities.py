@@ -80,7 +80,7 @@ def test_depth_scales_domain():
     deep = idn.verify("cg6", "deep")
     assert small.cases < standard.cases
     assert "15" in small.domain and "30" in standard.domain
-    assert deep.passed and deep.cases == 15  # 12 raised by ~25%
+    assert deep.passed and deep.cases == 18  # 12 raised by half
 
 
 def test_classical_conv_m2_case():
@@ -174,8 +174,8 @@ def test_reports_have_case_counts():
 
 
 # Case count and domain text of every check at "small" and at "standard",
-# and of the S_n checks at "deep", where they sum S_11 by descent classes in
-# milliseconds (all 11! permutations would take minutes).  The standard
+# and of the S_n checks at "deep", where they sum S_13 by descent classes in
+# a tenth of a second (all 13! permutations would take hours).  The standard
 # counts are the benchmark's REGISTRY_STANDARD_CASES.
 REGISTRY_DOMAINS = [
     ("classical_conv", "small", 15, "1 <= m <= 15"),
@@ -220,8 +220,8 @@ REGISTRY_DOMAINS = [
     ("allperms_minus", "standard", 10, "0 <= n <= 9"),
     ("allperms_plus", "small", 2, "even n, 2 <= n <= 5"),
     ("allperms_plus", "standard", 4, "even n, 2 <= n <= 9"),
-    ("allperms_minus", "deep", 12, "0 <= n <= 11"),
-    ("allperms_plus", "deep", 5, "even n, 2 <= n <= 11"),
+    ("allperms_minus", "deep", 14, "0 <= n <= 13"),
+    ("allperms_plus", "deep", 6, "even n, 2 <= n <= 13"),
     ("shuffle_minus", "small", 21, "n, m >= 0 with n + m <= 5"),
     ("shuffle_minus", "standard", 66, "n, m >= 0 with n + m <= 10"),
     ("shuffle_plus", "small", 9, "n = m mod 2 with n + m <= 5"),
