@@ -291,35 +291,3 @@ def ribbon_cuts(alpha: Composition) -> list[tuple[Composition, Composition]]:
     assert len(cuts) == n + 1
     return cuts
 
-
-def _cut_peaks(alpha: Composition) -> list[tuple[int, int, int]]:
-    """(p_minus(left), p_plus(left), p_minus(right)) for each ribbon cut
-    (left, right) of alpha, in cut-position order, in one pass over the
-    parts that carries a prefix count of parts > 1 and a suffix count.
-
-    A cut inside part j, or at its end, leaves the parts > 1 before part j
-    to the left piece, whose last part is the piece of part j; the right
-    piece keeps the parts > 1 after part j other than the last part of
-    alpha, and one more when its first part, the a - t remaining squares of
-    part j, is > 1 and not the last part.
-
-    >>> _cut_peaks((3, 1))
-    [(0, 0, 1), (0, 0, 1), (0, 0, 0), (0, 0, 0), (1, 1, 0)]
-    """
-    k = len(alpha)
-    right = sum(1 for a in alpha[:-1] if a > 1)
-    cuts = [(0, 0, right)]
-    left = 0
-    head = 1 if alpha and alpha[0] > 1 else 0
-    for j, a in enumerate(alpha):
-        last = j == k - 1
-        if a > 1 and not last:
-            right -= 1
-        lp = 0 if j == 0 else 1 + left - head
-        # offsets t = 1 .. a - 2 leave a - t > 1 squares on the right, then
-        # t = a - 1 and the cut at the end of the part
-        inner = right if last else right + 1
-        cuts += [(left, lp, inner)] * (a - 2) + [(left, lp, right)] * min(a, 2)
-        if a > 1:
-            left += 1
-    return cuts

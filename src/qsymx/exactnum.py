@@ -226,6 +226,12 @@ def falling_binomial(m: int, k: int) -> int:
     """
     if type(m) is not int or type(k) is not int:
         raise ValueError("falling_binomial needs plain ints, got (%r, %r)" % (m, k))
+    return _falling_binomial(m, k)
+
+
+# one verify --all --depth deep asks for about 160 distinct arguments
+@lru_cache(maxsize=1024)
+def _falling_binomial(m: int, k: int) -> int:
     if k < 0:
         return 0
     num = 1

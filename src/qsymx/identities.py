@@ -14,22 +14,27 @@ A check's bounds live only in its domain text in the registry: each {N}
 there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
 bounds, "standard" uses them as is, "deep" raises them by half
-(``_scale_for``).  The S_n checks sum over the 2^(n-1) descent classes, not
-the n! permutations, so deep runs S_13 in about 0.1 s, and the coarsenings
-of beta are the sub-masks of its mask, so the sums over them take one
-sub-mask pass per weight.  signs_a and signs_b walk the unit gaps of m
-instead of listing its compositions, app_f1 and app_f2 read the peak counts
-of both pieces of every ribbon cut from one pass along alpha,
-h_minus_closed and h_plus_closed read the h-sums of every composition of
-each weight from one walk that shares prefixes (characters._h_rows), and
-peak_rev_con reads each alpha's peak statistics once.  The whole battery
-takes about 2.4 to 4.8 s at deep (median 3.3 s over 23 runs) against 0.2
-to 0.35 s at standard (``qsymx verify --all``, interpreter start-up
-included; Python 3.11.7 on a shared 2-vCPU machine).  In process,
-standard is led by zeta_power (about 0.02 s), then central_prod, associator
-and app_f2 (about 0.01 s each); deep by tn_vandermonde, app_f2, zeta_power,
-antipode_sum, app_f1 and h_minus_closed (0.45 to 0.22 s each), most of
-which visit every composition of each weight up to 15.
+(``_scale_for``).  A check computes once what the cases of its domain
+share.  The S_n checks sum over the 2^(n-1) descent classes, not the n!
+permutations, so deep runs S_13 in about 0.1 s, and the coarsenings of beta
+are the sub-masks of its mask, so the sums over them take one sub-mask pass
+per weight.  signs_a and signs_b walk the unit gaps of m instead of listing
+its compositions, and tn_vandermonde counts its classes in one such walk
+for every weight (_class_census).  app_f1 and app_f2 add the ribbon cuts of
+every composition of a weight as outer products of two rows of peak
+weights (_ribbon_cut_row), h_minus_closed and h_plus_closed read the
+h-sums of every composition of each weight from one walk that shares
+prefixes (characters._h_rows), peak_rev_con reads each alpha's peak
+statistics once, zeta_power reads its M-basis closed forms from restrict's
+rows, and gessel_rec and associator carry their sums over j along c.  The
+whole battery takes about 1.5 to 1.8 s at deep against 0.15 to 0.2 s at
+standard (``qsymx verify --all``, interpreter start-up included; Python
+3.11.7 on a shared 2-vCPU machine).  In process, standard is led by
+zeta_power and central_prod (about 7 ms each), then g_convolve,
+antipode_sum, peak_rev_con and associator (about 4 ms each); deep by
+peak_rev_con, antipode_sum, h_minus_closed and shuffle_minus (0.14 to 0.22 s
+each), which visit every composition of each weight up to 15 or every
+shuffle of two words of total length 15.
 """
 
 import re
@@ -41,7 +46,6 @@ from fractions import Fraction
 # the module is the one the checks see
 from . import characters, exactnum as en
 from .compositions import (
-    _cut_peaks,
     _mask_pass,
     all_compositions,
     conjugate,
@@ -228,38 +232,71 @@ def _class_size(n: int, r: int, s: int) -> int:
     return en.binomial((n + r) // 2 - 1, r + s - 1) * en.binomial(r + s - 1, r - 1)
 
 
+def _class_census(n_max: int) -> dict:
+    """{n: {(r, s): the number of compositions of n with odd first part, r
+    odd parts and s even parts}} for n = 1..n_max.
+
+    One walk over the unit gaps serves every n: at each gap the last part
+    grows or is closed and a new part 1 starts.  A state is (still one
+    part, closed odd parts, closed even parts, last part odd) with its
+    count, and a state whose first part closes even is dropped, so every
+    state has an odd first part or an open one, which is its last part.
+
+    >>> _class_census(3)
+    {1: {(1, 0): 1}, 2: {(2, 0): 1}, 3: {(1, 0): 1, (1, 1): 1, (3, 0): 1}}
+    """
+    states = {(True, 0, 0, True): 1}
+    census = {}
+    for n in range(1, n_max + 1):
+        if n > 1:
+            walked: dict = {}
+            for (single, odd, even, last_odd), c in states.items():
+                key = (single, odd, even, not last_odd)
+                walked[key] = walked.get(key, 0) + c
+                if last_odd or not single:
+                    key = (False, odd + last_odd, even + (not last_odd), True)
+                    walked[key] = walked.get(key, 0) + c
+            states = walked
+        classes: dict = {}
+        for (single, odd, even, last_odd), c in states.items():
+            if last_odd or not single:
+                key = (odd + last_odd, even + (not last_odd))
+                classes[key] = classes.get(key, 0) + c
+        census[n] = classes
+    return census
+
+
 def _tn_vandermonde(n_max: int, census_max: int) -> Iterator[Case]:
     """The all-ones specialization of the strict antipode sum, grouped by
     (odd parts, even parts): the grouped sum vanishes, each inner
     alternating sum vanishes by Vandermonde convolution, and the size of
-    each (r, s) class matches its product-of-binomials count."""
+    each (r, s) class matches its product-of-binomials count, counted by
+    one census walk (_class_census)."""
     for n in range(1, n_max + 1):
+        # the terms B(r//2) / 4^(r//2) over 4^(n//2)
         total = 0
         for r in range(1, n):
             if (n - r) % 2:
                 continue
+            weight = en.central_binomial(r // 2) << 2 * (n // 2 - r // 2)
             for s in range(0, (n - r) // 2 + 1):
-                term = _class_size(n, r, s) * _b_over_4(r // 2)
+                term = _class_size(n, r, s) * weight
                 total += -term if s % 2 else term
-        yield {"part": "tn-sum", "n": n}, total, 0
+        yield {"part": "tn-sum", "n": n}, Fraction(total, 4 ** (n // 2)), 0
     for n in range(1, n_max + 1):
         for r in range(1, n):
             if (n - r) % 2:
                 continue
             inner = sum((-1) ** s * _class_size(n, r, s) for s in range(0, (n - r) // 2 + 1))
             yield {"part": "vandermonde", "n": n, "r": r}, inner, 0
+    census = _class_census(census_max)
     for n in range(1, census_max + 1):
-        census: Counter = Counter()
-        for alpha in all_compositions(n):
-            if alpha[0] % 2:
-                k_o = sum(a & 1 for a in alpha)
-                census[(k_o, len(alpha) - k_o)] += 1
         for r in range(1, n + 1):
             if (n - r) % 2:
                 continue
             for s in range(0, (n - r) // 2 + 1):
                 params = {"part": "count", "n": n, "r": r, "s": s}
-                yield params, census[(r, s)], _class_size(n, r, s)
+                yield params, census[n].get((r, s), 0), _class_size(n, r, s)
 
 
 def _signed_census(m: int, first: int) -> dict:
@@ -351,42 +388,94 @@ def _h_plus_closed(n_max: int) -> Iterator[Case]:
             yield {"alpha": alpha}, lhs, rhs
 
 
-def _catalan_grid(half: int) -> list[list[int]]:
-    """[p][q] -> C(p, q) for p + q <= half, looked up through exactnum at
-    call time."""
-    return [[en.bivariate_catalan(p, q) for q in range(half + 1 - p)] for p in range(half + 1)]
+def _over(value: int, d: int) -> int | Fraction:
+    """value / d, as an int when d divides value."""
+    q, r = divmod(value, d)
+    return Fraction(value, d) if r else q
+
+
+def _ribbon_cut_row(left: list, right: list, n: int, factors: list) -> list[int]:
+    """For every composition of n (by mask), the sum over its ribbon cuts
+    at positions i = 0..n of factors[i] * left[i][l] * right[n - i][r], l
+    and r being the masks of the left and right pieces; left and right are
+    rows by weight, indexed by mask, with one entry at weight 0.
+
+    A cut at 0 < i < n leaves the low bits of the mask, m & (2^(i-1) - 1),
+    to the left piece and the high bits, m >> i, to the right piece, for
+    either value of bit i - 1 (a cut between parts or inside one), so it
+    adds the outer product of left[i] and right[n - i], each entry on both
+    masks, by slices as characters._proper_cuts does: r * left[i] twice
+    over the contiguous block of 2^i masks that share the high bits, or
+    l * right[n - i], each entry twice, over the masks of stride 2^(i-1)
+    that share the low bits.
+
+    >>> _ribbon_cut_row([[1], [2], [3, 4]], [[1], [5], [6, 7]], 2, [1, 10, 100])
+    [406, 507]
+    """
+    f, g = factors[0] * left[0][0], factors[n] * right[0][0]
+    row = [f * r + l * g for l, r in zip(left[n], right[n])]
+    for i in range(1, n):
+        f = factors[i]
+        if not f:
+            continue
+        a, b = left[i], right[n - i]
+        if len(b) <= len(a):
+            both = a + a
+            width = len(both)
+            for high, r in enumerate(b):
+                if r:
+                    r *= f
+                    start = high * width
+                    stop = start + width
+                    row[start:stop] = [x + r * v for x, v in zip(row[start:stop], both)]
+        else:
+            both = [v for v in b for _ in (0, 1)]
+            step = len(a)
+            for low, l in enumerate(a):
+                if l:
+                    l *= f
+                    row[low::step] = [x + l * v for x, v in zip(row[low::step], both)]
+    return row
+
+
+def _peak_weight_rows(compositions: list, peaks: Callable) -> list[list[int]]:
+    """By weight w, the row of (-1)^p C(p, w//2 - p) over compositions[w],
+    the compositions of w by mask, with p = peaks(alpha); the weights are
+    looked up through exactnum at call time."""
+    rows = []
+    for w, comps in enumerate(compositions):
+        half = w // 2
+        weights = [(-1) ** p * en.bivariate_catalan(p, half - p) for p in range(half + 1)]
+        rows.append([weights[peaks(alpha)] for alpha in comps])
+    return rows
 
 
 def _app_f1(n_max: int) -> Iterator[Case]:
     """Ribbon-cut convolution of the even and odd characters recovers the
-    universal character on the fundamental basis."""
+    universal character on the fundamental basis: the cuts at even
+    positions, with p_plus of the left piece and p_minus of the right."""
+    comps = [all_compositions(w) for w in range(n_max + 1)]
+    left, right = _peak_weight_rows(comps, p_plus), _peak_weight_rows(comps, p_minus)
     for n in range(1, n_max + 1):
-        fl = n // 2
-        grid = _catalan_grid(fl)
-        for alpha in all_compositions(n):
-            lhs = 0
-            # the cuts at the even positions 2j, j = 0 .. fl
-            for j, (_, lp, rm) in enumerate(_cut_peaks(alpha)[::2]):
-                term = grid[lp][j - lp] * grid[rm][fl - j - rm]
-                lhs += -term if (lp + rm) % 2 else term
-            rhs = 4 ** fl if len(alpha) == 1 else 0
-            yield {"alpha": alpha}, lhs, rhs
+        lhs = _ribbon_cut_row(left, right, n, [1 - i % 2 for i in range(n + 1)])
+        rhs = 4 ** (n // 2)
+        for alpha, total in zip(comps[n], lhs):
+            yield {"alpha": alpha}, total, rhs if len(alpha) == 1 else 0
 
 
 def _app_f2(n_max: int) -> Iterator[Case]:
     """The odd character convolved with its bar image is the counit, as a
-    vanishing ribbon-cut sum."""
+    vanishing ribbon-cut sum over the common denominator 4^(n//2): the bar
+    image negates the left pieces of odd weight, and for even n a cut at an
+    odd position is over 4^(n/2 - 1), so its factor is 4."""
+    comps = [all_compositions(w) for w in range(n_max + 1)]
+    right = _peak_weight_rows(comps, p_minus)
+    left = [[-v for v in row] if w % 2 else row for w, row in enumerate(right)]
     for n in range(1, n_max + 1):
-        half = n // 2
-        grid = _catalan_grid(half)
-        for alpha in all_compositions(n):
-            # each term over the common denominator 4^half
-            lhs = 0
-            for i, (lm, _, rm) in enumerate(_cut_peaks(alpha)):
-                fi, fr = i // 2, (n - i) // 2
-                term = grid[lm][fi - lm] * grid[rm][fr - rm] << 2 * (half - fi - fr)
-                lhs += -term if (lm + rm + i) % 2 else term
-            yield {"alpha": alpha}, Fraction(lhs, 4 ** half), 0
+        factors = [4 if i % 2 and n % 2 == 0 else 1 for i in range(n + 1)]
+        d = 4 ** (n // 2)
+        for alpha, total in zip(comps[n], _ribbon_cut_row(left, right, n, factors)):
+            yield {"alpha": alpha}, _over(total, d), 0
 
 
 def _cc_convolution(a: int, b: int, h: int) -> Fraction:
@@ -496,14 +585,15 @@ def _app_zetainv_plus_m(n_max: int) -> Iterator[Case]:
 
 
 def _gessel_rec(bound: int) -> Iterator[Case]:
-    """C(b, a+c) = 4^c C(b, a) - sum_{j=1..c} 4^(c-j) C(b+1, a+j-1)."""
+    """C(b, a+c) = 4^c C(b, a) - sum_{j=1..c} 4^(c-j) C(b+1, a+j-1).  The
+    right side runs along c: it is 4 times that of c - 1 less the new term
+    C(b+1, a+c-1)."""
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
+            rhs = en.bivariate_catalan(b, a)
             for c in range(0, bound + 1):
-                rhs = 4 ** c * en.bivariate_catalan(b, a) - sum(
-                    4 ** (c - j) * en.bivariate_catalan(b + 1, a + j - 1)
-                    for j in range(1, c + 1)
-                )
+                if c:
+                    rhs = 4 * rhs - en.bivariate_catalan(b + 1, a + c - 1)
                 yield {"a": a, "b": b, "c": c}, en.bivariate_catalan(b, a + c), rhs
 
 
@@ -529,18 +619,21 @@ def _catalan_gessel(bound: int) -> Iterator[Case]:
 
 def _associator(bound: int) -> Iterator[Case]:
     """With H(a,b,c) = C(a, b+c) - C(b, a+c):
-    H(a,b,c)/4^c = sum_j H(b+1, a+1, j-2)/4^j."""
+    H(a,b,c)/4^c = sum_j H(b+1, a+1, j-2)/4^j.  Over 4^c, the right side
+    runs along c: 4 times that of c - 1 plus the new term H(b+1, a+1, c-2)."""
 
     def H(x, y, z):
         return en.bivariate_catalan(x, y + z) - en.bivariate_catalan(y, x + z)
 
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
+            rhs = 0
             for c in range(0, bound + 1):
                 # both sides over 4^c
-                rhs = sum(H(b + 1, a + 1, j - 2) * 4 ** (c - j) for j in range(1, c + 1))
-                lhs, rhs = Fraction(H(a, b, c), 4 ** c), Fraction(rhs, 4 ** c)
-                yield {"a": a, "b": b, "c": c}, lhs, rhs
+                if c:
+                    rhs = 4 * rhs + H(b + 1, a + 1, c - 2)
+                d = 4 ** c
+                yield {"a": a, "b": b, "c": c}, Fraction(H(a, b, c), d), Fraction(rhs, d)
 
 
 def _power2(bound: int) -> Iterator[Case]:
@@ -568,30 +661,33 @@ def _power2(bound: int) -> Iterator[Case]:
 def _zeta_power(n_max: int) -> Iterator[Case]:
     """The closed binomial formulas for convolution powers of the universal
     character, in both bases, against iterated truncated convolution (and
-    the group inverse for negative powers)."""
+    the group inverse for negative powers).  The M-basis closed forms are
+    read from the rows of restrict, the F-basis ones from eval_F."""
     zeta_t = characters.restrict(characters.ZETA, n_max)
     powers = {0: characters.restrict(characters.COUNIT, n_max)}
     for m in range(1, 4):
         powers[m] = characters.convolve(powers[m - 1], zeta_t)
     for m in range(1, 4):
         powers[-m] = characters.inverse(powers[m])
+    comps = [all_compositions(n) for n in range(n_max + 1)]
     for m in range(-3, 4):
         char_id = characters.zeta_power(m)
-        table = powers[m]
+        closed, table = characters.restrict(char_id, n_max), powers[m]
         for n in range(0, n_max + 1):
             row, d = table.numerators[n], table.denominators[n]
+            closed_d = closed.denominators[n]
             # phi(F_alpha) sums phi(M_beta) over the super-masks beta of alpha
             f_row = _mask_pass(row, n, True, 1)
-            for mask, alpha in enumerate(all_compositions(n)):
+            for alpha, closed_v, v, f in zip(comps[n], closed.numerators[n], row, f_row):
                 yield (
                     {"basis": "M", "m": m, "alpha": alpha},
-                    characters.eval_M(char_id, alpha),
-                    Fraction(row[mask], d),
+                    _over(closed_v, closed_d),
+                    _over(v, d),
                 )
                 yield (
                     {"basis": "F", "m": m, "alpha": alpha},
                     characters.eval_F(char_id, alpha),
-                    Fraction(f_row[mask], d),
+                    _over(f, d),
                 )
 
 

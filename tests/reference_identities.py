@@ -1,11 +1,13 @@
-"""The definitional route of the registry checks that now count their part
-statistics inline and sum ints over one denominator per degree.
+"""The definitional route of the registry checks that compute once what
+their cases share: part statistics counted inline, ints summed over one
+denominator per degree, whole rows per weight and running sums.
 
-Each check here is the form the package ran before that change: it takes
+Each check here is the form the package ran before those changes: it takes
 the part statistics of every composition from ``stats``, adds rational
 terms one Fraction at a time, looks up each peak weight once per
 refinement, calls ``p_minus``/``p_plus`` on both pieces of every ribbon
-cut, and sums the F-basis values of a table over ``refinements``.
+cut, sums the F-basis values of a table over ``refinements``, lists every
+composition to count classes, and sums over j afresh for every c.
 They stay here, slow and literal, as the references that the registry's
 checks must match case by case (``CHECKS``, by registry id, each taking the
 same bounds as its registry check).
@@ -193,6 +195,17 @@ def app_zetainv_plus_m(n_max):
             yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
 
 
+def gessel_rec(bound):
+    for a in range(0, bound + 1):
+        for b in range(0, bound + 1):
+            for c in range(0, bound + 1):
+                rhs = 4 ** c * en.bivariate_catalan(b, a) - sum(
+                    4 ** (c - j) * en.bivariate_catalan(b + 1, a + j - 1)
+                    for j in range(1, c + 1)
+                )
+                yield {"a": a, "b": b, "c": c}, en.bivariate_catalan(b, a + c), rhs
+
+
 def associator(bound):
     def H(x, y, z):
         return en.bivariate_catalan(x, y + z) - en.bivariate_catalan(y, x + z)
@@ -240,6 +253,7 @@ CHECKS = {
     "app_f1": app_f1,
     "app_f2": app_f2,
     "app_zetainv_plus_m": app_zetainv_plus_m,
+    "gessel_rec": gessel_rec,
     "associator": associator,
     "zeta_power": zeta_power,
 }

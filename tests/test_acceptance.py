@@ -534,15 +534,11 @@ FAULTS = [
      ("registry:h_minus_closed", "registry:h_plus_closed")),
     ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),
      ("criterion 2:zeta-plus", "criterion 6:peak formulas")),
-    # the F coproduct loses its term (alpha, ()); the registry reads the
-    # ribbon cuts through _cut_peaks, not ribbon_cuts
+    # the F coproduct loses its term (alpha, ()); the registry sums the
+    # ribbon cuts by mask in identities._ribbon_cut_row, not ribbon_cuts
     ("compositions.ribbon_cuts", _drop_last,
      ("criterion 4:F coassociativity", "criterion 4:F coproduct of a product",
       "criterion 4:basis change of the coproduct")),
-    # every right piece counts one part > 1 fewer, never below 0
-    ("compositions._cut_peaks",
-     lambda real: lambda alpha: [(lm, lp, max(rm - 1, 0)) for lm, lp, rm in real(alpha)],
-     ("registry:app_f1", "registry:app_f2")),
     ("compositions.conjugate", lambda real: co.reversal,
      ("registry:peak_rev_con", "criterion 4:basis change of S")),
     ("compositions.refinements", _drop_last, ("criterion 2:zeta",)),
@@ -586,6 +582,17 @@ FAULTS = [
     ("identities._signed_census",
      lambda real: lambda m, first: {j: abs(c) for j, c in real(m, first).items()},
      ("registry:signs_a", "registry:signs_b")),
+    # the last proper cut, at n - 1, dropped from every weight n >= 2
+    ("identities._ribbon_cut_row",
+     lambda real: lambda left, right, n, factors: real(
+         left, right, n, [0 if 0 < i == n - 1 else f for i, f in enumerate(factors)]),
+     ("registry:app_f1", "registry:app_f2")),
+    # every class counted with its odd and even parts swapped
+    ("identities._class_census",
+     lambda real: lambda n_max: {
+         n: {(s, r): c for (r, s), c in classes.items()} for n, classes in real(n_max).items()
+     },
+     ("registry:tn_vandermonde",)),
     ("identities._cc_convolution", _plus_one_at(3, 3, 2), ("registry:cg6",)),
     ("identities._signed_peak_sum",
      lambda real: lambda words, peaks, half: real(words, peaks, half) + (half == 2),

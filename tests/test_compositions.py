@@ -235,12 +235,3 @@ def test_ribbon_cut_reassembly():
                 merged = left[:-1] + (left[-1] + right[0],) + right[1:]
                 assert alpha in (plain, merged)
 
-
-def test_cut_peaks_match_the_pieces_of_ribbon_cuts():
-    # the one pass over the parts against the peak counts of both pieces
-    for n in range(13):
-        for alpha in co.all_compositions(n):
-            assert co._cut_peaks(alpha) == [
-                (co.p_minus(left), co.p_plus(left), co.p_minus(right))
-                for left, right in co.ribbon_cuts(alpha)
-            ], alpha

@@ -29,6 +29,11 @@ def test_falling_binomial_rejects_non_int_arguments():
     for m, k in ((3.0, 2), (3, 2.0), (True, 1), (Fraction(3), 2)):
         with pytest.raises(ValueError, match="plain ints"):
             en.falling_binomial(m, k)
+    # True == 1.0 == 1 hash alike, so the check must come before the cache
+    assert en.falling_binomial(1, 1) == 1
+    for m in (True, 1.0):
+        with pytest.raises(ValueError, match="plain ints"):
+            en.falling_binomial(m, 1)
 
 
 def test_multinomial():
