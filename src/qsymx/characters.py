@@ -4,17 +4,23 @@ independent oracle.
 
 Closed forms and the oracle share no code on purpose.  The closed-form
 evaluators are direct arithmetic in terms of bivariate Catalan numbers; the
-oracle side only knows the universal character's defining values and three
-operations of the convolution group: the product, the quotient a^-1 b and
-the square root.  It splits phi = phi_+ phi_- into even and odd characters
-by the uniqueness argument of Aguiar-Bergeron-Sottile (Combinatorial Hopf
-algebras and generalized Dehn-Sommerville relations, Compositio Math. 142
-(2006), Thm 1.5): bar(phi_+) = phi_+ and bar(phi_-) = phi_-^-1, so
+oracle side only knows the universal character's defining values and the
+convolution group: the product, the quotient a^-1 b (behind the inverse)
+and the even/odd split.  It splits phi = phi_+ phi_- into even and odd
+characters by the uniqueness argument of Aguiar-Bergeron-Sottile
+(Combinatorial Hopf algebras and generalized Dehn-Sommerville relations,
+Compositio Math. 142 (2006), Thm 1.5): bar(phi_+) = phi_+ and
+bar(phi_-) = phi_-^-1, so the parts solve
 
-    bar(phi)^-1 phi = phi_-^2,    phi_+ = phi bar(phi_-).
+    phi = phi_+ phi_-,    phi_- bar(phi_-) = counit,
 
-Comparing the two sides entrywise is the central acceptance test of the
-package.
+one degree at a time in one paired recursion (``decompose``): phi_+ is 0 in
+odd degrees, where phi_- follows from the first equation, and in even
+degrees phi_- is half a signed sum of its own lower degrees by the second
+equation, then phi_+ follows from the first.  The former route, phi_- as
+the square root of bar(phi)^-1 phi and phi_+ = phi bar(phi_-), lives in
+the tests as a reference.  Comparing the two sides entrywise is the
+central acceptance test of the package.
 
 The M-basis closed forms depend on a composition only through its weight
 and its shape: the number of parts, the number of odd parts and the
@@ -32,18 +38,19 @@ composition of n that has s as a partial sum into one of s and one of
 n - s, so its terms form the outer product of the degree-s row and the
 degree-(n - s) row, which the kernel adds one slice (contiguous, or of
 stride 2^s) per nonzero entry of the shorter row, times one int factor per
-cut.  The product, the quotient and the square root all follow one rule
-(``_cut_factors``): degree n of the result goes over one common
-denominator E_n, the lcm of the denominator products that meet in it, and
-the term of each product is put over E_n by the int factor E_n over that
-product, which for a cut is folded into the scalar the kernel takes from
-the shorter row.  In ``convolve`` these are the products of the two
-operands' denominators in degrees s and n - s; the quotient and the square
-root add the denominator of the row they solve against.  Each of the three
-reduces every degree it builds before the next degree reads it, so
-``_from_rows`` stores rows as they come.  So every step is exact integer
-arithmetic on reduced rows, and the only division, the halving in the
-square root, is checked against the denominators it may reach.
+cut; a factor of 0 skips its cut.  The product, the quotient and both
+equations of the split follow one rule (``_cut_factors``): degree n of
+the result goes over one common denominator E_n, the lcm of the
+denominator products that meet in it, and the term of each product is put
+over E_n by the int factor E_n over that product, which for a cut is
+folded into the scalar the kernel takes from the shorter row, with a sign
+where a sum is signed.  In ``convolve`` these are the products of the two
+operands' denominators in degrees s and n - s; the quotient and the split
+add the denominators of the rows they solve against.  Each reduces every
+degree it builds before the next degree reads it, so ``_from_rows``
+stores rows as they come.  So every step is exact integer arithmetic on
+reduced rows, and the only division, the halving of phi_- in even
+degrees, is checked against the denominators it may reach.
 
 The definitional h-sums ``h_minus`` and ``h_plus`` walk the unit gaps of a
 composition with a signed census of peak states (``_gap_step``,
@@ -404,9 +411,10 @@ def _require_same_degree(phi: TruncatedCharacter, psi: TruncatedCharacter):
 def _cut_factors(products):
     """(E, factors) for the products of denominators that meet in one
     degree of a recursion: E is their lcm, and factors[i] = E // products[i]
-    puts the term of products[i] over E."""
-    common = lcm(*products)
-    return common, [common // p for p in products]
+    puts the term of products[i] over E.  A product of 0 marks a slot with
+    no term: it stays out of E and its factor is 0."""
+    common = lcm(*filter(None, products))
+    return common, [common // p if p else 0 for p in products]
 
 
 def _proper_cuts(left, right, n: int, factors) -> list[int]:
@@ -421,12 +429,16 @@ def _proper_cuts(left, right, n: int, factors) -> list[int]:
     entry of the shorter of the two rows, with factors[s] folded into that
     entry: r * left[s] over the contiguous block of 2^(s-1) masks that share
     high, or l * right[n - s] over the masks of stride 2^s that share low.
-    Only degrees 1..n-1 of left and right are read, so a recursion may pass
+    A factor of 0 skips its cut, and neither of its rows is read.  Only
+    degrees 1..n-1 of left and right are read, so a recursion may pass
     tables that end at degree n - 1.
     """
     row = [0] * (1 << (n - 1))
     for s in range(1, n):
-        a, b, f = left[s], right[n - s], factors[s]
+        f = factors[s]
+        if not f:
+            continue
+        a, b = left[s], right[n - s]
         half = 1 << (s - 1)
         if len(b) <= len(a):
             for high, r in enumerate(b):
@@ -516,41 +528,68 @@ def bar(phi: TruncatedCharacter) -> TruncatedCharacter:
     return TruncatedCharacter._from_rows(rows, phi.denominators)
 
 
+def _pairing_sum(minus, minus_d, n: int):
+    """(row, E) with row / E = 2 (phi_-)_n for even n, from
+    phi_- bar(phi_-) = counit in degree n: 2 (phi_-)_n + the sum over
+    proper cuts of (-1)^s phi_-(left) phi_-(right) = 0, s being the weight
+    of left.  The sign (-1)^(s + 1) is folded into the cut factors, so no
+    bar row is built; E is the lcm of the products of phi_-'s denominators
+    that meet in degree n."""
+    common, f = _cut_factors([0] + [minus_d[s] * minus_d[n - s] for s in range(1, n)])
+    f = [v if s % 2 else -v for s, v in enumerate(f)]
+    return _proper_cuts(minus, minus, n, f), common
+
+
 def decompose(phi: TruncatedCharacter):
     """Split phi (with phi(1) = 1) into its even and odd parts, returning
     (phi_plus, phi_minus) with phi = phi_plus * phi_minus in convolution.
 
     This is the oracle: it uses only phi's own values and the convolution
     group, never the closed forms.  By Aguiar-Bergeron-Sottile, Thm 1.5,
-    phi_- is the square root of bar(phi)^-1 phi with phi_-(1) = 1, and
-    phi_+ = phi bar(phi_-).  The square root is solved one degree at a time
-    from (phi_-^2)_n = 2 (phi_-)_n + sum over proper cuts of
-    phi_-(left) phi_-(right), so each of the quotient, the square root and
-    the product makes one kernel pass per degree.
+    the parts P = phi_+ and Q = phi_- are the one solution of phi = P Q,
+    P = bar(P) (so P is 0 in odd degrees) and Q bar(Q) = counit, with
+    P(1) = Q(1) = 1.  One paired recursion solves them a degree at a time:
+    in odd degree n, P_n = 0 and Q_n = phi_n - (the proper cuts of P Q),
+    one kernel pass whose cut factors are 0 at odd s, where P is 0; in even
+    degree n, Q_n is half the signed pairing sum of Q bar(Q) = counit
+    (_pairing_sum), then P_n = phi_n - Q_n - (the proper cuts of P Q), two
+    kernel passes.  So degree N takes N + N // 2 kernel passes.
 
     Every step runs on reduced integer rows with one denominator per
-    degree, as convolve does: degree n of the square root goes over the lcm
-    of the square's denominator (slot 0) and the products of phi_-'s
-    denominators that meet in it.  With c twice the lcm of phi's
-    denominators, (phi_-)_n has a denominator dividing c**n (for integer
-    phi, 2-adic valuation at least 1 - n), so a halving whose reduced
-    denominator does not divide c**n can only come from a fault; it raises
-    ArithmeticError.
+    degree, as convolve does: degree n goes over the lcm of the
+    denominator products that meet in it (slot 0 for phi_n, slot n for
+    Q_n) and is reduced before the next degree reads it.  With c twice the
+    lcm of phi's denominators, Q_n has a denominator dividing c**n (for
+    integer phi, 2-adic valuation at least 1 - n), so a halving whose
+    reduced denominator does not divide c**n can only come from a fault; it
+    raises ArithmeticError.
     """
     if phi.value(()) != 1:
         raise ValueError("decompose requires phi(1) = 1")
     c = 2 * lcm(*phi.denominators)
-    square, square_d = _quotient_rows(bar(phi), phi)
-    minus, minus_d = [[1]], [1]
-    for n in range(1, len(square)):
-        common, f = _cut_factors([square_d[n]] + [minus_d[s] * minus_d[n - s] for s in range(1, n)])
-        cuts = _proper_cuts(minus, minus, n, f)
-        row, d = _halve([f[0] * v - y for v, y in zip(square[n], cuts)], common, c ** n)
-        minus.append(row)
-        minus_d.append(d)
-    del square  # freed before the product builds its table
-    phi_minus = TruncatedCharacter._from_rows(minus, minus_d)
-    return convolve(phi, bar(phi_minus)), phi_minus
+    rows, rows_d = phi.numerators, phi.denominators
+    plus, plus_d, minus, minus_d = [[1]], [1], [[1]], [1]
+    for n in range(1, len(rows)):
+        products = [rows_d[n]] + [0 if s % 2 else plus_d[s] * minus_d[n - s] for s in range(1, n)]
+        if n % 2:
+            common, f = _cut_factors(products)
+            cuts = _proper_cuts(plus, minus, n, f)
+            row, d = _reduced([f[0] * v - y for v, y in zip(rows[n], cuts)], common)
+            minus.append(row)
+            minus_d.append(d)
+            plus.append([0] * len(row))
+            plus_d.append(1)
+        else:
+            odd, odd_d = _halve(*_pairing_sum(minus, minus_d, n), c ** n)
+            minus.append(odd)
+            minus_d.append(odd_d)
+            common, f = _cut_factors(products + [odd_d])
+            cuts = _proper_cuts(plus, minus, n, f)
+            a, b = f[0], f[n]
+            row, d = _reduced([a * v - b * w - y for v, w, y in zip(rows[n], odd, cuts)], common)
+            plus.append(row)
+            plus_d.append(d)
+    return TruncatedCharacter._from_rows(plus, plus_d), TruncatedCharacter._from_rows(minus, minus_d)
 
 
 def _compose(phi: TruncatedCharacter, f) -> TruncatedCharacter:

@@ -18,23 +18,26 @@ bounds, "standard" uses them as is, "deep" raises them by half
 share.  The S_n checks sum over the 2^(n-1) descent classes, not the n!
 permutations, so deep runs S_13 in about 0.1 s, and the coarsenings of beta
 are the sub-masks of its mask, so the sums over them take one sub-mask pass
-per weight.  signs_a and signs_b walk the unit gaps of m instead of listing
-its compositions, and tn_vandermonde counts its classes in one such walk
-for every weight (_class_census).  app_f1 and app_f2 add the ribbon cuts of
-every composition of a weight as outer products of two rows of peak
-weights (_ribbon_cut_row), h_minus_closed and h_plus_closed read the
+per weight; antipode_sum and app_antipodeM read each composition's shape
+(parts, odd parts, end parities) from characters._shape_walk and work out
+their summands and right sides once per shape.  signs_a and signs_b walk
+the unit gaps of m instead of listing its compositions, and
+tn_vandermonde counts its classes in one such walk for every weight
+(_class_census).  app_f1 and app_f2 add the ribbon cuts of every
+composition of a weight as outer products of two rows of peak weights
+(_ribbon_cut_row), h_minus_closed and h_plus_closed read the
 h-sums of every composition of each weight from one walk that shares
 prefixes (characters._h_rows), peak_rev_con reads each alpha's peak
 statistics once, zeta_power reads its M-basis closed forms from restrict's
 rows, and gessel_rec and associator carry their sums over j along c.  The
-whole battery takes about 1.5 to 1.8 s at deep against 0.15 to 0.2 s at
+whole battery takes about 1.2 to 1.5 s at deep against 0.15 to 0.2 s at
 standard (``qsymx verify --all``, interpreter start-up included; Python
 3.11.7 on a shared 2-vCPU machine).  In process, standard is led by
 zeta_power and central_prod (about 7 ms each), then g_convolve,
-antipode_sum, peak_rev_con and associator (about 4 ms each); deep by
-peak_rev_con, antipode_sum, h_minus_closed and shuffle_minus (0.14 to 0.22 s
-each), which visit every composition of each weight up to 15 or every
-shuffle of two words of total length 15.
+peak_rev_con and associator (about 4 ms each); deep by peak_rev_con,
+h_minus_closed and shuffle_minus (0.13 to 0.18 s each), which visit every
+composition of each weight up to 15 or every shuffle of two words of total
+length 15, then zeta_power and antipode_sum (about 0.1 s each).
 """
 
 import re
@@ -187,43 +190,50 @@ def _catalan_prod(b: int) -> Iterator[Case]:
         yield {"special": "n=m", "n": n}, lhs, rhs
 
 
-def _odd_head_row(n: int) -> list[int]:
-    """The antipode-sum summand of each composition alpha of n, by mask,
-    over 4^(n//2): (-1)^(k_e) B(h) 4^(n//2 - h) with h = floor(k_o/2) if the
-    first part of alpha is odd, else 0 (k_o, k_e: its odd and even parts)."""
-    weights = [en.central_binomial(h) * 4 ** (n // 2 - h) for h in range(n // 2 + 1)]
-    row = []
-    for alpha in all_compositions(n):
-        k_o = sum(a & 1 for a in alpha)
-        w = weights[k_o // 2] if alpha[0] & 1 else 0
-        row.append(-w if (len(alpha) - k_o) & 1 else w)
-    return row
+def _odd_head_rows(n_max: int) -> Iterator[tuple]:
+    """For n = 1..n_max, yield (n, row, shapes, index): the shapes of the
+    compositions of n and by mask the index in shapes of each one's shape,
+    from characters._shape_walk (a shape being (k, k_o, first part odd,
+    last part odd), k_o counting the odd parts of the k), and the
+    antipode-sum summand of each composition alpha of n, by mask, over
+    4^(n//2): (-1)^(k - k_o) B(h) 4^(n//2 - h) with h = floor(k_o/2) if the
+    first part of alpha is odd, else 0.  Each summand is computed once per
+    shape."""
+    for n, shapes, index in characters._shape_walk(n_max):
+        if not n:
+            continue
+        weights = [en.central_binomial(h) * 4 ** (n // 2 - h) for h in range(n // 2 + 1)]
+        heads = []
+        for k, k_o, first_odd, _ in shapes:
+            w = weights[k_o // 2] if first_odd else 0
+            heads.append(-w if (k - k_o) & 1 else w)
+        yield n, [heads[i] for i in index], shapes, index
 
 
 def _antipode_sum(n_max: int) -> Iterator[Case]:
     """Evaluating the odd character against the monomial antipode: for every
     beta, the weighted sum over coarsenings with odd first part collapses to
     the single beta term (or 0 when the last part is even)."""
-    for n in range(1, n_max + 1):
+    for n, row, shapes, index in _odd_head_rows(n_max):
         d = 4 ** (n // 2)
-        sums = _mask_pass(_odd_head_row(n), n, False, 1)
-        for beta, total in zip(all_compositions(n), sums):
-            rhs = _b_over_4(sum(a & 1 for a in beta) // 2) if beta[-1] & 1 else 0
-            yield {"beta": beta}, Fraction(total, d), rhs
+        rhs = [_b_over_4(k_o // 2) if last_odd else 0 for _, k_o, _, last_odd in shapes]
+        sums = _mask_pass(row, n, False, 1)
+        for beta, total, i in zip(all_compositions(n), sums, index):
+            yield {"beta": beta}, Fraction(total, d), rhs[i]
 
 
 def _app_antipodeM(n_max: int) -> Iterator[Case]:
     """Strict-coarsening variant: when beta has an even number of even parts
     and matching end parities, the sum over proper coarsenings with odd
     first part vanishes.  An empty sum counts as 0."""
-    for n in range(1, n_max + 1):
-        row, d = _odd_head_row(n), 4 ** (n // 2)
+    for n, row, shapes, index in _odd_head_rows(n_max):
+        d = 4 ** (n // 2)
+        kept = [not (k - k_o) % 2 and first_odd == last_odd
+                for k, k_o, first_odd, last_odd in shapes]
         sums = _mask_pass(row, n, False, 1)
-        for beta, total, own in zip(all_compositions(n), sums, row):
-            k_e = len(beta) - sum(a & 1 for a in beta)
-            if k_e % 2 or (beta[0] - beta[-1]) % 2:
-                continue
-            yield {"beta": beta}, Fraction(total - own, d), 0
+        for beta, total, own, i in zip(all_compositions(n), sums, row, index):
+            if kept[i]:
+                yield {"beta": beta}, Fraction(total - own, d), 0
 
 
 def _class_size(n: int, r: int, s: int) -> int:

@@ -4,12 +4,18 @@ a time, by slicing tuples at every deconcatenation.
 
 This is the route the package used before its bitmask kernel on integer
 rows over per-degree denominators, and its ``decompose`` is the former
-three-fold recursion for phi_+, not the square root of bar(phi)^-1 phi
-that the package now takes (Aguiar-Bergeron-Sottile, Compositio Math. 142
-(2006), Thm 1.5).  It stays here, slow and literal, as the reference the
-oracle is compared against.  It only reads values through
-``TruncatedCharacter.value`` and builds results through the public
-constructor.
+three-fold recursion for phi_+, not the paired recursion on phi = phi_+
+phi_- and phi_- bar(phi_-) = counit that the package now takes
+(Aguiar-Bergeron-Sottile, Compositio Math. 142 (2006), Thm 1.5).  It stays
+here, slow and literal, as the reference the oracle is compared against.
+It only reads values through ``TruncatedCharacter.value`` and builds
+results through the public constructor.
+
+``decompose_by_square_root`` is the package's former route on integer
+rows: the quotient bar(phi)^-1 phi = phi_-^2, its square root phi_- one
+degree at a time, and the product phi_+ = phi bar(phi_-), one kernel pass
+each per degree.  It runs on the package's kernel and scale rule, so it
+gives the same rows and denominators, not only the same values.
 
 ``proper_cuts`` is the package's former deconcatenation kernel, which
 walks the set bits of every mask one at a time; it is the reference for
@@ -17,7 +23,9 @@ the block kernel ``characters._proper_cuts`` on integer rows.
 """
 
 from fractions import Fraction
+from math import lcm
 
+from qsymx import characters as ch
 from qsymx.characters import TruncatedCharacter
 from qsymx.compositions import all_compositions, to_index
 
@@ -141,3 +149,26 @@ def decompose(phi: TruncatedCharacter):
     phi_minus = TruncatedCharacter(n_max, minus_tables)
 
     return phi_plus, phi_minus
+
+
+def decompose_by_square_root(phi: TruncatedCharacter):
+    """(phi_plus, phi_minus) as phi_- = the square root of bar(phi)^-1 phi
+    with phi_-(1) = 1 and phi_+ = phi bar(phi_-), on reduced integer rows:
+    the square root is solved from (phi_-^2)_n = 2 (phi_-)_n + the proper
+    cuts of phi_- phi_-, over the lcm of the square's denominator (slot 0)
+    and the products of phi_-'s denominators, and halved with the check
+    against c**n, c twice the lcm of phi's denominators."""
+    assert phi.value(()) == 1
+    c = 2 * lcm(*phi.denominators)
+    square, square_d = ch._quotient_rows(ch.bar(phi), phi)
+    minus, minus_d = [[1]], [1]
+    for n in range(1, len(square)):
+        common, f = ch._cut_factors(
+            [square_d[n]] + [minus_d[s] * minus_d[n - s] for s in range(1, n)]
+        )
+        cuts = ch._proper_cuts(minus, minus, n, f)
+        row, d = ch._halve([f[0] * v - y for v, y in zip(square[n], cuts)], common, c ** n)
+        minus.append(row)
+        minus_d.append(d)
+    phi_minus = TruncatedCharacter._from_rows(minus, minus_d)
+    return ch.convolve(phi, ch.bar(phi_minus)), phi_minus

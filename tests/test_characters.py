@@ -404,20 +404,21 @@ def test_halving_with_remainder_raises(monkeypatch):
         ch._halve([4, 3], 1, 1)
     with pytest.raises(ArithmeticError, match="exact halving"):
         ch._halve([1], 2, 2)
-    # a quotient off by 1/c^2 in degree 2 (c = 2 for zeta) puts 1/8 into
-    # phi_- there, so the square root's halving must fail
-    real = ch._quotient_rows
+    # a pairing sum off by 1/c^2 in degree 2 (c = 2 for zeta) puts 1/8 into
+    # phi_- there, so its halving must fail
+    real = ch._pairing_sum
 
-    def off_by_one(a, b):
-        rows, denominators = real(a, b)
-        c = 2 * math.lcm(*b.denominators)
-        d = math.lcm(denominators[2], c * c)
-        rows[2] = [v * (d // denominators[2]) for v in rows[2]]
-        rows[2][0] += d // (c * c)
-        denominators[2] = d
-        return rows, denominators
+    def off_by_one(minus, minus_d, n):
+        row, d = real(minus, minus_d, n)
+        if n == 2:
+            c = 2
+            e = math.lcm(d, c * c)
+            row = [v * (e // d) for v in row]
+            row[0] += e // (c * c)
+            d = e
+        return row, d
 
-    monkeypatch.setattr(ch, "_quotient_rows", off_by_one)
+    monkeypatch.setattr(ch, "_pairing_sum", off_by_one)
     halving = "denominator 8 does not divide 4 in an exact halving"
     with pytest.raises(ArithmeticError, match=halving):
         ch.decompose(ch.restrict(ch.ZETA, 4))
@@ -441,8 +442,9 @@ def test_decompose_makes_one_kernel_pass_per_degree_and_operation(monkeypatch):
     for degree in (0, 1, 7):
         calls.clear()
         ch.decompose(ch.restrict(ch.ZETA, degree))
-        # the quotient, the square root and the product
-        assert len(calls) == 3 * degree
+        # one pass of phi = phi_+ phi_- per degree, and one of the pairing
+        # sum of phi_- bar(phi_-) = counit per even degree
+        assert len(calls) == degree + degree // 2
 
 
 def test_convolve_makes_one_kernel_pass_per_degree(monkeypatch):
@@ -456,8 +458,9 @@ def test_convolve_makes_one_kernel_pass_per_degree(monkeypatch):
 
 def _kernel_rows(rng, kind, n):
     """Integer tables for degrees 0..n-1, as a recursion passes them to the
-    kernel for degree n: all zero, sparse with small entries, or dense with
-    200-bit signed entries."""
+    kernel for degree n: all zero, sparse with small entries, one nonzero
+    200-bit entry per row, about half of the entries 200-bit and nonzero,
+    or dense with 200-bit signed entries."""
     rows = []
     for m in range(n):
         size = 1 if m == 0 else 1 << (m - 1)
@@ -465,6 +468,13 @@ def _kernel_rows(rng, kind, n):
             rows.append([0] * size)
         elif kind == "sparse":
             rows.append([rng.randint(-5, 5) if rng.random() < 0.2 else 0 for _ in range(size)])
+        elif kind == "one":
+            row = [0] * size
+            row[rng.randrange(size)] = rng.getrandbits(200) - (1 << 199) | 1
+            rows.append(row)
+        elif kind == "half":
+            rows.append([(rng.getrandbits(200) - (1 << 199) | 1) if rng.random() < 0.5 else 0
+                         for _ in range(size)])
         else:
             rows.append([rng.getrandbits(200) - (1 << 199) for _ in range(size)])
     return rows
@@ -474,6 +484,11 @@ def test_block_kernel_matches_the_bit_walk():
     rng = random.Random(13)
     kinds = [("zero", "big"), ("big", "zero"), ("sparse", "big"),
              ("big", "sparse"), ("sparse", "sparse"), ("big", "big")]
+    # a row with one nonzero entry, or about half of them nonzero, against
+    # every kind, on either side
+    kinds += [(kind, other) for kind in ("one", "half")
+              for other in ("zero", "sparse", "one", "half", "big")]
+    kinds += [(other, kind) for kind in ("one", "half") for other in ("zero", "sparse", "big")]
     for n in range(1, 15):
         ones = [1] * (n + 1)
         for left_kind, right_kind in kinds:
@@ -485,8 +500,20 @@ def test_block_kernel_matches_the_bit_walk():
             factors = [rng.randint(1, 1 << rng.choice((1, 8, 64))) for _ in range(n + 1)]
             want = ref.proper_cuts(left, right, n, factors)
             assert ch._proper_cuts(left, right, n, factors) == want, (n, left_kind, right_kind)
-        # the square root passes one table as both factors
+            # decompose's: 0 at odd s, where phi_+ is 0, and signed
+            factors = [0 if s % 2 else rng.choice((-1, 1)) * f for s, f in enumerate(factors)]
+            want = ref.proper_cuts(left, right, n, factors)
+            assert ch._proper_cuts(left, right, n, factors) == want, (n, left_kind, right_kind)
+        # the pairing sum passes one table as both factors
         assert ch._proper_cuts(left, left, n, ones) == ref.proper_cuts(left, left, n)
+
+
+def test_kernel_skips_a_cut_whose_factor_is_0():
+    # the rows of a skipped cut are not read: here they are missing
+    left = [[1], [2], None, [3, 4, 5, 6]]
+    right = [[1], [7], None, [8, 9, 10, 11]]
+    assert ch._proper_cuts(left, right, 4, [0, 1, 0, 1]) == ref.proper_cuts(
+        [[1], [2], [0, 0], [3, 4, 5, 6]], [[1], [7], [0, 0], [8, 9, 10, 11]], 4, [0, 1, 0, 1])
 
 
 def _raise(*args):
@@ -591,6 +618,18 @@ def _seeded_functional(rng, degree):
         for n in range(1, degree + 1)
     ]
     return ch.TruncatedCharacter(degree, tables)
+
+
+def test_paired_recursion_matches_the_square_root_route():
+    # the former route, bar(phi)^-1 phi = phi_-^2 and phi_+ = phi bar(phi_-),
+    # on the same kernel and scale rule: the same rows and denominators
+    rng = random.Random(24)
+    canonical = [ch.restrict(c, 12) for c in (ch.ZETA, ch.ZETA_INV, ch.zeta_power(3))]
+    seeded = [_seeded_functional(rng, degree) for degree in list(range(12)) * 2]
+    for phi in canonical + seeded:
+        for ours, theirs in zip(ch.decompose(phi), ref.decompose_by_square_root(phi)):
+            assert ours.numerators == theirs.numerators, phi.max_degree
+            assert ours.denominators == theirs.denominators, phi.max_degree
 
 
 def _longest(*characters):
