@@ -54,9 +54,10 @@ degrees, is checked against the denominators it may reach.
 
 The definitional h-sums ``h_minus`` and ``h_plus`` walk the unit gaps of a
 composition with a signed census of peak states (``_gap_step``,
-``_census_total``); ``_h_rows`` walks the same rule once over the tree of
-gap choices, giving the sums of every composition of each weight up to a
-bound with every prefix shared.
+``_census_total``), one composition at a time; they are the public API and
+the reference for the registry, which sums the same terms over the
+refinements of every composition of a weight in one super-mask pass and
+walks its signed census of all compositions of m with ``_gap_step`` too.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
@@ -361,6 +362,16 @@ class TruncatedCharacter:
         return "TruncatedCharacter(N=%d)" % self.max_degree
 
 
+def _shape_children(shape):
+    """(grown, appended): the shapes of a composition of weight n >= 1 with
+    the given shape after its last part grows by 1, and after it gains a
+    new last part 1."""
+    k, k_o, first_odd, last_odd = shape
+    odd = 1 - last_odd
+    grown = (k, k_o + odd - last_odd, odd if k == 1 else first_odd, odd)
+    return grown, (k + 1, k_o + 1, first_odd, 1)
+
+
 def _shape_walk(max_degree: int):
     """For n = 0..max_degree, yield (n, shapes, index): the distinct shapes
     of the compositions of n (see _closed_M), and by mask the index in
@@ -368,7 +379,7 @@ def _shape_walk(max_degree: int):
 
     Degree n + 1 comes from degree n: a mask without its top bit n - 1 is a
     composition of n whose last part grew by 1, and a mask with it one that
-    gained a new last part 1."""
+    gained a new last part 1 (_shape_children)."""
     shapes, index = [(0, 0, 0, 0)], [0]
     yield 0, shapes, index
     if max_degree < 1:
@@ -377,11 +388,10 @@ def _shape_walk(max_degree: int):
     yield 1, shapes, index
     for n in range(2, max_degree + 1):
         ids, grown, appended = {}, [], []
-        for k, k_o, first_odd, last_odd in shapes:
-            odd = 1 - last_odd
-            shape = (k, k_o + odd - last_odd, odd if k == 1 else first_odd, odd)
-            grown.append(ids.setdefault(shape, len(ids)))
-            appended.append(ids.setdefault((k + 1, k_o + 1, first_odd, 1), len(ids)))
+        for shape in shapes:
+            grown_shape, appended_shape = _shape_children(shape)
+            grown.append(ids.setdefault(grown_shape, len(ids)))
+            appended.append(ids.setdefault(appended_shape, len(ids)))
         shapes = list(ids)
         index = [grown[i] for i in index] + [appended[i] for i in index]
         yield n, shapes, index
@@ -669,48 +679,6 @@ def _peak_census(alpha: Composition, augmented: bool) -> dict:
         if gap not in cuts:
             states = grown | states
     return _census_total(states, augmented)
-
-
-def _h_rows(n_max: int, augmented: bool) -> dict:
-    """{n: [the h-sum of each composition of n, by mask]} for n = 1..n_max,
-    or only the even n if augmented: h_minus, or h_plus if augmented, as
-    ints.
-
-    One depth-first walk over the tree of gap choices shares every prefix
-    among the weights: a node at depth n - 1 holds the census states of the
-    gaps of one composition of n (mask, its partial sums), and its children
-    take gap n free (a composition of n + 1 with the same mask) or cut (the
-    mask with bit n - 1 set).  So the census of every composition of 1..n_max
-    costs one _gap_step per inner node, about 2^(n_max - 1) in all, against
-    n - 1 per composition of n for _peak_census.
-
-    >>> _h_rows(3, False)
-    {1: [1], 2: [0, -2], 3: [4, 0, 4, 2]}
-    """
-    rows = {n: [0] * (1 << (n - 1)) for n in range(1 + augmented, n_max + 1, 1 + augmented)}
-    weights = {
-        n: [en.bivariate_catalan(q, n // 2 - q) for q in range(n // 2 + 1)] for n in rows
-    }
-    shares = {n: {} for n in rows}
-    # (states, n, mask) of the nodes still to visit, the free child on top
-    stack = [(_CENSUS_START, 1, 0)]
-    while stack:
-        states, n, mask = stack.pop()
-        if n in rows:
-            # the h-sum is linear in the states: each state's share is
-            # read once per weight through _census_total
-            w, share, total = weights[n], shares[n], 0
-            for key, c in states.items():
-                if key not in share:
-                    census = _census_total({key: 1}, augmented)
-                    share[key] = sum(s * w[q] for q, s in census.items())
-                total += c * share[key]
-            rows[n][mask] = total
-        if n < n_max:
-            grown, started = _gap_step(states, augmented)
-            stack.append((started, n + 1, mask | 1 << (n - 1)))
-            stack.append((grown | started, n + 1, mask))
-    return rows
 
 
 def _h_sum(alpha: Composition, augmented: bool) -> Fraction:

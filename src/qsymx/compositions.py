@@ -186,19 +186,30 @@ def _mask_pass(values, n: int, supersets: bool, sign: int) -> list:
     1, F-basis values from M-basis values, the T being the refinements of
     S), else over the T inside S (with sign -1, Moebius inversion).
 
+    Bit i pairs each mask without it with the mask with it, by whichever
+    kind of slice pair is fewer: for each offset t below the bit, the
+    slices of step 2^(i+1) from t and from t + 2^i (the low bits, where
+    the offsets are fewer than the blocks); else for each block of 2^(i+1)
+    masks, its two contiguous halves.
+
     >>> _mask_pass([1, 2, 3, 4], 3, True, 1), _mask_pass([1, 2, 3, 4], 3, False, -1)
     ([10, 6, 7, 4], [1, 1, 2, 0])
     """
     row = list(values)
     for i in range(n - 1):
         bit = 1 << i
-        for low in range(0, len(row), 2 * bit):
-            high = low + bit
-            without, with_bit = row[low:high], row[high:high + bit]
+        step = 2 * bit
+        if bit * step < len(row):
+            pairs = [(slice(t, None, step), slice(t + bit, None, step)) for t in range(bit)]
+        else:
+            pairs = [(slice(low, low + bit), slice(low + bit, low + step))
+                     for low in range(0, len(row), step)]
+        for without, with_bit in pairs:
+            a_row, b_row = row[without], row[with_bit]
             if supersets:
-                row[low:high] = [a + sign * b for a, b in zip(without, with_bit)]
+                row[without] = [a + sign * b for a, b in zip(a_row, b_row)]
             else:
-                row[high:high + bit] = [b + sign * a for a, b in zip(without, with_bit)]
+                row[with_bit] = [b + sign * a for a, b in zip(a_row, b_row)]
     return row
 
 

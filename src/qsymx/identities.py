@@ -14,30 +14,30 @@ A check's bounds live only in its domain text in the registry: each {N}
 there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
 bounds, "standard" uses them as is, "deep" raises them by half
-(``_scale_for``).  A check computes once what the cases of its domain
-share.  The S_n checks sum over the 2^(n-1) descent classes, not the n!
-permutations, so deep runs S_13 in about 0.1 s, and the coarsenings of beta
-are the sub-masks of its mask, so the sums over them take one sub-mask pass
-per weight; antipode_sum and app_antipodeM read each composition's shape
-(parts, odd parts, end parities) from characters._shape_walk and work out
-their summands and right sides once per shape.  signs_a and signs_b walk
-the unit gaps of m instead of listing its compositions, and
-tn_vandermonde counts its classes in one such walk for every weight
-(_class_census).  app_f1 and app_f2 add the ribbon cuts of every
-composition of a weight as outer products of two rows of peak weights
-(_ribbon_cut_row), h_minus_closed and h_plus_closed read the
-h-sums of every composition of each weight from one walk that shares
-prefixes (characters._h_rows), peak_rev_con reads each alpha's peak
-statistics once, zeta_power reads its M-basis closed forms from restrict's
-rows, and gessel_rec and associator carry their sums over j along c.  The
-whole battery takes about 1.2 to 1.5 s at deep against 0.15 to 0.2 s at
-standard (``qsymx verify --all``, interpreter start-up included; Python
-3.11.7 on a shared 2-vCPU machine).  In process, standard is led by
-zeta_power and central_prod (about 7 ms each), then g_convolve,
-peak_rev_con and associator (about 4 ms each); deep by peak_rev_con,
-h_minus_closed and shuffle_minus (0.13 to 0.18 s each), which visit every
-composition of each weight up to 15 or every shuffle of two words of total
-length 15, then zeta_power and antipode_sum (about 0.1 s each).
+(``_scale_for``).
+
+A check computes once what the cases of its domain share, with one rule
+per statistic:
+
+- a sum over the refinements or the coarsenings of every composition of a
+  weight is one super- or sub-mask pass over a row indexed by mask
+  (compositions._mask_pass): the coarsening sums of antipode_sum,
+  app_antipodeM and app_zetainv_plus_m, the h-sums of h_minus_closed and
+  h_plus_closed (_h_row) and the F-basis side of zeta_power;
+- a composition's shape (parts, odd parts, end parities) comes from
+  characters._shape_walk, and what depends only on the shape, a summand or
+  a right side, is worked out once per shape;
+- a count over all compositions of m goes by state, not by composition:
+  signs_a and signs_b walk the unit gaps with characters._gap_step, the
+  census transition of the h-sums, and tn_vandermonde carries a count per
+  shape with characters._shape_children.
+
+Beyond these, the S_n checks sum over the 2^(n-1) descent classes, not the
+n! permutations; app_f1 and app_f2 add the ribbon cuts of every composition
+of a weight as outer products of two rows of peak weights
+(_ribbon_cut_row); peak_rev_con reads each alpha's peak statistics once;
+zeta_power reads its M-basis closed forms from restrict's rows; and
+gessel_rec and associator carry their sums over j along c.
 """
 
 import re
@@ -246,31 +246,26 @@ def _class_census(n_max: int) -> dict:
     """{n: {(r, s): the number of compositions of n with odd first part, r
     odd parts and s even parts}} for n = 1..n_max.
 
-    One walk over the unit gaps serves every n: at each gap the last part
-    grows or is closed and a new part 1 starts.  A state is (still one
-    part, closed odd parts, closed even parts, last part odd) with its
-    count, and a state whose first part closes even is dropped, so every
-    state has an odd first part or an open one, which is its last part.
+    The compositions are counted by shape, degree n + 1 from degree n as
+    characters._shape_walk grows it (characters._shape_children), so a
+    degree costs one step per shape, not per composition.
 
     >>> _class_census(3)
     {1: {(1, 0): 1}, 2: {(2, 0): 1}, 3: {(1, 0): 1, (1, 1): 1, (3, 0): 1}}
     """
-    states = {(True, 0, 0, True): 1}
+    counts = {(1, 1, 1, 1): 1}
     census = {}
     for n in range(1, n_max + 1):
         if n > 1:
-            walked: dict = {}
-            for (single, odd, even, last_odd), c in states.items():
-                key = (single, odd, even, not last_odd)
-                walked[key] = walked.get(key, 0) + c
-                if last_odd or not single:
-                    key = (False, odd + last_odd, even + (not last_odd), True)
-                    walked[key] = walked.get(key, 0) + c
-            states = walked
+            children: dict = {}
+            for shape, c in counts.items():
+                for child in characters._shape_children(shape):
+                    children[child] = children.get(child, 0) + c
+            counts = children
         classes: dict = {}
-        for (single, odd, even, last_odd), c in states.items():
-            if last_odd or not single:
-                key = (odd + last_odd, even + (not last_odd))
+        for (k, k_o, first_odd, _), c in counts.items():
+            if first_odd:
+                key = (k_o, k - k_o)
                 classes[key] = classes.get(key, 0) + c
         census[n] = classes
     return census
@@ -313,26 +308,22 @@ def _signed_census(m: int, first: int) -> dict:
     """{j: sum of (-1)^(number of parts) over the compositions of m with j
     parts > 1 from position first on}; first is 0 or 1, and m >= first.
 
-    One walk over the m - 1 unit gaps, as characters._peak_census walks
-    refinements: at each gap the last part either grows or is closed and a
-    new part 1 starts.  A state is (closed parts > 1 counted, last part > 1,
-    last part exempt because it is part 0 and first is 1), and its int
-    multiplicity carries the sign (-1)^(parts so far)."""
+    One walk over the m - 1 unit gaps, every gap free, with the census
+    transition of characters.h_minus (first 0) and h_plus (first 1),
+    characters._gap_step.  A final state (q, last part > 1, still one part)
+    with multiplicity c, whose sign is (-1)^(k + q + 1), has j = q plus its
+    last part if that counts, and (-1)^k = c (-1)^(q + 1)."""
     if m == 0:
         return {0: 1}
-    states = {(0, False, first == 1): -1}
+    augmented = first == 1
+    states = characters._CENSUS_START
     for _ in range(m - 1):
-        walked: dict = {}
-        for (j, big, exempt), c in states.items():
-            key = (j, True, exempt)
-            walked[key] = walked.get(key, 0) + c
-            key = (j + 1 if big and not exempt else j, False, False)
-            walked[key] = walked.get(key, 0) - c
-        states = walked
+        grown, started = characters._gap_step(states, augmented)
+        states = grown | started
     census: dict = {}
-    for (j, big, exempt), c in states.items():
-        j = j + 1 if big and not exempt else j
-        census[j] = census.get(j, 0) + c
+    for (q, big, single), c in states.items():
+        j = q + (big and not (augmented and single))
+        census[j] = census.get(j, 0) + (c if q % 2 else -c)
     return census
 
 
@@ -369,33 +360,54 @@ def _g_convolve(bound: int) -> Iterator[Case]:
                 yield {"i": i, "j": j, "m": m}, lhs, rhs
 
 
+def _h_row(comps: list, peaks: Callable) -> list[int]:
+    """The h-sum of each composition alpha of n >= 1, by mask, from comps,
+    the compositions of n by mask: the sum over the refinements beta of
+    alpha of (-1)^(k(beta) + p + 1) C(p, n//2 - p) with p = peaks(beta),
+    as characters.h_minus (p_minus) and h_plus (p_plus) define it.  The
+    refinements are the super-masks, so it is one super-mask pass over the
+    peak-weight row with the sign (-1)^(k(beta) + 1) folded in.
+
+    >>> _h_row(all_compositions(3), p_minus)
+    [4, 0, 4, 2]
+    """
+    weights = _peak_weight_row(comps, peaks)
+    signed = [w if len(beta) % 2 else -w for beta, w in zip(comps, weights)]
+    return _mask_pass(signed, sum(comps[0]), True, 1)
+
+
 def _h_minus_closed(n_max: int) -> Iterator[Case]:
-    """The definitional h_minus sum against its closed form; the sums of
-    each weight come from one shared-prefix walk (characters._h_rows)."""
-    rows = characters._h_rows(n_max, False)
-    for n in range(1, n_max + 1):
-        for alpha, lhs in zip(all_compositions(n), rows[n]):
-            rhs = 0
-            if alpha[-1] % 2:
-                k_o = sum(a & 1 for a in alpha)
-                rhs = (-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
-            yield {"alpha": alpha}, lhs, rhs
+    """The definitional h_minus sum (_h_row) against its closed form, read
+    once per shape: (-1)^(n-1) 2^(n-k_o) C(0, k_o//2) for an odd last part,
+    else 0."""
+    for n, shapes, index in characters._shape_walk(n_max):
+        if not n:
+            continue
+        rhs = [(-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
+               if last_odd else 0 for _, k_o, _, last_odd in shapes]
+        comps = all_compositions(n)
+        for alpha, lhs, i in zip(comps, _h_row(comps, p_minus), index):
+            yield {"alpha": alpha}, lhs, rhs[i]
 
 
 def _h_plus_closed(n_max: int) -> Iterator[Case]:
-    """The definitional h_plus sum against its closed form (even weight),
-    the sums again from characters._h_rows."""
-    rows = characters._h_rows(n_max, True)
-    for n in range(2, n_max + 1, 2):
-        for alpha, lhs in zip(all_compositions(n), rows[n]):
-            if len(alpha) == 1:
-                rhs = 2 ** n
-            elif alpha[0] % 2 and alpha[-1] % 2:
-                k_o = sum(a & 1 for a in alpha)
-                rhs = 2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1)
+    """The definitional h_plus sum (_h_row) against its closed form, read
+    once per shape (even weight): 2^n on one part, 2^(n-k_o)
+    C(1, k_o//2 - 1) for odd end parts, else 0."""
+    for n, shapes, index in characters._shape_walk(n_max):
+        if not n or n % 2:
+            continue
+        rhs = []
+        for k, k_o, first_odd, last_odd in shapes:
+            if k == 1:
+                rhs.append(2 ** n)
+            elif first_odd and last_odd:
+                rhs.append(2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1))
             else:
-                rhs = 0
-            yield {"alpha": alpha}, lhs, rhs
+                rhs.append(0)
+        comps = all_compositions(n)
+        for alpha, lhs, i in zip(comps, _h_row(comps, p_plus), index):
+            yield {"alpha": alpha}, lhs, rhs[i]
 
 
 def _over(value: int, d: int) -> int | Fraction:
@@ -448,16 +460,13 @@ def _ribbon_cut_row(left: list, right: list, n: int, factors: list) -> list[int]
     return row
 
 
-def _peak_weight_rows(compositions: list, peaks: Callable) -> list[list[int]]:
-    """By weight w, the row of (-1)^p C(p, w//2 - p) over compositions[w],
-    the compositions of w by mask, with p = peaks(alpha); the weights are
-    looked up through exactnum at call time."""
-    rows = []
-    for w, comps in enumerate(compositions):
-        half = w // 2
-        weights = [(-1) ** p * en.bivariate_catalan(p, half - p) for p in range(half + 1)]
-        rows.append([weights[peaks(alpha)] for alpha in comps])
-    return rows
+def _peak_weight_row(comps: list, peaks: Callable) -> list[int]:
+    """The row of (-1)^p C(p, n//2 - p) over comps, the compositions of n by
+    mask, with p = peaks(alpha); the weights are looked up through exactnum
+    at call time."""
+    half = sum(comps[0]) // 2
+    weights = [(-1) ** p * en.bivariate_catalan(p, half - p) for p in range(half + 1)]
+    return [weights[peaks(alpha)] for alpha in comps]
 
 
 def _app_f1(n_max: int) -> Iterator[Case]:
@@ -465,7 +474,8 @@ def _app_f1(n_max: int) -> Iterator[Case]:
     universal character on the fundamental basis: the cuts at even
     positions, with p_plus of the left piece and p_minus of the right."""
     comps = [all_compositions(w) for w in range(n_max + 1)]
-    left, right = _peak_weight_rows(comps, p_plus), _peak_weight_rows(comps, p_minus)
+    left = [_peak_weight_row(c, p_plus) for c in comps]
+    right = [_peak_weight_row(c, p_minus) for c in comps]
     for n in range(1, n_max + 1):
         lhs = _ribbon_cut_row(left, right, n, [1 - i % 2 for i in range(n + 1)])
         rhs = 4 ** (n // 2)
@@ -479,7 +489,7 @@ def _app_f2(n_max: int) -> Iterator[Case]:
     image negates the left pieces of odd weight, and for even n a cut at an
     odd position is over 4^(n/2 - 1), so its factor is 4."""
     comps = [all_compositions(w) for w in range(n_max + 1)]
-    right = _peak_weight_rows(comps, p_minus)
+    right = [_peak_weight_row(c, p_minus) for c in comps]
     left = [[-v for v in row] if w % 2 else row for w, row in enumerate(right)]
     for n in range(1, n_max + 1):
         factors = [4 if i % 2 and n % 2 == 0 else 1 for i in range(n + 1)]
@@ -576,22 +586,24 @@ def _app_zetainv_m(m_max: int) -> Iterator[Case]:
 def _app_zetainv_plus_m(n_max: int) -> Iterator[Case]:
     """Even-character analogue of the antipode sum, over coarsenings with
     both end parts odd (even weight).  The summands are summed over 2^n,
-    then the sum of beta is divided by 2^(n - k_o)."""
-    for n in range(0, n_max + 1, 2):
-        # Cat(h - 1) at h - 1, for the h = floor(k_o/2) >= 1 of the summands
-        catalans = [en.catalan(h) for h in range(n // 2)]
-        comps = all_compositions(n)
-        row = []
-        for alpha in comps:
-            a_o = sum(a & 1 for a in alpha)
-            w = catalans[a_o // 2 - 1] << (n + 1 - a_o) if alpha and alpha[0] & alpha[-1] & 1 else 0
-            row.append(-w if (len(alpha) - a_o) & 1 else w)
-        for beta, total in zip(comps, _mask_pass(row, n, False, 1)):
-            k_o = sum(a & 1 for a in beta)
+    then the sum of beta is divided by 2^(n - k_o); summand, divisor and
+    right side are read once per shape."""
+    for n, shapes, index in characters._shape_walk(n_max):
+        if n % 2:
+            continue
+        heads, rhs = [], []
+        for k, k_o, first_odd, last_odd in shapes:
+            # Cat(h - 1) for h = floor(k_o/2) >= 1, as both end parts are odd
+            w = en.catalan(k_o // 2 - 1) << (n + 1 - k_o) if first_odd and last_odd else 0
+            heads.append(-w if (k - k_o) & 1 else w)
+            rhs.append(2 ** k_o - en.binomial(k_o, k_o // 2))
+        sums = _mask_pass([heads[i] for i in index], n, False, 1)
+        for beta, total, i in zip(all_compositions(n), sums, index):
+            k_o = shapes[i][1]
             lhs, rest = divmod(total, 1 << (n - k_o))
             if rest:
                 raise ArithmeticError("the sum of %r is not a multiple of 2^%d" % (beta, n - k_o))
-            yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
+            yield {"beta": beta}, lhs, rhs[i]
 
 
 def _gessel_rec(bound: int) -> Iterator[Case]:

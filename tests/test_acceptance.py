@@ -466,6 +466,14 @@ def _gap_step_sign_by_gaps(real):
     return step
 
 
+def _appended_part_read_as_even(real):
+    """The fault: the shape step counts a new last part 1 as even."""
+    def children(shape):
+        grown, (k, k_o, first_odd, _) = real(shape)
+        return grown, (k, k_o - 1, first_odd, 0)
+    return children
+
+
 def _one_more_in_a_class_of_4(real):
     """The fault: the descent class {2} of S_4 counts one permutation too
     many."""
@@ -539,9 +547,11 @@ FAULTS = [
     ("characters._reduced", _row_left_undivided,
      ("decompose", "criterion 5:product of parts")),
     # the one census transition, shared by the per-alpha h_minus/h_plus and
-    # the shared-prefix walk the registry reads
-    ("characters._gap_step", _gap_step_sign_by_gaps,
-     ("registry:h_minus_closed", "registry:h_plus_closed")),
+    # the registry's signed census of all compositions of m
+    ("characters._gap_step", _gap_step_sign_by_gaps, ("registry:signs_a", "registry:signs_b")),
+    # one grow/append step for the shapes of restrict and the class census
+    ("characters._shape_children", _appended_part_read_as_even,
+     ("decompose", "registry:tn_vandermonde")),
     ("characters.eval_F", _negated_when(lambda c, a: c == ch.ZETA_PLUS and len(a) == 2),
      ("criterion 2:zeta-plus", "criterion 6:peak formulas")),
     # the F coproduct loses its term (alpha, ()); the registry sums the
@@ -589,6 +599,11 @@ FAULTS = [
     ("identities._odd_head_rows", lambda real: lambda n_max: (
         (n, [abs(v) for v in row], shapes, index) for n, row, shapes, index in real(n_max)),
      ("registry:antipode_sum", "registry:app_antipodeM")),
+    # the h-sums without the sign (-1)^(k(beta) + 1) of each refinement
+    ("identities._h_row",
+     lambda real: lambda comps, peaks: co._mask_pass(
+         idn._peak_weight_row(comps, peaks), sum(comps[0]), True, 1),
+     ("registry:h_minus_closed", "registry:h_plus_closed")),
     # every composition counted as if its number of parts were even
     ("identities._signed_census",
      lambda real: lambda m, first: {j: abs(c) for j, c in real(m, first).items()},
@@ -685,9 +700,9 @@ def test_criterion_9_fault_matrix(monkeypatch, target, fault, catchers):
 
 def test_gap_step_fault_reaches_both_census_routes(monkeypatch):
     # the criterion 9 fault on the census transition changes the per-alpha
-    # sum too (h_minus((2, 2)) = 0 becomes -8), and the walk agrees with it
-    real = ch.h_minus((2, 2))
+    # h-sum (h_minus((2, 2)) = 0 becomes -8) and the registry's signed
+    # census of the compositions of m alike
+    real = ch.h_minus((2, 2)), idn._signed_census(2, 0)
     _plant(monkeypatch, "characters._gap_step", _gap_step_sign_by_gaps)
-    faulty = ch.h_minus((2, 2))
-    assert faulty != real
-    assert ch._h_rows(4, False)[4][co.to_index((2, 2))] == faulty
+    faulty = ch.h_minus((2, 2)), idn._signed_census(2, 0)
+    assert faulty[0] != real[0] and faulty[1] != real[1], (real, faulty)

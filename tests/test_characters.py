@@ -13,6 +13,7 @@ import reference_oracle as ref
 from qsymx import characters as ch
 from qsymx import compositions as co
 from qsymx import exactnum as en
+from qsymx import identities as idn
 from qsymx import permutations as pm
 from qsymx import qsym as qs
 
@@ -346,21 +347,19 @@ def test_h_sums_match_the_refinement_sum():
 
 
 def test_h_rows_match_the_per_alpha_sums():
-    # the shared-prefix walk against the walk of each composition by itself
-    minus, plus = ch._h_rows(12, False), ch._h_rows(12, True)
-    assert sorted(minus) == list(range(1, 13)) and sorted(plus) == list(range(2, 13, 2))
+    # the registry's super-mask pass against the walk of each composition
+    # by itself and against the sum over every refinement
     for n in range(1, 13):
         comps = co.all_compositions(n)
-        assert minus[n] == [ch.h_minus(alpha) for alpha in comps], n
+        minus = idn._h_row(comps, co.p_minus)
+        assert minus == [ch.h_minus(alpha) for alpha in comps], n
+        assert minus == [reference_identities._h_sum(a, co.p_minus, n // 2) for a in comps], n
+        assert all(type(v) is int for v in minus)
         if n % 2 == 0:
-            assert plus[n] == [ch.h_plus(alpha) for alpha in comps], n
-    # and against the sum over every refinement
-    for n in range(1, 9):
-        for mask, alpha in enumerate(co.all_compositions(n)):
-            assert minus[n][mask] == reference_identities._h_sum(alpha, co.p_minus, n // 2)
-            if n % 2 == 0:
-                assert plus[n][mask] == reference_identities._h_sum(alpha, co.p_plus, n // 2)
-    assert all(type(v) is int for rows in (minus, plus) for row in rows.values() for v in row)
+            plus = idn._h_row(comps, co.p_plus)
+            assert plus == [ch.h_plus(alpha) for alpha in comps], n
+            assert plus == [reference_identities._h_sum(a, co.p_plus, n // 2) for a in comps], n
+            assert all(type(v) is int for v in plus)
 
 
 def test_zeta_power_values():

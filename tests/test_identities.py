@@ -331,13 +331,19 @@ def test_check_matches_its_reference(check_id, depth):
 
 
 # bounds between standard and deep for the checks that read whole rows per
-# weight: ribbon cuts of weight 12 and the class census of weight 14; zeta
-# powers only of weight 9, as the reference's sums over refinements grow by
-# 3 per weight (0.3 s at 9, 1 s at 10)
+# weight: ribbon cuts, h-sums and coarsening sums of weight 12, the class
+# census of weight 14 and the signed census of m = 16; zeta powers only of
+# weight 9, as the reference's sums over refinements grow by 3 per weight
+# (0.3 s at 9, 1 s at 10)
 BEYOND_STANDARD = {
+    "tn_vandermonde": (16, 14),
+    "signs_a": (16,),
+    "signs_b": (16,),
+    "h_minus_closed": (12,),
+    "h_plus_closed": (12,),
     "app_f1": (12,),
     "app_f2": (12,),
-    "tn_vandermonde": (16, 14),
+    "app_zetainv_plus_m": (12,),
     "zeta_power": (9,),
 }
 
@@ -345,6 +351,21 @@ BEYOND_STANDARD = {
 @pytest.mark.parametrize("check_id", list(BEYOND_STANDARD))
 def test_check_matches_its_reference_beyond_standard(check_id):
     _assert_matches_reference(check_id, BEYOND_STANDARD[check_id])
+
+
+def test_app_zetainv_plus_m_checks_its_remainder(monkeypatch):
+    # a sub-mask pass one too high at beta = (n,), whose sum must be a
+    # multiple of 2^n
+    real = idn._mask_pass
+
+    def off_by_one(values, n, supersets, sign):
+        row = real(values, n, supersets, sign)
+        row[0] += n > 0
+        return row
+
+    monkeypatch.setattr(idn, "_mask_pass", off_by_one)
+    with pytest.raises(ArithmeticError, match=r"the sum of \(2,\) is not a multiple of 2\^2"):
+        idn.verify("app_zetainv_plus_m", "small")
 
 
 def _plus_one_at(*point):
