@@ -7,24 +7,24 @@ from qsymx import (
     antipode,
     coproduct,
     counit,
-    delannoy_paths,
     multiply,
     qsym_basis,
-    quasi_shuffle,
     ribbon_cuts,
     t_involution,
     to_F,
     to_M,
 )
 
-print("Products in the monomial basis are quasi-shuffles indexed by")
-print("Delannoy paths.  For M[1] * M[2,1] the paths of L(1, 2) give:")
-for path in delannoy_paths(1, 2):
-    print("   %-12s -> %s" % ("".join(path), quasi_shuffle((1,), (2, 1), path)))
-print("so M[1]*M[2,1] =", multiply(qsym_basis("M", (1,)), qsym_basis("M", (2, 1))))
+product = multiply(qsym_basis("M", (1,)), qsym_basis("M", (2, 1)))
+print("Products in the monomial basis are quasi-shuffles: the parts of both")
+print("factors interleave in order, and a part of one may be added to a part")
+print("of the other.  M[1] * M[2,1] has the terms:")
+for gamma, c in sorted(product.coeffs.items()):
+    print("   %-12s x %s" % (gamma, c))
+print("so M[1]*M[2,1] =", product)
 
 print()
-print("The F basis multiplies through the M basis:")
+print("The F basis multiplies by Gessel's shuffle rule:")
 print("   F[1]*F[1] =", multiply(qsym_basis("F", (1,)), qsym_basis("F", (1,))))
 
 print()

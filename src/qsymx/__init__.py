@@ -23,10 +23,8 @@ from .compositions import (
     coarsenings,
     composition,
     conjugate,
-    delannoy_paths,
     format_composition,
     parse_composition,
-    quasi_shuffle,
     refinements,
     reversal,
     ribbon_cuts,

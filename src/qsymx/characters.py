@@ -5,7 +5,7 @@ independent oracle.
 Closed forms and the oracle share no code on purpose.  The closed-form
 evaluators are direct arithmetic in terms of bivariate Catalan numbers; the
 oracle side only knows the universal character's defining values and the
-convolution group: the product, the quotient a^-1 b (behind the inverse)
+convolution group: the product, the inverse (solved from phi x = counit)
 and the even/odd split.  It splits phi = phi_+ phi_- into even and odd
 characters by the uniqueness argument of Aguiar-Bergeron-Sottile
 (Combinatorial Hopf algebras and generalized Dehn-Sommerville relations,
@@ -38,19 +38,20 @@ composition of n that has s as a partial sum into one of s and one of
 n - s, so its terms form the outer product of the degree-s row and the
 degree-(n - s) row, which the kernel adds one slice (contiguous, or of
 stride 2^s) per nonzero entry of the shorter row, times one int factor per
-cut; a factor of 0 skips its cut.  The product, the quotient and both
+cut; a factor of 0 skips its cut.  The product, the inverse and both
 equations of the split follow one rule (``_cut_factors``): degree n of
 the result goes over one common denominator E_n, the lcm of the
 denominator products that meet in it, and the term of each product is put
 over E_n by the int factor E_n over that product, which for a cut is
 folded into the scalar the kernel takes from the shorter row, with a sign
 where a sum is signed.  In ``convolve`` these are the products of the two
-operands' denominators in degrees s and n - s; the quotient and the split
-add the denominators of the rows they solve against.  Each reduces every
-degree it builds before the next degree reads it, so ``_from_rows``
-stores rows as they come.  So every step is exact integer arithmetic on
-reduced rows, and the only division, the halving of phi_- in even
-degrees, is checked against the denominators it may reach.
+operands' denominators in degrees s and n - s; in the inverse and the
+split the rows being solved stand in for an operand, and the split adds
+the denominator of phi_n.  Each reduces every degree it builds before the
+next degree reads it, so ``_from_rows`` stores rows as they come.  So
+every step is exact integer arithmetic on reduced rows, and the only
+division, the halving of phi_- in even degrees, is checked against the
+denominators it may reach.
 
 The definitional h-sums ``h_minus`` and ``h_plus`` walk the unit gaps of a
 composition with a signed census of peak states (``_gap_step``,
@@ -467,29 +468,6 @@ def _proper_cuts(left, right, n: int, factors) -> list[int]:
     return row
 
 
-def _quotient_rows(a: TruncatedCharacter, b: TruncatedCharacter):
-    """(rows, denominators) of x = a^-1 b for a(1) = 1, from a x = b:
-    x_n = b_n - a_n x_0 - sum over proper cuts of a(left) x(right), put
-    over the lcm of b's denominator (slot 0) and the products of a's and
-    x's denominators that meet in degree n (slot s for a_s x_(n-s)), and
-    reduced before the next degree reads it."""
-    a_rows, a_d = a.numerators, a.denominators
-    x0 = b.numerators[0][0]
-    x, x_d = [[x0]], [b.denominators[0]]
-    for n in range(1, len(a_rows)):
-        common, f = _cut_factors(
-            [b.denominators[n]] + [a_d[s] * x_d[n - s] for s in range(1, n + 1)]
-        )
-        cuts = _proper_cuts(a_rows, x, n, f)
-        b_n, a_n = f[0], x0 * f[n]
-        row, d = _reduced(
-            [b_n * w - a_n * v - y for w, v, y in zip(b.numerators[n], a_rows[n], cuts)], common
-        )
-        x.append(row)
-        x_d.append(d)
-    return x, x_d
-
-
 def _halve(row: list[int], d: int, bound: int):
     """row / 2d in lowest terms, as (row, denominator); a denominator that
     does not divide bound means a fault."""
@@ -523,13 +501,23 @@ def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedChara
 
 
 def inverse(phi: TruncatedCharacter) -> TruncatedCharacter:
-    """Convolution inverse, as the quotient phi^-1 counit; requires
-    phi(1) = 1."""
+    """Convolution inverse x, solved from phi x = counit for phi(1) = 1:
+    x_0 = 1, and x_n = -(phi_n + the proper cuts of phi x) for n >= 1, put
+    over the lcm of the products of phi's and x's denominators that meet in
+    degree n (slot s for phi_s x_(n-s)) and reduced before the next degree
+    reads it."""
     if phi.value(()) != 1:
         raise ValueError("inverse requires phi(1) = 1")
-    rows = [[1]] + [[0] * (1 << (n - 1)) for n in range(1, phi.max_degree + 1)]
-    counit = TruncatedCharacter._from_rows(rows, [1] * len(rows))
-    return TruncatedCharacter._from_rows(*_quotient_rows(phi, counit))
+    rows, rows_d = phi.numerators, phi.denominators
+    x, x_d = [[1]], [1]
+    for n in range(1, len(rows)):
+        common, f = _cut_factors([0] + [rows_d[s] * x_d[n - s] for s in range(1, n + 1)])
+        cuts = _proper_cuts(rows, x, n, f)
+        a = f[n]
+        row, d = _reduced([-(a * v + y) for v, y in zip(rows[n], cuts)], common)
+        x.append(row)
+        x_d.append(d)
+    return TruncatedCharacter._from_rows(x, x_d)
 
 
 def bar(phi: TruncatedCharacter) -> TruncatedCharacter:

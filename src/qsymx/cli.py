@@ -225,15 +225,16 @@ def _row_strings(phi: characters.TruncatedCharacter, n: int) -> list[str]:
     return list(map(text.__getitem__, row))
 
 
-def _mismatched(oracle, closed, n: int) -> set:
-    """The masks of degree n at which the oracle and the closed form
-    disagree.  Rows are reduced, so equal rows (the usual case) are compared
-    once; any other row is compared entry by entry."""
-    o, c = oracle.numerators[n], closed.numerators[n]
-    do, dc = oracle.denominators[n], closed.denominators[n]
-    if do == dc and o == c:
-        return set()
-    return {mask for mask, (x, y) in enumerate(zip(o, c)) if x * dc != y * do}
+def _mismatches(pairs, n: int) -> int:
+    """The number of masks of degree n at which some (oracle, closed form)
+    pair disagrees.  Rows are reduced, so equal rows (the usual case) are
+    compared once; otherwise every entry of the degree is compared."""
+    rows = [(o.numerators[n], o.denominators[n], c.numerators[n], c.denominators[n])
+            for o, c in pairs]
+    if all(do == dc and o == c for o, do, c, dc in rows):
+        return 0
+    wrong = [[x * dc != y * do for x, y in zip(o, c)] for o, do, c, dc in rows]
+    return sum(map(any, zip(*wrong)))
 
 
 def _composition_texts(max_degree: int, open_: str, sep: str, close: str, empty: str):
@@ -260,16 +261,17 @@ def _composition_texts(max_degree: int, open_: str, sep: str, close: str, empty:
 _CHUNK = 4096
 
 
-# the rest of one decompose entry after its composition, --json or text
-def _json_tail(p, m, pc, mc, wrong):
+# the rest of one decompose entry after its composition, --json or text;
+# the texts of reduced values are canonical, so equal texts are equal values
+def _json_tail(p, m, pc, mc):
     return (
         ', "plus": "%s", "minus": "%s", "plus_closed": "%s", "minus_closed": "%s", '
-        '"match": %s}' % (p, m, pc, mc, "false" if wrong else "true")
+        '"match": %s}' % (p, m, pc, mc, "true" if (p, m) == (pc, mc) else "false")
     )
 
 
-def _text_tail(p, m, pc, mc, wrong):
-    flag = "   MISMATCH closed=(%s, %s)" % (pc, mc) if wrong else ""
+def _text_tail(p, m, pc, mc):
+    flag = "" if (p, m) == (pc, mc) else "   MISMATCH closed=(%s, %s)" % (pc, mc)
     return "  plus=%-10s minus=%-10s%s\n" % (p, m, flag)
 
 
@@ -281,11 +283,9 @@ def _cmd_decompose(parser, args) -> int:
     plus, minus = characters.decompose(characters.restrict(args.char, degree))
     closed_plus = characters.restrict(args.char + "-plus", degree)
     closed_minus = characters.restrict(args.char + "-minus", degree)
-    wrong = [
-        (_mismatched(plus, closed_plus, n), _mismatched(minus, closed_minus, n))
-        for n in range(degree + 1)
-    ]
-    mismatches = sum(len(p | m) for p, m in wrong)
+    pairs = ((plus, closed_plus), (minus, closed_minus))
+    counts = [_mismatches(pairs, n) for n in range(degree + 1)]
+    mismatches = sum(counts)
     # written in chunks of entries, byte for byte as json.dumps of the whole
     # payload (or one line per entry), so only one degree's rows are held
     out = sys.stdout
@@ -309,14 +309,14 @@ def _cmd_decompose(parser, args) -> int:
         )
         tail, sep = _text_tail, ""
     lead = ""
-    for n, ((wrong_plus, wrong_minus), texts) in enumerate(zip(wrong, names)):
+    for n, (count, texts) in enumerate(zip(counts, names)):
         op, om = _row_strings(plus, n), _row_strings(minus, n)
-        cp = _row_strings(closed_plus, n) if wrong_plus else op
-        cm = _row_strings(closed_minus, n) if wrong_minus else om
-        wrong_at = list(map((wrong_plus | wrong_minus).__contains__, range(len(op))))
+        cp, cm = op, om
+        if count:
+            cp, cm = _row_strings(closed_plus, n), _row_strings(closed_minus, n)
         # one tail per distinct key of the degree
-        tails = {key: tail(*key) for key in set(zip(op, om, cp, cm, wrong_at))}
-        entries = map(str.__add__, texts, map(tails.__getitem__, zip(op, om, cp, cm, wrong_at)))
+        tails = {key: tail(*key) for key in set(zip(op, om, cp, cm))}
+        entries = map(str.__add__, texts, map(tails.__getitem__, zip(op, om, cp, cm)))
         while chunk := list(islice(entries, _CHUNK)):
             out.write(lead + sep.join(chunk))
             lead = sep

@@ -11,8 +11,6 @@ results in increasing bitmask order; ``all_compositions`` and
 ``refinements`` are built from it.
 """
 
-from functools import lru_cache
-
 __all__ = [
     "Composition",
     "composition",
@@ -27,19 +25,10 @@ __all__ = [
     "coarsenings",
     "reversal",
     "conjugate",
-    "LatticePath",
-    "delannoy_paths",
-    "quasi_shuffle",
     "ribbon_cuts",
 ]
 
 Composition = tuple[int, ...]
-
-# Lattice paths are tuples over these step symbols.
-HORIZONTAL = "H"
-VERTICAL = "V"
-DIAGONAL = "D"
-LatticePath = tuple[str, ...]
 
 
 def composition(parts) -> Composition:
@@ -232,55 +221,6 @@ def conjugate(alpha: Composition) -> Composition:
     full = (1 << (n - 1)) - 1
     # the partial sums of the reversal are n minus those of alpha
     return from_index(n, full & ~to_index(alpha[::-1]))
-
-
-@lru_cache(maxsize=512)
-def _delannoy_paths(p: int, q: int) -> tuple[LatticePath, ...]:
-    if p == 0 and q == 0:
-        return ((),)
-    out: list[LatticePath] = []
-    if p > 0:
-        out.extend((HORIZONTAL,) + tail for tail in _delannoy_paths(p - 1, q))
-    if q > 0:
-        out.extend((VERTICAL,) + tail for tail in _delannoy_paths(p, q - 1))
-    if p > 0 and q > 0:
-        out.extend((DIAGONAL,) + tail for tail in _delannoy_paths(p - 1, q - 1))
-    return tuple(out)
-
-
-def delannoy_paths(p: int, q: int) -> list[LatticePath]:
-    """All lattice paths from (0,0) to (p,q) with unit horizontal, vertical
-    and diagonal steps, in a fixed (H < V < D at each point) order."""
-    if p < 0 or q < 0:
-        raise ValueError("endpoint coordinates must be non-negative")
-    return list(_delannoy_paths(p, q))
-
-
-def quasi_shuffle(alpha: Composition, beta: Composition, path: LatticePath) -> Composition:
-    """Quasi-shuffle of alpha and beta along a Delannoy path: a horizontal
-    step consumes the next part of alpha, a vertical step the next part of
-    beta, a diagonal step consumes one of each and emits their sum."""
-    out = []
-    i = j = 0
-    for step in path:
-        if step == HORIZONTAL:
-            out.append(alpha[i])
-            i += 1
-        elif step == VERTICAL:
-            out.append(beta[j])
-            j += 1
-        elif step == DIAGONAL:
-            out.append(alpha[i] + beta[j])
-            i += 1
-            j += 1
-        else:
-            raise ValueError("unknown step %r" % (step,))
-    if i != len(alpha) or j != len(beta):
-        raise ValueError(
-            "path endpoint (%d, %d) does not match lengths (%d, %d)"
-            % (i, j, len(alpha), len(beta))
-        )
-    return tuple(out)
 
 
 def ribbon_cuts(alpha: Composition) -> list[tuple[Composition, Composition]]:

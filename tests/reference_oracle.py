@@ -12,10 +12,11 @@ It only reads values through ``TruncatedCharacter.value`` and builds
 results through the public constructor.
 
 ``decompose_by_square_root`` is the package's former route on integer
-rows: the quotient bar(phi)^-1 phi = phi_-^2, its square root phi_- one
-degree at a time, and the product phi_+ = phi bar(phi_-), one kernel pass
-each per degree.  It runs on the package's kernel and scale rule, so it
-gives the same rows and denominators, not only the same values.
+rows: the square bar(phi)^-1 phi = phi_-^2, by the package's ``inverse``
+and ``convolve``, its square root phi_- one degree at a time, and the
+product phi_+ = phi bar(phi_-).  It runs on the package's kernel and scale
+rule, and rows are reduced, so it gives the same rows and denominators,
+not only the same values.
 
 ``proper_cuts`` is the package's former deconcatenation kernel, which
 walks the set bits of every mask one at a time; it is the reference for
@@ -160,7 +161,8 @@ def decompose_by_square_root(phi: TruncatedCharacter):
     against c**n, c twice the lcm of phi's denominators."""
     assert phi.value(()) == 1
     c = 2 * lcm(*phi.denominators)
-    square, square_d = ch._quotient_rows(ch.bar(phi), phi)
+    square = ch.convolve(ch.inverse(ch.bar(phi)), phi)
+    square, square_d = square.numerators, square.denominators
     minus, minus_d = [[1]], [1]
     for n in range(1, len(square)):
         common, f = ch._cut_factors(

@@ -8,15 +8,73 @@ of S_(n+m) that define the shuffle product.
 
 This is the route the package used before each basis got its own product
 rule; it stays here, slow and literal, as the reference the products in
-``qsymx.qsym`` are compared against.  It only uses public functions.
+``qsymx.qsym`` are compared against, with the Delannoy paths and the
+quasi-shuffle along one of them defined here.  It only uses public
+functions of the package.
 """
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
-from qsymx.compositions import delannoy_paths, quasi_shuffle
+from qsymx.compositions import Composition
 from qsymx.permutations import Permutation, SSymElement
 from qsymx.qsym import QSymElement, TensorElement, qsym_basis, to_F, to_M
+
+# Lattice paths are tuples over these step symbols.
+HORIZONTAL = "H"
+VERTICAL = "V"
+DIAGONAL = "D"
+LatticePath = tuple[str, ...]
+
+
+@lru_cache(maxsize=512)
+def _delannoy_paths(p: int, q: int) -> tuple[LatticePath, ...]:
+    if p == 0 and q == 0:
+        return ((),)
+    out: list[LatticePath] = []
+    if p > 0:
+        out.extend((HORIZONTAL,) + tail for tail in _delannoy_paths(p - 1, q))
+    if q > 0:
+        out.extend((VERTICAL,) + tail for tail in _delannoy_paths(p, q - 1))
+    if p > 0 and q > 0:
+        out.extend((DIAGONAL,) + tail for tail in _delannoy_paths(p - 1, q - 1))
+    return tuple(out)
+
+
+def delannoy_paths(p: int, q: int) -> list[LatticePath]:
+    """All lattice paths from (0,0) to (p,q) with unit horizontal, vertical
+    and diagonal steps, in a fixed (H < V < D at each point) order."""
+    if p < 0 or q < 0:
+        raise ValueError("endpoint coordinates must be non-negative")
+    return list(_delannoy_paths(p, q))
+
+
+def quasi_shuffle(alpha: Composition, beta: Composition, path: LatticePath) -> Composition:
+    """Quasi-shuffle of alpha and beta along a Delannoy path: a horizontal
+    step consumes the next part of alpha, a vertical step the next part of
+    beta, a diagonal step consumes one of each and emits their sum."""
+    out = []
+    i = j = 0
+    for step in path:
+        if step == HORIZONTAL:
+            out.append(alpha[i])
+            i += 1
+        elif step == VERTICAL:
+            out.append(beta[j])
+            j += 1
+        elif step == DIAGONAL:
+            out.append(alpha[i] + beta[j])
+            i += 1
+            j += 1
+        else:
+            raise ValueError("unknown step %r" % (step,))
+    if i != len(alpha) or j != len(beta):
+        raise ValueError(
+            "path endpoint (%d, %d) does not match lengths (%d, %d)"
+            % (i, j, len(alpha), len(beta))
+        )
+    return tuple(out)
 
 
 def with_descent_composition(alpha) -> Permutation:

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import reference_oracle
+import reference_qsym
 from reference_closed_forms import stats
 from qsymx import characters as ch
 from qsymx import cli
@@ -417,18 +418,18 @@ def _drop_last_cut(real):
     return cuts
 
 
-def _quotient_rows_without_unit_term(a, b):
-    """The quotient recursion with the a_n x_0 term dropped."""
-    x, x_d = [list(b.numerators[0])], [b.denominators[0]]
-    for n in range(1, b.max_degree + 1):
+def _inverse_without_unit_term(phi):
+    """The inverse recursion with the phi_n x_0 term dropped."""
+    x, x_d = [[1]], [1]
+    for n in range(1, phi.max_degree + 1):
         common, f = ch._cut_factors(
-            [b.denominators[n]] + [a.denominators[s] * x_d[n - s] for s in range(1, n + 1)]
+            [0] + [phi.denominators[s] * x_d[n - s] for s in range(1, n + 1)]
         )
-        cuts = ch._proper_cuts(a.numerators, x, n, f)
-        row, d = ch._reduced([f[0] * w - y for w, y in zip(b.numerators[n], cuts)], common)
+        cuts = ch._proper_cuts(phi.numerators, x, n, f)
+        row, d = ch._reduced([-y for y in cuts], common)
         x.append(row)
         x_d.append(d)
-    return x, x_d
+    return ch.TruncatedCharacter._from_rows(x, x_d)
 
 
 def _pairing_sum_without_sign(minus, minus_d, n):
@@ -500,8 +501,8 @@ def _product_F_tau_sigma_ascent(alpha, beta):
 def _product_M_no_diagonal(alpha, beta):
     """The quasi-shuffle product without the diagonal step, which adds a
     part of alpha to a part of beta."""
-    paths = co.delannoy_paths(len(alpha), len(beta))
-    return Counter(co.quasi_shuffle(alpha, beta, p) for p in paths if "D" not in p)
+    paths = reference_qsym.delannoy_paths(len(alpha), len(beta))
+    return Counter(reference_qsym.quasi_shuffle(alpha, beta, p) for p in paths if "D" not in p)
 
 
 def _from_terms_overwriting(real):
@@ -532,8 +533,8 @@ FAULTS = [
     # the halving skipped: phi_- comes out doubled from degree 1 on
     ("characters._halve", lambda real: lambda row, d, bound: real([2 * v for v in row], d, bound),
      ("decompose",)),
-    # inverse and the negative zeta powers take the quotient; decompose does not
-    ("characters._quotient_rows", lambda real: _quotient_rows_without_unit_term,
+    # the negative zeta powers take the inverse; decompose does not
+    ("characters.inverse", lambda real: _inverse_without_unit_term,
      ("registry:zeta_power", "criterion 5:inverse even part")),
     # phi_- in even degrees from the unsigned sum of its cuts
     ("characters._pairing_sum", lambda real: _pairing_sum_without_sign, ("decompose",)),

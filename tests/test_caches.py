@@ -1,4 +1,5 @@
-"""Every cache in the library is bounded."""
+"""Every cache in the library is bounded, and the library has exactly the
+caches listed here."""
 
 import importlib
 import inspect
@@ -29,9 +30,11 @@ def _cached_functions():
 
 def test_every_cache_has_a_finite_maxsize():
     cached = _cached_functions()
-    names = {name.rpartition(".")[2] for name, _ in cached}
-    expected = {"_product_F", "_product_M", "_bivariate_catalan", "_falling_binomial", "_integral"}
-    assert expected <= names, names
+    names = sorted(name.rpartition(".")[2] for name, _ in cached)
+    assert names == sorted([
+        "_parse_id", "_bivariate_catalan", "_falling_binomial", "_integral",
+        "_product_F", "_product_M", "_shared_key",
+    ]), names
     for name, fn in cached:
         maxsize = fn.cache_info().maxsize
         assert maxsize is not None and maxsize > 0, (name, maxsize)

