@@ -13,7 +13,7 @@ sides of the first counterexample as Fractions.
 A check's bounds live only in its domain text in the registry: each {N}
 there is one bound, scaled by the depth profile and passed to the check as
 an int argument, in the order the bounds appear.  "small" halves the stated
-bounds, "standard" uses them as is, "deep" raises them by half
+bounds, "standard" uses them as is, "deep" raises them by three quarters
 (``_scale_for``).
 
 A check computes once what the cases of its domain share, with one rule
@@ -30,33 +30,38 @@ per statistic:
 - a count over all compositions of m goes by state, not by composition:
   signs_a and signs_b walk the unit gaps with characters._gap_step, the
   census transition of the h-sums, and tn_vandermonde carries a count per
-  shape with characters._shape_children.
+  shape with characters._shape_children;
+- a count over words goes by state, not by word: the S_n checks count
+  peaks over the 2^(n-1) descent classes, not the n! permutations, and the
+  shuffle checks count them over lattice paths, carrying (sigma letters
+  placed, a peak pending after a tau letter) -> {peaks: count} instead of
+  listing the binomial(n+m, n) shuffles (_shuffle_census);
+- a map on the compositions of a weight is a row of masks: peak_rev_con
+  reads the reversal at the bit-reversed mask, rev[m] = rev[m >> 1] >> 1 |
+  (m & 1) << (n - 2), and the conjugate at its complement (_rev_con_masks),
+  from rows of p_minus and p_plus taken once per composition.
 
-Beyond these, the S_n checks sum over the 2^(n-1) descent classes, not the
-n! permutations; app_f1 and app_f2 add the ribbon cuts of every composition
+Beyond these, app_f1 and app_f2 add the ribbon cuts of every composition
 of a weight as outer products of two rows of peak weights
-(_ribbon_cut_row); peak_rev_con reads each alpha's peak statistics once;
-zeta_power reads its M-basis closed forms from restrict's rows; and
-gessel_rec and associator carry their sums over j along c.
+(_ribbon_cut_row); zeta_power reads its M-basis closed forms from
+restrict's rows and calls eval_F once per (m, n, parts), as the zeta-pow
+F form depends on n and the number of parts only; central_prod puts each
+Delannoy sum over one denominator, lcm(n+m-d) 4^((n+m)//2); g_convolve
+reads C(p, q) from one table; and gessel_rec and associator carry their
+sums over j along c.
 """
 
 import re
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 from fractions import Fraction
+from math import lcm
 
 # exactnum is looked up through the module, so that a function patched on
 # the module is the one the checks see
 from . import characters, exactnum as en
-from .compositions import (
-    _mask_pass,
-    all_compositions,
-    conjugate,
-    p_minus,
-    p_plus,
-    reversal,
-)
-from .permutations import augmented_peaks, descent_classes, interior_peaks, shuffles
+from .compositions import _mask_pass, all_compositions, p_minus, p_plus
+from .permutations import augmented_peaks, descent_classes, interior_peaks
 
 __all__ = [
     "CheckReport",
@@ -96,14 +101,14 @@ class CheckReport(
 
 def _scale_for(depth: str) -> Callable[[int], int]:
     """The map of a stated bound b at depth: "small" halves it (rounding
-    up, at least 1), "standard" keeps it, "deep" raises it by half,
-    b + max(1, b // 2), so 10 becomes 15 and 9 becomes 13."""
+    up, at least 1), "standard" keeps it, "deep" raises it by three
+    quarters, b + max(1, 3b // 4), so 10 becomes 17 and 12 becomes 21."""
     if depth == "small":
         return lambda b: max(1, (b + 1) // 2)
     if depth == "standard":
         return lambda b: b
     if depth == "deep":
-        return lambda b: b + max(1, b // 2)
+        return lambda b: b + max(1, 3 * b // 4)
     raise ValueError("depth must be one of %s, got %r" % (DEPTHS, depth))
 
 
@@ -133,30 +138,32 @@ def _classical_conv2(m_max: int) -> Iterator[Case]:
 def _central_prod(b: int) -> Iterator[Case]:
     """Multiplicativity of the odd canonical character on all-ones
     compositions, as an alternating Delannoy-path sum over central binomial
-    coefficients; plus the two specializations spelled out separately."""
+    coefficients; plus the two specializations spelled out separately.
+    Each alternating sum is one int over one denominator: the terms
+    (s / (n+m-d)) B(s/2) / 4^(s/2), s = n + m - 2d, over
+    lcm(n+m-d) 4^((n+m)//2), and those of n = m over 4^n."""
+    b_over_4 = [_b_over_4(h) for h in range((b + 1) // 2 + 1)]
     for n in range(0, b + 1):
         for m in range(0, b + 1):
             if n == 0 and m == 0:
                 continue
+            # s // 2 = half - d; the term of s = 0 (d = n = m) is 0
+            half, common = (n + m) // 2, lcm(*range(max(n, m), n + m + 1))
             lhs = 0
             for d in range(min(n, m) + 1):
-                s = n + m - 2 * d
-                if s == 0:
-                    continue
-                term = Fraction(s, n + m - d) * en.multinomial([n - d, m - d, d])
-                term *= _b_over_4(s // 2)
-                lhs += -term if d % 2 else term
-            yield {"n": n, "m": m}, lhs, _b_over_4(n // 2) * _b_over_4(m // 2)
+                term = (n + m - 2 * d) * (common // (n + m - d)) * en.multinomial([n - d, m - d, d])
+                lhs += (-1) ** d * term * en.central_binomial(half - d) << 2 * d
+            rhs = b_over_4[n // 2] * b_over_4[m // 2]
+            yield {"n": n, "m": m}, Fraction(lhs, common << 2 * half), rhs
     for n in range(1, b + 1):
-        lhs = (n + 1) * _b_over_4((n + 1) // 2) - (n - 1) * _b_over_4((n - 1) // 2)
-        yield {"special": "n>=m=1", "n": n}, lhs, _b_over_4(n // 2)
+        lhs = (n + 1) * b_over_4[(n + 1) // 2] - (n - 1) * b_over_4[(n - 1) // 2]
+        yield {"special": "n>=m=1", "n": n}, lhs, b_over_4[n // 2]
     for n in range(1, b + 1):
         lhs = 0
         for d in range(n):
-            term = Fraction(en.binomial(2 * n - d - 1, d) * en.central_binomial(n - d) ** 2,
-                            4 ** (n - d))
+            term = en.binomial(2 * n - d - 1, d) * en.central_binomial(n - d) ** 2 << 2 * d
             lhs += -term if d % 2 else term
-        yield {"special": "n=m", "n": n}, lhs, _b_over_4(n // 2) ** 2
+        yield {"special": "n=m", "n": n}, Fraction(lhs, 4 ** n), b_over_4[n // 2] ** 2
 
 
 def _catalan_prod(b: int) -> Iterator[Case]:
@@ -348,16 +355,14 @@ def _signs_b(m_max: int) -> Iterator[Case]:
 
 
 def _g_convolve(bound: int) -> Iterator[Case]:
-    """4^m C(i,j) = sum_b binomial(m,b) C(i+b, m+j-b)."""
+    """4^m C(i,j) = sum_b binomial(m,b) C(i+b, m+j-b), read from one table
+    of C(p, q) for p, q <= 2 bound."""
+    c = [[en.bivariate_catalan(p, q) for q in range(2 * bound + 1)] for p in range(2 * bound + 1)]
     for i in range(0, bound + 1):
         for j in range(0, bound + 1):
             for m in range(0, bound + 1):
-                lhs = 4 ** m * en.bivariate_catalan(i, j)
-                rhs = sum(
-                    en.binomial(m, b) * en.bivariate_catalan(i + b, m + j - b)
-                    for b in range(m + 1)
-                )
-                yield {"i": i, "j": j, "m": m}, lhs, rhs
+                rhs = sum(en.binomial(m, b) * c[i + b][m + j - b] for b in range(m + 1))
+                yield {"i": i, "j": j, "m": m}, 4 ** m * c[i][j], rhs
 
 
 def _h_row(comps: list, peaks: Callable) -> list[int]:
@@ -410,10 +415,9 @@ def _h_plus_closed(n_max: int) -> Iterator[Case]:
             yield {"alpha": alpha}, lhs, rhs[i]
 
 
-def _over(value: int, d: int) -> int | Fraction:
-    """value / d, as an int when d divides value."""
-    q, r = divmod(value, d)
-    return Fraction(value, d) if r else q
+def _over_row(row: list, d: int) -> list:
+    """Each value of row over d, as an int where d divides it."""
+    return row if d == 1 else [v // d if v % d == 0 else Fraction(v, d) for v in row]
 
 
 def _ribbon_cut_row(left: list, right: list, n: int, factors: list) -> list[int]:
@@ -493,9 +497,9 @@ def _app_f2(n_max: int) -> Iterator[Case]:
     left = [[-v for v in row] if w % 2 else row for w, row in enumerate(right)]
     for n in range(1, n_max + 1):
         factors = [4 if i % 2 and n % 2 == 0 else 1 for i in range(n + 1)]
-        d = 4 ** (n // 2)
-        for alpha, total in zip(comps[n], _ribbon_cut_row(left, right, n, factors)):
-            yield {"alpha": alpha}, _over(total, d), 0
+        totals = _over_row(_ribbon_cut_row(left, right, n, factors), 4 ** (n // 2))
+        for alpha, total in zip(comps[n], totals):
+            yield {"alpha": alpha}, total, 0
 
 
 def _cc_convolution(a: int, b: int, h: int) -> Fraction:
@@ -522,58 +526,69 @@ def _cg8(h_max: int) -> Iterator[Case]:
         yield {"h": h}, _cc_convolution(4, 4, h), 2 * _cc_convolution(3, 1, h)
 
 
-def _signed_peak_sum(words: Iterable, peaks: Callable, half: int) -> int:
-    """sum over the (word w, multiplicity c) pairs of c (-1)^p C(p, half - p),
-    with p = peaks(w): the signed peak census of the allperms_* and
-    shuffle_* checks."""
-    census: Counter = Counter()
-    for word, multiplicity in words:
-        census[peaks(word)] += multiplicity
-    return sum((-1) ** p * count * en.bivariate_catalan(p, half - p) for p, count in census.items())
+def _signed_peak_sum(census: dict, half: int) -> int:
+    """sum over a {peaks p: count c} census of c (-1)^p C(p, half - p): the
+    signed peak sum of the allperms_* and shuffle_* checks."""
+    return sum((-1) ** p * c * en.bivariate_catalan(p, half - p) for p, c in census.items())
 
 
-def _allperms_minus(n_max: int) -> Iterator[Case]:
+def _allperms_sums(n_max: int, augmented: bool) -> Iterator[Case]:
     """Summing the signed interior-peak weights over all of S_n gives
     4^floor(n/2) (the n-th shuffle power of the one-letter basis element,
-    evaluated by the odd character).  Peaks depend only on the descent set,
-    so S_n is summed by descent classes."""
-    for n in range(0, n_max + 1):
-        lhs = _signed_peak_sum(descent_classes(n), interior_peaks, n // 2)
-        yield {"n": n}, lhs, 4 ** (n // 2)
+    evaluated by the odd character); with augmented, the augmented-peak
+    weights on even n > 0 sum to 0.  Peaks depend only on the descent set,
+    so S_n is counted by descent classes."""
+    peaks = augmented_peaks if augmented else interior_peaks
+    for n in range(2 * augmented, n_max + 1, 1 + augmented):
+        census: Counter = Counter()
+        for word, count in descent_classes(n):
+            census[peaks(word)] += count
+        yield {"n": n}, _signed_peak_sum(census, n // 2), 0 if augmented else 4 ** (n // 2)
 
 
-def _allperms_plus(n_max: int) -> Iterator[Case]:
-    """Same with augmented peaks on even n > 0: the sum vanishes."""
-    for n in range(2, n_max + 1, 2):
-        lhs = _signed_peak_sum(descent_classes(n), augmented_peaks, n // 2)
-        yield {"n": n}, lhs, 0
+def _shuffle_census(total: int, augmented: bool) -> dict:
+    """{(n, m): {peaks: count}} for n + m <= total: the shuffles of 1..n
+    with n+1..n+m (permutations.shuffles) counted by augmented peaks, or
+    by interior peaks.
+
+    Both words increase, so a shuffle descends exactly where a letter of
+    the second word (tau) is followed by one of the first (sigma), and that
+    tau letter is an augmented peak, an interior one from position 2 on.  A
+    shuffle is a lattice path of n sigma steps and m tau steps, and one walk
+    over the points (n, m) counts every path once for all n and m: at each
+    point the {peaks: count} of the paths that a sigma step would not
+    (flat) and would (ready) give a peak.
+
+    >>> [sorted(_shuffle_census(2, augmented)[1, 1].items()) for augmented in (True, False)]
+    [[(0, 1), (1, 1)], [(0, 2)]]
+    """
+    paths, none = {(0, 0): (Counter([0]), Counter())}, (Counter(), Counter())
+    for n in range(total + 1):
+        for m in range(n == 0, total + 1 - n):  # from (0, 1), past the start
+            # a sigma step makes a pending tau letter a peak
+            flat, ready = paths.get((n - 1, m), none)
+            f = flat + Counter({p + 1: c for p, c in ready.items()})
+            # a tau step leaves its letter pending, but a tau letter at
+            # position 1 is no interior peak
+            r = sum(paths.get((n, m - 1), none), Counter())
+            paths[n, m] = (r, f) if (n, m) == (0, 1) and not augmented else (f, r)
+    return {point: flat + ready for point, (flat, ready) in paths.items()}
 
 
-def _shuffle_minus(total: int) -> Iterator[Case]:
-    """Signed interior-peak weights summed over shuffles of two identity
-    words."""
+def _shuffle_sums(total: int, augmented: bool) -> Iterator[Case]:
+    """Signed interior-peak weights summed over the shuffles of two identity
+    words, n + m <= total; with augmented, the augmented-peak weights for n
+    and m of equal parity.  The peaks are counted by _shuffle_census."""
+    census = _shuffle_census(total, augmented)
     for n in range(0, total + 1):
         for m in range(0, total - n + 1):
-            words = shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
-            lhs = _signed_peak_sum(((w, 1) for w in words), interior_peaks, (n + m) // 2)
-            factor = 4 if (n % 2 and m % 2) else 1
-            rhs = factor * en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
-            yield {"n": n, "m": m}, lhs, rhs
-
-
-def _shuffle_plus(total: int) -> Iterator[Case]:
-    """Signed augmented-peak weights over the same shuffles, for n and m of
-    equal parity."""
-    for n in range(0, total + 1):
-        for m in range(0, total - n + 1):
-            if (n - m) % 2:
+            if augmented and (n - m) % 2:
                 continue
-            words = shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
-            lhs = _signed_peak_sum(((w, 1) for w in words), augmented_peaks, (n + m) // 2)
-            rhs = 0
-            if n % 2 == 0:
-                rhs = en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
-            yield {"n": n, "m": m}, lhs, rhs
+            rhs = en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
+            if n % 2:
+                # 0 for augmented peaks, else a factor 4 when m is odd too
+                rhs = 0 if augmented else rhs * 4 ** (m % 2)
+            yield {"n": n, "m": m}, _signed_peak_sum(census[n, m], (n + m) // 2), rhs
 
 
 def _app_zetainv_m(m_max: int) -> Iterator[Case]:
@@ -697,48 +712,53 @@ def _zeta_power(n_max: int) -> Iterator[Case]:
         closed, table = characters.restrict(char_id, n_max), powers[m]
         for n in range(0, n_max + 1):
             row, d = table.numerators[n], table.denominators[n]
-            closed_d = closed.denominators[n]
             # phi(F_alpha) sums phi(M_beta) over the super-masks beta of alpha
-            f_row = _mask_pass(row, n, True, 1)
-            for alpha, closed_v, v, f in zip(comps[n], closed.numerators[n], row, f_row):
-                yield (
-                    {"basis": "M", "m": m, "alpha": alpha},
-                    _over(closed_v, closed_d),
-                    _over(v, d),
-                )
-                yield (
-                    {"basis": "F", "m": m, "alpha": alpha},
-                    characters.eval_F(char_id, alpha),
-                    _over(f, d),
-                )
+            f_row = _over_row(_mask_pass(row, n, True, 1), d)
+            closed_row = _over_row(closed.numerators[n], closed.denominators[n])
+            # the zeta-pow F form depends on n and the number of parts only
+            by_parts: dict = {}
+            for alpha, closed_v, v, f in zip(comps[n], closed_row, _over_row(row, d), f_row):
+                yield {"basis": "M", "m": m, "alpha": alpha}, closed_v, v
+                k = len(alpha)
+                if k not in by_parts:
+                    by_parts[k] = characters.eval_F(char_id, alpha)
+                yield {"basis": "F", "m": m, "alpha": alpha}, by_parts[k], f
+
+
+def _rev_con_masks(n: int) -> tuple[list[int], list[int]]:
+    """The masks of the reversal and of the conjugate of each composition
+    of n >= 1, by mask: rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 2)
+    reverses the n - 1 bits, and the conjugate's mask is the complement of
+    the reversal's (compositions.conjugate).
+
+    >>> _rev_con_masks(3)
+    ([0, 2, 1, 3], [3, 1, 2, 0])
+    """
+    rev = [0] * (1 << (n - 1))
+    for m in range(1, len(rev)):
+        rev[m] = rev[m >> 1] >> 1 | (m & 1) << (n - 2)
+    return rev, [len(rev) - 1 & ~r for r in rev]
 
 
 def _peak_rev_con(n_max: int) -> Iterator[Case]:
     """How the two peak statistics transform under reversal and
-    conjugation: two invariances and the two three-case corrections.  Each
-    alpha's statistics, conjugate and reversal are computed once."""
+    conjugation: two invariances and the two three-case corrections.  The
+    statistics are read from rows by mask, one p_minus and one p_plus per
+    composition, at the masks of the reversal and the conjugate
+    (_rev_con_masks)."""
     for n in range(1, n_max + 1):
-        for alpha in all_compositions(n):
-            a1, ak = alpha[0], alpha[-1]
-            minus, plus = p_minus(alpha), p_plus(alpha)
-            con, rev = conjugate(alpha), reversal(alpha)
-            yield {"part": "p-minus-conjugate", "alpha": alpha}, p_minus(con), minus
-            yield {"part": "p-plus-reversal", "alpha": alpha}, p_plus(rev), plus
-            if (a1 == 1) == (ak == 1):
-                expect_rev = minus
-            elif a1 != 1:  # a1 > 1, ak == 1
-                expect_rev = minus - 1
-            else:  # a1 == 1, ak > 1
-                expect_rev = minus + 1
-            yield {"part": "p-minus-reversal", "alpha": alpha}, p_minus(rev), expect_rev
+        comps = all_compositions(n)
+        minuses, pluses = [p_minus(a) for a in comps], [p_plus(a) for a in comps]
+        for alpha, minus, plus, rev, con in zip(comps, minuses, pluses, *_rev_con_masks(n)):
+            # the corrections: reversal adds 1 for a first part 1 and takes
+            # 1 for a last part 1; conjugation adds 1, less 1 per end part 1
+            first, last = alpha[0] == 1, alpha[-1] == 1
+            yield {"part": "p-minus-conjugate", "alpha": alpha}, minuses[con], minus
+            yield {"part": "p-plus-reversal", "alpha": alpha}, pluses[rev], plus
+            yield {"part": "p-minus-reversal", "alpha": alpha}, minuses[rev], minus + first - last
             if n >= 2:
-                if (a1 == 1) != (ak == 1):
-                    expect_con = plus
-                elif a1 == 1:  # both end parts are 1
-                    expect_con = plus - 1
-                else:  # neither end part is 1
-                    expect_con = plus + 1
-                yield {"part": "p-plus-conjugate", "alpha": alpha}, p_plus(con), expect_con
+                expect_con = plus + 1 - first - last
+                yield {"part": "p-plus-conjugate", "alpha": alpha}, pluses[con], expect_con
 
 
 # id -> (check, domain text); each {N} in the text is one bound of the check
@@ -760,10 +780,14 @@ _REGISTRY: dict[str, tuple[Callable[..., Iterator[Case]], str]] = {
     "cg6": (_cg6, "1 <= h <= {12}"),
     "cg7": (_cg7, "1 <= h <= {12}"),
     "cg8": (_cg8, "1 <= h <= {12}"),
-    "allperms_minus": (_allperms_minus, "0 <= n <= {9}"),
-    "allperms_plus": (_allperms_plus, "even n, 2 <= n <= {9}"),
-    "shuffle_minus": (_shuffle_minus, "n, m >= 0 with n + m <= {10}"),
-    "shuffle_plus": (_shuffle_plus, "n = m mod 2 with n + m <= {10}"),
+    "allperms_minus": (lambda n_max: _allperms_sums(n_max, False),
+                       "0 <= n <= {9}"),
+    "allperms_plus": (lambda n_max: _allperms_sums(n_max, True),
+                      "even n, 2 <= n <= {9}"),
+    "shuffle_minus": (lambda total: _shuffle_sums(total, False),
+                      "n, m >= 0 with n + m <= {10}"),
+    "shuffle_plus": (lambda total: _shuffle_sums(total, True),
+                     "n = m mod 2 with n + m <= {10}"),
     "app_zetainv_m": (_app_zetainv_m, "1 <= m <= {30}"),
     "app_zetainv_plus_m": (_app_zetainv_plus_m, "all beta of even weight 0..{10}"),
     "gessel_rec": (_gessel_rec, "0 <= a, b, c <= {10}"),

@@ -6,8 +6,11 @@ Each check here is the form the package ran before those changes: it takes
 the part statistics of every composition from ``stats``, adds rational
 terms one Fraction at a time, looks up each peak weight once per
 refinement, calls ``p_minus``/``p_plus`` on both pieces of every ribbon
-cut, sums the F-basis values of a table over ``refinements``, lists every
-composition to count classes, and sums over j afresh for every c.
+cut, sums the F-basis values of a table over ``refinements`` and calls
+``eval_F`` on every composition, lists every composition to count classes,
+sums over j afresh for every c, lists every shuffle word to count its
+peaks, builds each composition's conjugate and reversal, and asks
+``bivariate_catalan`` for every summand afresh.
 They stay here, slow and literal, as the references that the registry's
 checks must match case by case (``CHECKS``, by registry id, each taking the
 same bounds as its registry check).
@@ -21,16 +24,45 @@ from qsymx import exactnum as en
 from qsymx.compositions import (
     all_compositions,
     coarsenings,
+    conjugate,
     p_minus,
     p_plus,
     refinements,
+    reversal,
     ribbon_cuts,
 )
+from qsymx.permutations import augmented_peaks, interior_peaks, shuffles
 from reference_closed_forms import stats
 
 
 def _b_over_4(h):
     return Fraction(en.central_binomial(h), 4 ** h)
+
+
+def central_prod(b):
+    for n in range(0, b + 1):
+        for m in range(0, b + 1):
+            if n == 0 and m == 0:
+                continue
+            lhs = 0
+            for d in range(min(n, m) + 1):
+                s = n + m - 2 * d
+                if s == 0:
+                    continue
+                term = Fraction(s, n + m - d) * en.multinomial([n - d, m - d, d])
+                term *= _b_over_4(s // 2)
+                lhs += -term if d % 2 else term
+            yield {"n": n, "m": m}, lhs, _b_over_4(n // 2) * _b_over_4(m // 2)
+    for n in range(1, b + 1):
+        lhs = (n + 1) * _b_over_4((n + 1) // 2) - (n - 1) * _b_over_4((n - 1) // 2)
+        yield {"special": "n>=m=1", "n": n}, lhs, _b_over_4(n // 2)
+    for n in range(1, b + 1):
+        lhs = 0
+        for d in range(n):
+            term = Fraction(en.binomial(2 * n - d - 1, d) * en.central_binomial(n - d) ** 2,
+                            4 ** (n - d))
+            lhs += -term if d % 2 else term
+        yield {"special": "n=m", "n": n}, lhs, _b_over_4(n // 2) ** 2
 
 
 def _odd_head_weight(alpha):
@@ -118,6 +150,18 @@ def signs_b(m_max):
             yield {"m": m, "j": j}, census[j], rhs
 
 
+def g_convolve(bound):
+    for i in range(0, bound + 1):
+        for j in range(0, bound + 1):
+            for m in range(0, bound + 1):
+                lhs = 4 ** m * en.bivariate_catalan(i, j)
+                rhs = sum(
+                    en.binomial(m, b) * en.bivariate_catalan(i + b, m + j - b)
+                    for b in range(m + 1)
+                )
+                yield {"i": i, "j": j, "m": m}, lhs, rhs
+
+
 def _h_sum(alpha, peaks, half):
     total = 0
     for beta in refinements(alpha):
@@ -195,6 +239,36 @@ def app_zetainv_plus_m(n_max):
             yield {"beta": beta}, lhs, 2 ** k_o - en.binomial(k_o, k_o // 2)
 
 
+def _signed_peak_sum(words, peaks, half):
+    census = Counter()
+    for word, multiplicity in words:
+        census[peaks(word)] += multiplicity
+    return sum((-1) ** p * count * en.bivariate_catalan(p, half - p) for p, count in census.items())
+
+
+def shuffle_minus(total):
+    for n in range(0, total + 1):
+        for m in range(0, total - n + 1):
+            words = shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+            lhs = _signed_peak_sum(((w, 1) for w in words), interior_peaks, (n + m) // 2)
+            factor = 4 if (n % 2 and m % 2) else 1
+            rhs = factor * en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
+            yield {"n": n, "m": m}, lhs, rhs
+
+
+def shuffle_plus(total):
+    for n in range(0, total + 1):
+        for m in range(0, total - n + 1):
+            if (n - m) % 2:
+                continue
+            words = shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+            lhs = _signed_peak_sum(((w, 1) for w in words), augmented_peaks, (n + m) // 2)
+            rhs = 0
+            if n % 2 == 0:
+                rhs = en.bivariate_catalan(0, n // 2) * en.bivariate_catalan(0, m // 2)
+            yield {"n": n, "m": m}, lhs, rhs
+
+
 def gessel_rec(bound):
     for a in range(0, bound + 1):
         for b in range(0, bound + 1):
@@ -242,18 +316,48 @@ def zeta_power(n_max):
                 )
 
 
+def peak_rev_con(n_max):
+    for n in range(1, n_max + 1):
+        for alpha in all_compositions(n):
+            a1, ak = alpha[0], alpha[-1]
+            minus, plus = p_minus(alpha), p_plus(alpha)
+            con, rev = conjugate(alpha), reversal(alpha)
+            yield {"part": "p-minus-conjugate", "alpha": alpha}, p_minus(con), minus
+            yield {"part": "p-plus-reversal", "alpha": alpha}, p_plus(rev), plus
+            if (a1 == 1) == (ak == 1):
+                expect_rev = minus
+            elif a1 != 1:  # a1 > 1, ak == 1
+                expect_rev = minus - 1
+            else:  # a1 == 1, ak > 1
+                expect_rev = minus + 1
+            yield {"part": "p-minus-reversal", "alpha": alpha}, p_minus(rev), expect_rev
+            if n >= 2:
+                if (a1 == 1) != (ak == 1):
+                    expect_con = plus
+                elif a1 == 1:  # both end parts are 1
+                    expect_con = plus - 1
+                else:  # neither end part is 1
+                    expect_con = plus + 1
+                yield {"part": "p-plus-conjugate", "alpha": alpha}, p_plus(con), expect_con
+
+
 CHECKS = {
+    "central_prod": central_prod,
     "antipode_sum": antipode_sum,
     "app_antipodeM": app_antipodeM,
     "tn_vandermonde": tn_vandermonde,
     "signs_a": signs_a,
     "signs_b": signs_b,
+    "g_convolve": g_convolve,
     "h_minus_closed": h_minus_closed,
     "h_plus_closed": h_plus_closed,
     "app_f1": app_f1,
     "app_f2": app_f2,
+    "shuffle_minus": shuffle_minus,
+    "shuffle_plus": shuffle_plus,
     "app_zetainv_plus_m": app_zetainv_plus_m,
     "gessel_rec": gessel_rec,
     "associator": associator,
     "zeta_power": zeta_power,
+    "peak_rev_con": peak_rev_con,
 }

@@ -15,6 +15,7 @@ from qsymx import cli
 from qsymx import compositions as co
 from qsymx import exactnum as en
 from qsymx import identities as idn
+from qsymx import permutations as pm
 
 
 def test_registry_is_complete_and_ordered():
@@ -82,7 +83,7 @@ def test_depth_scales_domain():
     deep = idn.verify("cg6", "deep")
     assert small.cases < standard.cases
     assert "15" in small.domain and "30" in standard.domain
-    assert deep.passed and deep.cases == 18  # 12 raised by half
+    assert deep.passed and deep.cases == 21  # 12 raised by three quarters
 
 
 def test_classical_conv_m2_case():
@@ -193,6 +194,28 @@ def test_ribbon_cut_row_matches_the_ribbon_cuts():
             assert idn._ribbon_cut_row(left, right, n, factors) == expected, (n, factors)
 
 
+def test_rev_con_masks_match_reversal_and_conjugate():
+    # the mask rows of peak_rev_con against the library's reversal and
+    # conjugate of every composition up to weight 12
+    for n in range(1, 13):
+        comps = co.all_compositions(n)
+        rev, con = idn._rev_con_masks(n)
+        assert len(rev) == len(con) == len(comps)
+        for alpha, r, c in zip(comps, rev, con):
+            assert comps[r] == co.reversal(alpha) and comps[c] == co.conjugate(alpha), alpha
+
+
+def test_shuffle_census_matches_the_shuffle_words():
+    # the lattice-path census against every shuffle word of n + m <= 10,
+    # counted by its peaks
+    for augmented, peaks in ((True, pm.augmented_peaks), (False, pm.interior_peaks)):
+        census = idn._shuffle_census(10, augmented)
+        assert sorted(census) == [(n, m) for n in range(11) for m in range(11 - n)]
+        for (n, m), counts in census.items():
+            words = pm.shuffles(tuple(range(1, n + 1)), tuple(range(1, m + 1)))
+            assert counts == Counter(peaks(w) for w in words), (n, m, augmented)
+
+
 def test_class_census_walk_matches_the_enumeration():
     census = idn._class_census(14)
     assert list(census) == list(range(1, 15))
@@ -212,8 +235,8 @@ def test_reports_have_case_counts():
 
 
 # Case count and domain text of every check at "small" and at "standard",
-# and of the S_n checks at "deep", where they sum S_13 by descent classes in
-# a tenth of a second (all 13! permutations would take hours).  The standard
+# and of the S_n checks at "deep", where they sum S_15 by descent classes in
+# under half a second (all 15! permutations would take days).  The standard
 # counts are the benchmark's REGISTRY_STANDARD_CASES.
 REGISTRY_DOMAINS = [
     ("classical_conv", "small", 15, "1 <= m <= 15"),
@@ -258,8 +281,8 @@ REGISTRY_DOMAINS = [
     ("allperms_minus", "standard", 10, "0 <= n <= 9"),
     ("allperms_plus", "small", 2, "even n, 2 <= n <= 5"),
     ("allperms_plus", "standard", 4, "even n, 2 <= n <= 9"),
-    ("allperms_minus", "deep", 14, "0 <= n <= 13"),
-    ("allperms_plus", "deep", 6, "even n, 2 <= n <= 13"),
+    ("allperms_minus", "deep", 16, "0 <= n <= 15"),
+    ("allperms_plus", "deep", 7, "even n, 2 <= n <= 15"),
     ("shuffle_minus", "small", 21, "n, m >= 0 with n + m <= 5"),
     ("shuffle_minus", "standard", 66, "n, m >= 0 with n + m <= 10"),
     ("shuffle_plus", "small", 9, "n = m mod 2 with n + m <= 5"),
@@ -334,17 +357,26 @@ def test_check_matches_its_reference(check_id, depth):
 # weight: ribbon cuts, h-sums and coarsening sums of weight 12, the class
 # census of weight 14 and the signed census of m = 16; zeta powers only of
 # weight 9, as the reference's sums over refinements grow by 3 per weight
-# (0.3 s at 9, 1 s at 10)
+# (0.3 s at 9, 1 s at 10).  The checks that count what the reference lists
+# go as far as a reference of about 0.3 s: the shuffle words of n + m <= 15
+# and 16 (the listing doubles per step), the peak rows of weight 14 (its
+# 65,531 cases, each side held as a Fraction, cost more than the reference)
+# and the Delannoy sums and C(p, q) table of the deep bounds.
 BEYOND_STANDARD = {
+    "central_prod": (21,),
     "tn_vandermonde": (16, 14),
     "signs_a": (16,),
     "signs_b": (16,),
+    "g_convolve": (17,),
     "h_minus_closed": (12,),
     "h_plus_closed": (12,),
     "app_f1": (12,),
     "app_f2": (12,),
+    "shuffle_minus": (15,),
+    "shuffle_plus": (16,),
     "app_zetainv_plus_m": (12,),
     "zeta_power": (9,),
+    "peak_rev_con": (14,),
 }
 
 
@@ -410,19 +442,24 @@ def _one_part_read_as_even(real):
 # check id -> (target, fault): one planted fault for each check of
 # reference_identities.CHECKS that makes it fail at depth small
 GOLDEN_FAULTS = {
+    "central_prod": ("exactnum.central_binomial", _plus_one_at(3)),
     "antipode_sum": ("identities._b_over_4", _plus_one_at(1)),
     "app_antipodeM": ("identities._odd_head_rows", _one_part_read_as_even),
     "tn_vandermonde": ("identities._class_census", _all_ones_of_5_dropped),
     "signs_a": ("exactnum.binomial", _plus_one_at(3, 1)),
     "signs_b": ("exactnum.binomial", _plus_one_at(2, 1)),
+    "g_convolve": ("exactnum.bivariate_catalan", _plus_one_at(2, 3)),
     "h_minus_closed": ("exactnum.bivariate_catalan", _plus_one_at(1, 1)),
     "h_plus_closed": ("exactnum.bivariate_catalan", _plus_one_at(2, 0)),
     "app_f1": ("exactnum.bivariate_catalan", _plus_one_at(0, 2)),
     "app_f2": ("exactnum.bivariate_catalan", _plus_one_at(1, 0)),
+    "shuffle_minus": ("exactnum.bivariate_catalan", _plus_one_at(1, 1)),
+    "shuffle_plus": ("exactnum.bivariate_catalan", _plus_one_at(2, 0)),
     "app_zetainv_plus_m": ("exactnum.catalan", _plus_one_at(1)),
     "gessel_rec": ("exactnum.bivariate_catalan", _plus_one_at(1, 2)),
     "associator": ("exactnum.bivariate_catalan", _plus_one_at(3, 2)),
     "zeta_power": ("characters.restrict", _zeta_wrong_at_2_1),
+    "peak_rev_con": ("compositions.p_minus", _plus_one_at((2, 1))),
 }
 
 
