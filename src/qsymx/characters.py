@@ -32,23 +32,12 @@ distinct shape once.
 ``TruncatedCharacter`` stores each degree as a row of integer numerators
 over one denominator, reduced so that the gcd of the denominator and the
 row is 1; its ``tables`` and ``value`` hand out Fractions.  The oracle runs
-on these rows through one deconcatenation kernel indexed by partial-sum
-bitmask.  The kernel works by blocks: the cut at partial sum s splits each
-composition of n that has s as a partial sum into one of s and one of
-n - s, so its terms form the outer product of the degree-s row and the
-degree-(n - s) row, which the kernel adds one slice (contiguous, or of
-stride 2^s) per nonzero entry of the shorter row, times one int factor per
-cut; a factor of 0 skips its cut.  The product, the inverse and both
-equations of the split follow one rule (``_cut_factors``): degree n of
-the result goes over one common denominator E_n, the lcm of the
-denominator products that meet in it, and the term of each product is put
-over E_n by the int factor E_n over that product, which for a cut is
-folded into the scalar the kernel takes from the shorter row, with a sign
-where a sum is signed.  In ``convolve`` these are the products of the two
-operands' denominators in degrees s and n - s; in the inverse and the
-split the rows being solved stand in for an operand, and the split adds
-the denominator of phi_n.  Each reduces every degree it builds before the
-next degree reads it, so ``_from_rows`` stores rows as they come.  So
+on these rows through one deconcatenation kernel by blocks of masks
+(``_proper_cuts``), with one int factor per cut.  The product, the inverse
+and both equations of the split follow one scale rule (``_cut_factors``):
+degree n of the result goes over the lcm of the denominator products that
+meet in it, and each term's share of that lcm rides on its cut's factor.
+Each reduces every degree it builds before the next degree reads it, so
 every step is exact integer arithmetic on reduced rows, and the only
 division, the halving of phi_- in even degrees, is checked against the
 denominators it may reach.

@@ -1,14 +1,10 @@
 """Compositions of non-negative integers and their combinatorics.
 
-A composition is a plain tuple of positive ints; the empty tuple is the
-composition of 0.  Compositions of n are identified with subsets of
-{1, ..., n-1} through their proper partial sums, stored as a bitmask
-(bit i-1 set  <=>  i is a partial sum).  The bitmask gives O(1) refinement
-tests and a canonical dense index 0 .. 2^(n-1)-1 used by the character
-tables.  Enumeration is one walk, ``coarsenings``: each later part is either
-added to the last part so far or appended as a new part, which lists the
-results in increasing bitmask order; ``all_compositions`` and
-``refinements`` are built from it.
+A composition is a plain tuple of positive ints, () for 0.  A composition
+of n is also the bitmask of its proper partial sums (bit i-1 set <=> i is a
+partial sum), its index 0 .. 2^(n-1)-1 in the character tables.
+``coarsenings`` enumerates in increasing bitmask order, and
+``all_compositions`` and ``refinements`` are built from it.
 """
 
 __all__ = [
@@ -171,18 +167,25 @@ def coarsenings(alpha: Composition) -> list[Composition]:
 def _mask_pass(values, n: int, supersets: bool, sign: int) -> list:
     """Yates' pass, one bit at a time, over a row indexed by the masks of
     degree n (Stanley, EC1, section 2.2): entry S of the result sums
-    sign^|T ^ S| values[T] over the T containing S if supersets (with sign
-    1, F-basis values from M-basis values, the T being the refinements of
-    S), else over the T inside S (with sign -1, Moebius inversion).
+    sign^|T ^ S| values[T] over the T containing S if supersets, else over
+    the T inside S.  Its users: the registry's sums over refinements and
+    coarsenings (identities), the descent classes (permutations), and the
+    basis change and M antipode of qsym.
 
     Bit i pairs each mask without it with the mask with it, by whichever
     kind of slice pair is fewer: for each offset t below the bit, the
-    slices of step 2^(i+1) from t and from t + 2^i (the low bits, where
-    the offsets are fewer than the blocks); else for each block of 2^(i+1)
-    masks, its two contiguous halves.
+    slices of step 2^(i+1) from t and from t + 2^i; else for each block of
+    2^(i+1) masks, its two contiguous halves.
 
     >>> _mask_pass([1, 2, 3, 4], 3, True, 1), _mask_pass([1, 2, 3, 4], 3, False, -1)
     ([10, 6, 7, 4], [1, 1, 2, 0])
+
+    Sub-mask sums are the basis change: M_(2,1) - M_(1,1,1), by the masks
+    (3), (1,2), (2,1), (1,1,1), is F_(2,1) - 2 F_(1,1,1) (sign -1), and back
+    (sign 1).
+
+    >>> _mask_pass([0, 0, 1, -1], 3, False, -1), _mask_pass([0, 0, 1, -2], 3, False, 1)
+    ([0, 0, 1, -2], [0, 0, 1, -1])
     """
     row = list(values)
     for i in range(n - 1):

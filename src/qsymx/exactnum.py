@@ -7,20 +7,11 @@ denominator).  Floating point is never used: most of the interesting values
 here are dyadic rationals, and a float would silently absorb exactly the
 powers of 2 the identities keep track of.
 
-``LinearCombination`` is the one linear-combination core: QSym elements,
-tensors and permutation-algebra elements are its subclasses.  Its
-constructor is the door for values from outside the package: it validates
-every key and coerces every coefficient.  ``from_terms`` is the door for the
-package's own producers: it trusts their keys and adds their terms as ints
-while they are integral, which they are on basis elements, so that a
-``Fraction`` is built once per result coefficient, not once per term.  An
-integral coefficient is a shared ``Fraction``: ``from_terms`` takes it from
-one bounded table, one object per value, which is safe because Fractions
-are immutable, and lets equal elements compare their coefficients by
-identity.
-Every product (M and F products, tensor products, the shuffle product of
-permutations) is a rule on pairs of keys, and ``bilinear`` extends it to
-elements, handing its terms to ``from_terms``.
+``LinearCombination`` is the one linear-combination core, the base of the
+QSym, tensor and permutation-algebra elements.  ``from_terms`` takes each
+integral coefficient from one bounded table of shared ``Fraction``s, one
+object per value (safe, as Fractions are immutable), so that equal elements
+compare their coefficients by identity.
 """
 
 import itertools

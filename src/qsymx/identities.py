@@ -17,38 +17,12 @@ bounds, "standard" uses them as is, "deep" raises them by three quarters
 (``_scale_for``).
 
 A check computes once what the cases of its domain share, with one rule
-per statistic:
-
-- a sum over the refinements or the coarsenings of every composition of a
-  weight is one super- or sub-mask pass over a row indexed by mask
-  (compositions._mask_pass): the coarsening sums of antipode_sum,
-  app_antipodeM and app_zetainv_plus_m, the h-sums of h_minus_closed and
-  h_plus_closed (_h_row) and the F-basis side of zeta_power;
-- a composition's shape (parts, odd parts, end parities) comes from
-  characters._shape_walk, and what depends only on the shape, a summand or
-  a right side, is worked out once per shape;
-- a count over all compositions of m goes by state, not by composition:
-  signs_a and signs_b walk the unit gaps with characters._gap_step, the
-  census transition of the h-sums, and tn_vandermonde carries a count per
-  shape with characters._shape_children;
-- a count over words goes by state, not by word: the S_n checks count
-  peaks over the 2^(n-1) descent classes, not the n! permutations, and the
-  shuffle checks count them over lattice paths, carrying (sigma letters
-  placed, a peak pending after a tau letter) -> {peaks: count} instead of
-  listing the binomial(n+m, n) shuffles (_shuffle_census);
-- a map on the compositions of a weight is a row of masks: peak_rev_con
-  reads the reversal at the bit-reversed mask, rev[m] = rev[m >> 1] >> 1 |
-  (m & 1) << (n - 2), and the conjugate at its complement (_rev_con_masks),
-  from rows of p_minus and p_plus taken once per composition.
-
-Beyond these, app_f1 and app_f2 add the ribbon cuts of every composition
-of a weight as outer products of two rows of peak weights
-(_ribbon_cut_row); zeta_power reads its M-basis closed forms from
-restrict's rows and calls eval_F once per (m, n, parts), as the zeta-pow
-F form depends on n and the number of parts only; central_prod puts each
-Delannoy sum over one denominator, lcm(n+m-d) 4^((n+m)//2); g_convolve
-reads C(p, q) from one table; and gessel_rec and associator carry their
-sums over j along c.
+per statistic (README describes each check's rule): sums over refinements
+or coarsenings are one mask pass per weight (compositions._mask_pass),
+shapes come from characters._shape_walk, counts over compositions or words
+go by state (characters._gap_step, _shuffle_census), maps on compositions
+read rows of masks (_rev_con_masks), and the Delannoy sums of central_prod
+and catalan_prod are each one int over one denominator.
 """
 
 import re
@@ -168,22 +142,23 @@ def _central_prod(b: int) -> Iterator[Case]:
 
 def _catalan_prod(b: int) -> Iterator[Case]:
     """Multiplicativity of the even canonical character on all-ones
-    compositions: an alternating path sum over Catalan numbers."""
+    compositions: an alternating path sum over Catalan numbers.  Each sum is
+    one int over one denominator: the terms 2^(2d-1) s (s-1) / (N (N-1)),
+    s = n + m - 2d and N = n + m - d, over 2 lcm(max(n, m) - 1 .. n + m),
+    which N (N-1) = lcm(N, N-1) divides."""
     for n in range(1, b + 1):
         for m in range(1, b + 1):
             if (n, m) == (1, 1) or (n - m) % 2:
                 continue
+            half, common = (n + m) // 2, lcm(*range(max(n, m) - 1, n + m + 1))
             lhs = 0
-            for d in range(min(n, m) + 1):
-                s = n + m - 2 * d
-                if s == 0:
-                    continue
-                # 2^(2d-1) (s / (n+m-d)) ((s-1) / (n+m-d-1))
-                term = Fraction(4 ** d, 2) * Fraction(s, n + m - d) * Fraction(s - 1, n + m - d - 1)
-                term *= en.multinomial([n - d, m - d, d]) * en.catalan((n + m) // 2 - d - 1)
+            for d in range(min(n, m) + (n != m)):  # s = 0 at d = n = m
+                s, big = n + m - 2 * d, n + m - d
+                term = s * (s - 1) * (common // (big * (big - 1))) * en.multinomial([n - d, m - d, d])
+                term = term * en.catalan(half - d - 1) << 2 * d
                 lhs += term if d % 2 else -term
             rhs = en.catalan(n // 2 - 1) * en.catalan(m // 2 - 1) if n % 2 == 0 else 0
-            yield {"n": n, "m": m}, lhs, rhs
+            yield {"n": n, "m": m}, Fraction(lhs, 2 * common), rhs
     for k in range(1, (b - 1) // 2 + 1):
         rhs = Fraction(2 * (2 * k - 1), k + 1) * en.catalan(k - 1)
         yield {"special": "m=1", "n": 2 * k + 1}, en.catalan(k), rhs

@@ -1,50 +1,41 @@
 """Quasi-symmetric functions in the monomial (M) and fundamental (F) bases.
 
 Elements are basis-tagged linear combinations of compositions over exact
-rationals (``exactnum.LinearCombination``s).  The two bases are related by
+rationals (``exactnum.LinearCombination``s), never coerced between bases
+implicitly.  The bases are related by
 
     M_a = sum over refinements b of a of (-1)^(k(b) - k(a)) F_b,
     F_a = sum over refinements b of a of M_b,
 
-the second being the Moebius inversion of the first over the boolean
-refinement lattice.  Elements are never coerced between bases implicitly;
-mixed-basis arithmetic raises.
+the Moebius inversion over the boolean refinement lattice.
 
-Each basis is multiplied by its own rule on pairs of basis elements, with
-integer multiplicities, and the two rules share no code:
+Each basis has its own product rule on pairs of compositions, with integer
+multiplicities and no code shared with the other, memoized behind a bounded
+``lru_cache`` as a read-only mapping whose keys are shared through one
+bounded table.  A rule is built
+from its arguments alone (besides ``_frozen``, it calls no function of the
+package), so a fault planted in one for a while cannot leave a wrong
+product in the cache; ``multiply`` and ``multiply_tensor`` look a rule up
+by its global name at each call.
 
-- M: M_a M_b is the sum of M_c over the quasi-shuffles c of a and b
-  (interleave the parts, optionally adding a part of a to a part of b).
-- F: F_a F_b is the sum of F_Des(w) over the shuffles w of a permutation
-  sigma with descent composition a and a permutation tau with descent
-  composition b, shifted above sigma (Gessel's rule; Gessel, Multipartite
-  P-partitions and inner products of skew Schur functions, 1984).  Only the
-  source of each letter of w matters, so the descent composition is built
-  part by part while walking the interleavings.
-
-Both rules are memoized per process behind bounded ``lru_cache``s, and a
-cached result is read-only (a ``MappingProxyType``), its keys shared
-through one bounded table so that each composition is one tuple across
-results.  A rule is built from the parts of its arguments alone: besides
-``_frozen`` it calls no function of the package, so a fault planted in one
-for a while cannot leave a wrong product in the cache.  ``multiply`` and
-``multiply_tensor`` look a rule up by its module-global name at each call.
-
-Every producer below reads its operands' coefficients with ``terms`` (the
-integral ones as ints) and hands its (key, coefficient) terms, with keys it
-built itself, to ``from_terms``; the products keep only their rule on pairs
-of basis keys and reach ``from_terms`` through ``bilinear``.  Only the
-public constructors and ``element_from_json`` validate keys.
+The basis change and the M antipode are sub- and super-mask sums.  An
+element of one weight n >= 2 whose per-term expansion (2^(n - k) terms per
+key of k parts for the basis change, 2^(k - 1) for the antipode) is longer
+than the 2^(n - 1) masks of n takes one row through
+``compositions._mask_pass``, read back by the cached ``_mask_table(n)``,
+built like the rules from its argument alone.  Every other element, each
+basis element among them, hands its terms one by one to ``from_terms``.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, compress
 from types import MappingProxyType
 
 from .exactnum import LinearCombination, as_fraction
 from .compositions import (
     Composition,
+    _mask_pass,
     coarsenings,
     composition,
     conjugate,
@@ -111,10 +102,19 @@ def qsym_one(basis: str = "M") -> QSymElement:
 
 
 def to_F(x: QSymElement) -> QSymElement:
-    """Expand an M-basis element in the F basis (identity on F elements)."""
+    """Expand an M-basis element in the F basis (identity on F elements).
+
+    >>> to_F(qsym_basis("M", (2, 1)))
+    F[2,1] - F[1,1,1]
+    >>> to_F(QSymElement("M", {(3,): 1, (1, 2): 1, (2, 1): 1, (1, 1, 1): 1}))
+    F[3]
+    """
     QSymElement.require(x)
     if x.basis == "F":
         return x
+    n = _row_weight(x, True)
+    if n:
+        return _by_row("F", x.terms(), n, False, -1)
     return QSymElement.from_terms("F", (
         (beta, -c if (len(beta) - len(alpha)) % 2 else c)
         for alpha, c in x.terms()
@@ -127,6 +127,9 @@ def to_M(x: QSymElement) -> QSymElement:
     QSymElement.require(x)
     if x.basis == "M":
         return x
+    n = _row_weight(x, True)
+    if n:
+        return _by_row("M", x.terms(), n, False, 1)
     return QSymElement.from_terms("M", (
         (beta, c) for alpha, c in x.terms() for beta in refinements(alpha)
     ))
@@ -135,6 +138,41 @@ def to_M(x: QSymElement) -> QSymElement:
 # one hopf-products pass caches about 8,300 result entries over 256 distinct
 # compositions, and multiplies about 240 distinct pairs in each basis
 _shared_key = lru_cache(maxsize=8192)(lambda key: key)
+
+
+def _row_weight(x: QSymElement, refine: bool) -> int:
+    """n if x has one weight n >= 2 and lists more terms one by one
+    (2^(n - k) refinements, or 2^(k - 1) coarsenings, per key of k parts)
+    than n has masks, as one key never does; else 0."""
+    keys = x.coeffs.keys()
+    if len(keys) < 2:
+        return 0
+    weights = set(map(sum, keys))
+    n = weights.pop()
+    if weights or n < 2:
+        return 0
+    # twice each count, against 2^n
+    twice = (2 << n).__rshift__ if refine else (1).__lshift__
+    return n if sum(map(twice, map(len, keys))) > 1 << n else 0
+
+
+@lru_cache(maxsize=16)
+def _mask_table(n: int) -> MappingProxyType:
+    """{composition of n: its mask} in mask order, with shared keys."""
+    comps = [(1,)]
+    for _ in range(n - 1):  # grow the last part (top bit clear), or append a 1
+        comps = [c[:-1] + (c[-1] + 1,) for c in comps] + [c + (1,) for c in comps]
+    return MappingProxyType({_shared_key(c): mask for mask, c in enumerate(comps)})
+
+
+def _by_row(basis: str, terms, n: int, supersets: bool, sign: int) -> QSymElement:
+    """The mask pass over the row of terms, as an element of basis."""
+    table = _mask_table(n)
+    row = [0] * (1 << (n - 1))
+    for key, c in terms:
+        row[table[key]] = c
+    row = _mask_pass(row, n, supersets, sign)
+    return QSymElement.from_terms(basis, zip(compress(table, row), compress(row, row)))
 
 
 def _frozen(counts: dict) -> MappingProxyType:
@@ -169,19 +207,16 @@ def _product_M(alpha: Composition, beta: Composition) -> MappingProxyType:
 
 @lru_cache(maxsize=1024)
 def _product_F(alpha: Composition, beta: Composition) -> MappingProxyType:
-    """F_alpha F_beta as {gamma: multiplicity}, by Gessel's shuffle rule.
-
-    Let sigma have descent composition alpha (weight m) and tau descent
-    composition beta (weight n), with tau's letters shifted above sigma's.
-    Each of the C(m + n, m) interleavings w contributes F_Des(w).  Whether
-    two adjacent letters of w descend depends only on where they come from:
-    sigma's letters i and i + 1 descend iff i is a proper partial sum of
-    alpha, likewise for tau with beta; a letter of sigma before one
-    of tau is an ascent, a letter of tau before one of sigma a descent.  So
-    the walk never builds a permutation: it carries, for each prefix, the
-    closed parts of the prefix's descent composition and the length of its
-    last run.  A descent closes the run, any other step extends it, and a
-    complete interleaving contributes the closed parts and its last run."""
+    """F_alpha F_beta as {gamma: multiplicity}, by Gessel's shuffle rule
+    (Multipartite P-partitions and inner products of skew Schur functions,
+    1984): F_Des(w) for each of the C(m + n, m) interleavings w of sigma,
+    of descent composition alpha and weight m, and tau, of beta and n,
+    shifted above sigma.  Whether two adjacent letters of w descend depends
+    only on where they come from: within sigma iff the first is a proper
+    partial sum of alpha (likewise tau and beta), never from sigma to tau,
+    always from tau to sigma.  So the walk carries, for each prefix, the
+    closed parts of its descent composition and the length of its last run,
+    which a descent closes and any other step extends."""
     m, n = sum(alpha), sum(beta)
     if not m or not n:
         return _frozen({alpha + beta: 1})
@@ -304,18 +339,19 @@ def antipode(x: QSymElement) -> QSymElement:
     coarsenings of the reversal of b; on F_a it is (-1)^|a| F_(conjugate a).
     """
     QSymElement.require(x)
-    if x.basis == "M":
-        terms = (
-            (alpha, -c if len(beta) % 2 else c)
-            for beta, c in x.terms()
-            for alpha in coarsenings(reversal(beta))
-        )
-    else:
+    if x.basis == "F":
         terms = (
             (conjugate(alpha), -c if sum(alpha) % 2 else c)
             for alpha, c in x.terms()
         )
-    return QSymElement.from_terms(x.basis, terms)
+        return QSymElement.from_terms("F", terms)
+    signed = ((reversal(beta), -c if len(beta) % 2 else c) for beta, c in x.terms())
+    n = _row_weight(x, False)
+    if n:
+        return _by_row("M", signed, n, True, 1)
+    return QSymElement.from_terms(
+        "M", ((alpha, c) for beta, c in signed for alpha in coarsenings(beta))
+    )
 
 
 def t_involution(x: QSymElement) -> QSymElement:

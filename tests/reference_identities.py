@@ -65,6 +65,34 @@ def central_prod(b):
         yield {"special": "n=m", "n": n}, lhs, _b_over_4(n // 2) ** 2
 
 
+def catalan_prod(b):
+    for n in range(1, b + 1):
+        for m in range(1, b + 1):
+            if (n, m) == (1, 1) or (n - m) % 2:
+                continue
+            lhs = 0
+            for d in range(min(n, m) + 1):
+                s = n + m - 2 * d
+                if s == 0:
+                    continue
+                term = Fraction(4 ** d, 2) * Fraction(s, n + m - d) * Fraction(s - 1, n + m - d - 1)
+                term *= en.multinomial([n - d, m - d, d]) * en.catalan((n + m) // 2 - d - 1)
+                lhs += term if d % 2 else -term
+            rhs = en.catalan(n // 2 - 1) * en.catalan(m // 2 - 1) if n % 2 == 0 else 0
+            yield {"n": n, "m": m}, lhs, rhs
+    for k in range(1, (b - 1) // 2 + 1):
+        rhs = Fraction(2 * (2 * k - 1), k + 1) * en.catalan(k - 1)
+        yield {"special": "m=1", "n": 2 * k + 1}, en.catalan(k), rhs
+    for n in range(2, b + 1):
+        lhs = 0
+        for d in range(n):
+            term = (4 ** d * (2 * n - 2 * d - 1) * en.binomial(2 * n - d - 2, d)
+                    * en.catalan(n - d - 1) ** 2)
+            lhs += term if d % 2 else -term
+        rhs = en.catalan(n // 2 - 1) ** 2 if n % 2 == 0 else 0
+        yield {"special": "n=m", "n": n}, lhs, rhs
+
+
 def _odd_head_weight(alpha):
     st = stats(alpha)
     value = _b_over_4(st.k_o // 2)
@@ -343,6 +371,7 @@ def peak_rev_con(n_max):
 
 CHECKS = {
     "central_prod": central_prod,
+    "catalan_prod": catalan_prod,
     "antipode_sum": antipode_sum,
     "app_antipodeM": app_antipodeM,
     "tn_vandermonde": tn_vandermonde,

@@ -1,6 +1,8 @@
 """The definitional product route: the M product as a sum over Delannoy
 paths, one ``quasi_shuffle`` per path, and the F product computed by
-converting both factors to M, multiplying there and converting back.  For
+converting both factors to M, multiplying there and converting back.  The
+basis change and the M antipode are the signed sums over ``refinements``
+and ``coarsenings``, one term at a time.  For
 Gessel's rule itself, ``with_descent_composition`` gives the permutations
 whose shuffles define an F product.  For the permutation algebra,
 ``shuffles`` is the recursive merge and ``multiply_ssym`` the sum over all
@@ -16,10 +18,11 @@ functions of the package.
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
-from qsymx.compositions import Composition
+from qsymx.compositions import Composition, coarsenings, refinements
 from qsymx.permutations import Permutation, SSymElement
-from qsymx.qsym import QSymElement, TensorElement, qsym_basis, to_F, to_M
+from qsymx.qsym import QSymElement, TensorElement, qsym_basis
 
 # Lattice paths are tuples over these step symbols.
 HORIZONTAL = "H"
@@ -85,6 +88,49 @@ def with_descent_composition(alpha) -> Permutation:
         sigma.extend(range(top - a + 1, top + 1))
         top -= a
     return tuple(sigma)
+
+
+def _expanded(basis, x, expand):
+    """The sum of c * sign * B_gamma over the terms (alpha, c) of x and the
+    (gamma, sign) of expand(alpha), added as ints over the lcm of the
+    coefficients' denominators."""
+    scale = lcm(*(c.denominator for c in x.coeffs.values()))
+    out: dict = {}
+    for alpha, c in x.coeffs.items():
+        scaled = c.numerator * (scale // c.denominator)
+        for gamma, sign in expand(alpha):
+            out[gamma] = out.get(gamma, 0) + sign * scaled
+    return QSymElement(basis, {gamma: Fraction(v, scale) for gamma, v in out.items()})
+
+
+@lru_cache(maxsize=1024)
+def _signed_refinements(alpha: Composition) -> tuple:
+    """(beta, (-1)^(k(beta) - k(alpha))) for the refinements beta of alpha,
+    listed once per composition the tests convert."""
+    return tuple((beta, (-1) ** (len(beta) - len(alpha))) for beta in refinements(alpha))
+
+
+def to_F(x: QSymElement) -> QSymElement:
+    """M_alpha = sum over refinements beta of alpha of
+    (-1)^(k(beta) - k(alpha)) F_beta."""
+    return x if x.basis == "F" else _expanded("F", x, _signed_refinements)
+
+
+def to_M(x: QSymElement) -> QSymElement:
+    """F_alpha = sum over refinements beta of alpha of M_beta."""
+    if x.basis == "M":
+        return x
+    return _expanded("M", x, lambda alpha: ((beta, 1) for beta, _ in _signed_refinements(alpha)))
+
+
+def antipode_M(x: QSymElement) -> QSymElement:
+    """S(M_beta) = (-1)^k(beta) times the sum of the coarsenings of the
+    reversal of beta."""
+    if x.basis != "M":
+        raise ValueError("expected an M-basis element")
+    return _expanded("M", x, lambda beta: (
+        (alpha, (-1) ** len(beta)) for alpha in coarsenings(beta[::-1])
+    ))
 
 
 def multiply(x: QSymElement, y: QSymElement) -> QSymElement:

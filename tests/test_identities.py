@@ -364,6 +364,7 @@ def test_check_matches_its_reference(check_id, depth):
 # and the Delannoy sums and C(p, q) table of the deep bounds.
 BEYOND_STANDARD = {
     "central_prod": (21,),
+    "catalan_prod": (21,),
     "tn_vandermonde": (16, 14),
     "signs_a": (16,),
     "signs_b": (16,),
@@ -443,6 +444,7 @@ def _one_part_read_as_even(real):
 # reference_identities.CHECKS that makes it fail at depth small
 GOLDEN_FAULTS = {
     "central_prod": ("exactnum.central_binomial", _plus_one_at(3)),
+    "catalan_prod": ("exactnum.catalan", _plus_one_at(3)),
     "antipode_sum": ("identities._b_over_4", _plus_one_at(1)),
     "app_antipodeM": ("identities._odd_head_rows", _one_part_read_as_even),
     "tn_vandermonde": ("identities._class_census", _all_ones_of_5_dropped),

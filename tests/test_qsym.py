@@ -188,6 +188,90 @@ def test_basis_change_round_trip():
         assert qs.to_F(qs.to_M(x)) == x
 
 
+# -- the basis change and the M antipode against the per-term sums ------------
+
+# name: (the library map, its per-term reference, the basis it maps from, and
+# the reference map whose images the library map sends back to its
+# argument, with that argument's basis)
+BASIS_MAPS = {
+    "to_F": (qs.to_F, ref.to_F, "M", ref.to_M, "F"),
+    "to_M": (qs.to_M, ref.to_M, "F", ref.to_F, "M"),
+    "antipode": (qs.antipode, ref.antipode_M, "M", ref.antipode_M, "M"),
+}
+MAP_COEFFS = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=5))
+
+
+@st.composite
+def multi_term_coeffs(draw):
+    """{composition: coefficient} with two to twelve keys of weight at most
+    9, of one weight or of several."""
+    if draw(st.booleans()):
+        keys = comps_up_to(9)
+    else:
+        keys = co.all_compositions(draw(st.integers(2, 9)))
+    return draw(st.dictionaries(st.sampled_from(keys), MAP_COEFFS, min_size=2, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(sorted(BASIS_MAPS)), multi_term_coeffs(), st.booleans())
+def test_basis_maps_match_the_per_term_sums(name, coeffs, cancel):
+    fast, slow, basis, back, back_basis = BASIS_MAPS[name]
+    if cancel:  # an image, whose expansion cancels down to the drawn element
+        x = back(qs.QSymElement(back_basis, coeffs))
+    else:
+        x = qs.QSymElement(basis, coeffs)
+    image = fast(x)
+    assert image == slow(x)
+    assert_fraction_valued(image)
+    if cancel:
+        assert image == qs.QSymElement(back_basis, coeffs)
+
+
+@pytest.mark.parametrize("name", sorted(BASIS_MAPS))
+def test_basis_maps_of_whole_weights_take_one_row(name):
+    fast, slow, basis, _, _ = BASIS_MAPS[name]
+    for n in range(2, 9):
+        x = qs.QSymElement(basis, {
+            alpha: Fraction(mask - 3, 1 + mask % 3)
+            for mask, alpha in enumerate(co.all_compositions(n))
+        })
+        assert qs._row_weight(x, name != "antipode") == n
+        assert fast(x) == slow(x), (name, n)
+
+
+def test_one_term_elements_build_no_row(monkeypatch):
+    def no_row(*args):
+        raise AssertionError("a row for one term")
+
+    monkeypatch.setattr(qs, "_by_row", no_row)
+    ones = (1,) * 24
+    assert qs.to_M(qs.qsym_basis("F", ones)) == qs.qsym_basis("M", ones)
+    assert qs.to_F(qs.qsym_basis("M", ones)) == qs.qsym_basis("F", ones)
+    assert qs.antipode(qs.qsym_basis("M", (24,))) == qs.qsym_basis("M", (24,), -1)
+    for alpha in comps_up_to(7):
+        m, f = qs.qsym_basis("M", alpha, Fraction(1, 2)), qs.qsym_basis("F", alpha, 3)
+        assert (qs.to_F(m), qs.to_M(f), qs.antipode(m)) == (
+            ref.to_F(m), ref.to_M(f), ref.antipode_M(m))
+
+
+# the mask table is cached per process like the product rules, and likewise
+# built from n alone
+def test_a_fault_planted_for_a_while_leaves_no_wrong_table(monkeypatch):
+    qs._mask_table.cache_clear()
+    x = qs.QSymElement("M", {alpha: 1 for alpha in co.all_compositions(4)[:-1]})
+    f = qs.QSymElement("F", {(4,): 1, (2, 2): 1, (1, 3): -2})
+    assert qs._row_weight(x, True) == qs._row_weight(f, True) == 4
+    real = co.coarsenings  # which all_compositions lists the compositions of n by
+    with monkeypatch.context() as patch:
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qsymx") and vars(module).get("coarsenings") is real:
+                patch.setattr(module, "coarsenings", lambda a: real(a)[:-1])
+        qs.to_F(x), qs.to_M(f)
+    assert qs.to_F(x) == ref.to_F(x)
+    assert qs.to_M(f) == ref.to_M(f)
+    assert qs.antipode(x) == ref.antipode_M(x)
+
+
 def test_multiply_examples():
     m1 = qs.qsym_basis("M", (1,))
     assert qs.multiply(m1, m1) == qs.QSymElement("M", {(1, 1): 2, (2,): 1})
