@@ -76,7 +76,8 @@ class LinearCombination:
     and ``from_terms`` adds up terms with trusted keys; every producer of
     the package goes from the one to the other.  Arithmetic needs two
     elements of the same class (TypeError otherwise) and basis (ValueError
-    otherwise); scalars are exact numbers.
+    otherwise); a scalar factor is an int or a Fraction (TypeError
+    otherwise).
     """
 
     __slots__ = ("basis", "coeffs")
@@ -183,11 +184,13 @@ class LinearCombination:
         return self.from_terms(self.basis, ((k, -c) for k, c in self.terms()))
 
     def __mul__(self, scalar):
-        if isinstance(scalar, LinearCombination):
+        # a scalar is an int or a Fraction, never a string to parse, a
+        # float, a bool or a Decimal, in either operand order
+        if not isinstance(scalar, (int, Fraction)) or isinstance(scalar, bool):
             raise TypeError(
                 "no product of %s with %s" % (type(self).__name__, type(scalar).__name__)
             )
-        c = _summand(as_fraction(scalar))
+        c = _summand(scalar) if isinstance(scalar, Fraction) else scalar
         return self.from_terms(self.basis, ((k, v * c) for k, v in self.terms()))
 
     __rmul__ = __mul__

@@ -192,30 +192,27 @@ def _odd_head_rows(n_max: int) -> Iterator[tuple]:
         yield n, [heads[i] for i in index], shapes, index
 
 
-def _antipode_sum(n_max: int) -> Iterator[Case]:
+def _antipode_sums(n_max: int, strict: bool) -> Iterator[Case]:
     """Evaluating the odd character against the monomial antipode: for every
     beta, the weighted sum over coarsenings with odd first part collapses to
-    the single beta term (or 0 when the last part is even)."""
+    the single beta term (or 0 when the last part is even).  With strict,
+    the sum over proper coarsenings with odd first part vanishes when beta
+    has an even number of even parts and matching end parities (an empty
+    sum counts as 0); the other beta are left out.  Right sides and the
+    strict filter are read once per shape."""
     for n, row, shapes, index in _odd_head_rows(n_max):
         d = 4 ** (n // 2)
-        rhs = [_b_over_4(k_o // 2) if last_odd else 0 for _, k_o, _, last_odd in shapes]
         sums = _mask_pass(row, n, False, 1)
+        if strict:
+            # None marks a shape the strict variant leaves out
+            rhs = [0 if not (k - k_o) % 2 and first_odd == last_odd else None
+                   for k, k_o, first_odd, last_odd in shapes]
+            sums = [total - own for total, own in zip(sums, row)]
+        else:
+            rhs = [_b_over_4(k_o // 2) if last_odd else 0 for _, k_o, _, last_odd in shapes]
         for beta, total, i in zip(all_compositions(n), sums, index):
-            yield {"beta": beta}, Fraction(total, d), rhs[i]
-
-
-def _app_antipodeM(n_max: int) -> Iterator[Case]:
-    """Strict-coarsening variant: when beta has an even number of even parts
-    and matching end parities, the sum over proper coarsenings with odd
-    first part vanishes.  An empty sum counts as 0."""
-    for n, row, shapes, index in _odd_head_rows(n_max):
-        d = 4 ** (n // 2)
-        kept = [not (k - k_o) % 2 and first_odd == last_odd
-                for k, k_o, first_odd, last_odd in shapes]
-        sums = _mask_pass(row, n, False, 1)
-        for beta, total, own, i in zip(all_compositions(n), sums, row, index):
-            if kept[i]:
-                yield {"beta": beta}, Fraction(total - own, d), 0
+            if rhs[i] is not None:
+                yield {"beta": beta}, Fraction(total, d), rhs[i]
 
 
 def _class_size(n: int, r: int, s: int) -> int:
@@ -309,23 +306,15 @@ def _signed_census(m: int, first: int) -> dict:
     return census
 
 
-def _signs_a(m_max: int) -> Iterator[Case]:
+def _signs(m_max: int, first: int) -> Iterator[Case]:
     """sum over compositions of m with j parts > 1 of (-1)^(number of parts)
-    equals (-1)^(m+j) binomial(floor(m/2), j)."""
-    for m in range(0, m_max + 1):
-        census = _signed_census(m, 0)
+    equals (-1)^(m+j) binomial(floor(m/2), j).  With first = 1, the parts
+    > 1 are counted away from the first position: zero for even m, the
+    same value for odd m (m = 0 is a genuine exception and is excluded)."""
+    for m in range(first, m_max + 1):
+        census = _signed_census(m, first)
         for j in range(0, m + 1):
-            yield {"m": m, "j": j}, census.get(j, 0), (-1) ** (m + j) * en.binomial(m // 2, j)
-
-
-def _signs_b(m_max: int) -> Iterator[Case]:
-    """Same with parts > 1 counted away from the first position: zero for
-    even m, the signs_a value for odd m.  (m = 0 is a genuine exception and
-    is excluded.)"""
-    for m in range(1, m_max + 1):
-        census = _signed_census(m, 1)
-        for j in range(0, m + 1):
-            rhs = 0 if m % 2 == 0 else (-1) ** (m + j) * en.binomial(m // 2, j)
+            rhs = 0 if first and m % 2 == 0 else (-1) ** (m + j) * en.binomial(m // 2, j)
             yield {"m": m, "j": j}, census.get(j, 0), rhs
 
 
@@ -356,37 +345,22 @@ def _h_row(comps: list, peaks: Callable) -> list[int]:
     return _mask_pass(signed, sum(comps[0]), True, 1)
 
 
-def _h_minus_closed(n_max: int) -> Iterator[Case]:
+def _h_closed(n_max: int, augmented: bool) -> Iterator[Case]:
     """The definitional h_minus sum (_h_row) against its closed form, read
     once per shape: (-1)^(n-1) 2^(n-k_o) C(0, k_o//2) for an odd last part,
-    else 0."""
+    else 0.  With augmented, the h_plus sum on even weight: 2^n on one
+    part, 2^(n-k_o) C(1, k_o//2 - 1) for odd end parts, else 0."""
     for n, shapes, index in characters._shape_walk(n_max):
-        if not n:
+        if not n or augmented and n % 2:
             continue
-        rhs = [(-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
-               if last_odd else 0 for _, k_o, _, last_odd in shapes]
+        if augmented:
+            rhs = [2 ** n if k == 1 else 2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1)
+                   if first_odd and last_odd else 0 for k, k_o, first_odd, last_odd in shapes]
+        else:
+            rhs = [(-1) ** (n - 1) * 2 ** (n - k_o) * en.bivariate_catalan(0, k_o // 2)
+                   if last_odd else 0 for _, k_o, _, last_odd in shapes]
         comps = all_compositions(n)
-        for alpha, lhs, i in zip(comps, _h_row(comps, p_minus), index):
-            yield {"alpha": alpha}, lhs, rhs[i]
-
-
-def _h_plus_closed(n_max: int) -> Iterator[Case]:
-    """The definitional h_plus sum (_h_row) against its closed form, read
-    once per shape (even weight): 2^n on one part, 2^(n-k_o)
-    C(1, k_o//2 - 1) for odd end parts, else 0."""
-    for n, shapes, index in characters._shape_walk(n_max):
-        if not n or n % 2:
-            continue
-        rhs = []
-        for k, k_o, first_odd, last_odd in shapes:
-            if k == 1:
-                rhs.append(2 ** n)
-            elif first_odd and last_odd:
-                rhs.append(2 ** (n - k_o) * en.bivariate_catalan(1, k_o // 2 - 1))
-            else:
-                rhs.append(0)
-        comps = all_compositions(n)
-        for alpha, lhs, i in zip(comps, _h_row(comps, p_plus), index):
+        for alpha, lhs, i in zip(comps, _h_row(comps, p_plus if augmented else p_minus), index):
             yield {"alpha": alpha}, lhs, rhs[i]
 
 
@@ -482,23 +456,14 @@ def _cc_convolution(a: int, b: int, h: int) -> Fraction:
     return sum(en.central_catalan(a, j) * en.central_catalan(b, h - j) for j in range(h + 1))
 
 
-def _cg6(h_max: int) -> Iterator[Case]:
-    """sum C3 C3 = 2 sum C2 C1 (central Catalan convolution, index sum 6)."""
+def _cg(h_max: int, lhs_pair: tuple, rhs_terms: tuple) -> Iterator[Case]:
+    """Central Catalan convolution identities: for 1 <= h <= h_max,
+    sum C_a C_b at h, (a, b) = lhs_pair, equals the sum over the
+    (factor, a, b, shift) of rhs_terms of factor times sum C_a C_b at
+    h - shift (_cc_convolution)."""
     for h in range(1, h_max + 1):
-        yield {"h": h}, _cc_convolution(3, 3, h), 2 * _cc_convolution(2, 1, h - 1)
-
-
-def _cg7(h_max: int) -> Iterator[Case]:
-    """sum C3 C4 = sum C2 C3 + sum C1 C1 (index sum 7)."""
-    for h in range(1, h_max + 1):
-        rhs = _cc_convolution(2, 3, h) + _cc_convolution(1, 1, h - 1)
-        yield {"h": h}, _cc_convolution(3, 4, h), rhs
-
-
-def _cg8(h_max: int) -> Iterator[Case]:
-    """sum C4 C4 = 2 sum C3 C1 (index sum 8)."""
-    for h in range(1, h_max + 1):
-        yield {"h": h}, _cc_convolution(4, 4, h), 2 * _cc_convolution(3, 1, h)
+        rhs = sum(f * _cc_convolution(a, b, h - shift) for f, a, b, shift in rhs_terms)
+        yield {"h": h}, _cc_convolution(*lhs_pair, h), rhs
 
 
 def _signed_peak_sum(census: dict, half: int) -> int:
@@ -609,24 +574,17 @@ def _gessel_rec(bound: int) -> Iterator[Case]:
                 yield {"a": a, "b": b, "c": c}, en.bivariate_catalan(b, a + c), rhs
 
 
-def _binomial_gessel(bound: int) -> Iterator[Case]:
-    """binomial(2b, b) = C(b,c)/4^c + sum_j C(b+1, j-1)/4^j."""
+def _gessel_sums(bound: int, catalan: bool) -> Iterator[Case]:
+    """binomial(2b, b) = C(b,c)/4^c + sum_{j=1..c} C(b+1, j-1)/4^j; with
+    catalan, 2 Cat(b) = C(b, c+1)/4^c + sum_j C(b+1, j)/4^j.  The right
+    side is one int over 4^c."""
     for b in range(0, bound + 1):
+        lhs = 2 * en.catalan(b) if catalan else en.binomial(2 * b, b)
         for c in range(0, bound + 1):
-            rhs = Fraction(en.bivariate_catalan(b, c), 4 ** c) + sum(
-                Fraction(en.bivariate_catalan(b + 1, j - 1), 4 ** j) for j in range(1, c + 1)
+            rhs = en.bivariate_catalan(b, c + catalan) + sum(
+                en.bivariate_catalan(b + 1, j - 1 + catalan) << 2 * (c - j) for j in range(1, c + 1)
             )
-            yield {"b": b, "c": c}, en.binomial(2 * b, b), rhs
-
-
-def _catalan_gessel(bound: int) -> Iterator[Case]:
-    """2 Cat(b) = C(b, c+1)/4^c + sum_j C(b+1, j)/4^j."""
-    for b in range(0, bound + 1):
-        for c in range(0, bound + 1):
-            rhs = Fraction(en.bivariate_catalan(b, c + 1), 4 ** c) + sum(
-                Fraction(en.bivariate_catalan(b + 1, j), 4 ** j) for j in range(1, c + 1)
-            )
-            yield {"b": b, "c": c}, 2 * en.catalan(b), rhs
+            yield {"b": b, "c": c}, lhs, Fraction(rhs, 4 ** c)
 
 
 def _associator(bound: int) -> Iterator[Case]:
@@ -736,25 +694,29 @@ def _peak_rev_con(n_max: int) -> Iterator[Case]:
                 yield {"part": "p-plus-conjugate", "alpha": alpha}, pluses[con], expect_con
 
 
-# id -> (check, domain text); each {N} in the text is one bound of the check
+# id -> (check, domain text); each {N} in the text is one bound of the check.
+# Mirrored checks bind one generator with a flag, or with a small table:
+# cg6 to cg8 read C3 C3 = 2 C2 C1 (at h - 1), C3 C4 = C2 C3 + C1 C1 (at
+# h - 1) and C4 C4 = 2 C3 C1 as an (a, b) pair and (factor, a, b, shift) terms
 _REGISTRY: dict[str, tuple[Callable[..., Iterator[Case]], str]] = {
     "classical_conv": (_classical_conv, "1 <= m <= {30}"),
     "classical_conv2": (_classical_conv2, "0 <= m <= {30}"),
     "central_prod": (_central_prod, "0 <= n, m <= {12}, not both 0, plus specials"),
     "catalan_prod": (_catalan_prod, "1 <= n, m <= {12}, n = m mod 2, not both 1, plus specials"),
-    "antipode_sum": (_antipode_sum, "all beta of weight 1..{10}"),
-    "app_antipodeM": (_app_antipodeM, "beta of weight 1..{10} with even-part count even and matching end parities"),
+    "antipode_sum": (lambda n_max: _antipode_sums(n_max, False), "all beta of weight 1..{10}"),
+    "app_antipodeM": (lambda n_max: _antipode_sums(n_max, True),
+                      "beta of weight 1..{10} with even-part count even and matching end parities"),
     "tn_vandermonde": (_tn_vandermonde, "grouped sum and Vandermonde for n <= {14}; class census for n <= {12}"),
-    "signs_a": (_signs_a, "0 <= m <= {14}, 0 <= j <= m"),
-    "signs_b": (_signs_b, "1 <= m <= {14}, 0 <= j <= m"),
+    "signs_a": (lambda m_max: _signs(m_max, 0), "0 <= m <= {14}, 0 <= j <= m"),
+    "signs_b": (lambda m_max: _signs(m_max, 1), "1 <= m <= {14}, 0 <= j <= m"),
     "g_convolve": (_g_convolve, "0 <= i, j, m <= {10}"),
-    "h_minus_closed": (_h_minus_closed, "all alpha of weight 1..{10}"),
-    "h_plus_closed": (_h_plus_closed, "all alpha of even weight 2..{10}"),
+    "h_minus_closed": (lambda n_max: _h_closed(n_max, False), "all alpha of weight 1..{10}"),
+    "h_plus_closed": (lambda n_max: _h_closed(n_max, True), "all alpha of even weight 2..{10}"),
     "app_f1": (_app_f1, "all alpha of weight 1..{10}"),
     "app_f2": (_app_f2, "all alpha of weight 1..{10}"),
-    "cg6": (_cg6, "1 <= h <= {12}"),
-    "cg7": (_cg7, "1 <= h <= {12}"),
-    "cg8": (_cg8, "1 <= h <= {12}"),
+    "cg6": (lambda h_max: _cg(h_max, (3, 3), ((2, 2, 1, 1),)), "1 <= h <= {12}"),
+    "cg7": (lambda h_max: _cg(h_max, (3, 4), ((1, 2, 3, 0), (1, 1, 1, 1))), "1 <= h <= {12}"),
+    "cg8": (lambda h_max: _cg(h_max, (4, 4), ((2, 3, 1, 0),)), "1 <= h <= {12}"),
     "allperms_minus": (lambda n_max: _allperms_sums(n_max, False),
                        "0 <= n <= {9}"),
     "allperms_plus": (lambda n_max: _allperms_sums(n_max, True),
@@ -766,8 +728,8 @@ _REGISTRY: dict[str, tuple[Callable[..., Iterator[Case]], str]] = {
     "app_zetainv_m": (_app_zetainv_m, "1 <= m <= {30}"),
     "app_zetainv_plus_m": (_app_zetainv_plus_m, "all beta of even weight 0..{10}"),
     "gessel_rec": (_gessel_rec, "0 <= a, b, c <= {10}"),
-    "binomial_gessel": (_binomial_gessel, "0 <= b, c <= {10}"),
-    "catalan_gessel": (_catalan_gessel, "0 <= b, c <= {10}"),
+    "binomial_gessel": (lambda bound: _gessel_sums(bound, False), "0 <= b, c <= {10}"),
+    "catalan_gessel": (lambda bound: _gessel_sums(bound, True), "0 <= b, c <= {10}"),
     "associator": (_associator, "0 <= a, b, c <= {10}"),
     "power2": (_power2, "0 < p + q <= {40}"),
     "zeta_power": (_zeta_power, "-3 <= m <= 3, both bases, weights up to {8}"),

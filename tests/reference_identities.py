@@ -10,7 +10,10 @@ cut, sums the F-basis values of a table over ``refinements`` and calls
 ``eval_F`` on every composition, lists every composition to count classes,
 sums over j afresh for every c, lists every shuffle word to count its
 peaks, builds each composition's conjugate and reversal, and asks
-``bivariate_catalan`` for every summand afresh.
+``bivariate_catalan`` for every summand afresh.  The central Catalan
+convolutions and the two Gessel sums are the per-check generators that the
+registry serves from one generator per mirrored family, adding one Fraction
+per term.
 They stay here, slow and literal, as the references that the registry's
 checks must match case by case (``CHECKS``, by registry id, each taking the
 same bounds as its registry check).
@@ -254,6 +257,26 @@ def app_f2(n_max):
             yield {"alpha": alpha}, lhs, 0
 
 
+def _cc_convolution(a, b, h):
+    return sum(en.central_catalan(a, j) * en.central_catalan(b, h - j) for j in range(h + 1))
+
+
+def cg6(h_max):
+    for h in range(1, h_max + 1):
+        yield {"h": h}, _cc_convolution(3, 3, h), 2 * _cc_convolution(2, 1, h - 1)
+
+
+def cg7(h_max):
+    for h in range(1, h_max + 1):
+        rhs = _cc_convolution(2, 3, h) + _cc_convolution(1, 1, h - 1)
+        yield {"h": h}, _cc_convolution(3, 4, h), rhs
+
+
+def cg8(h_max):
+    for h in range(1, h_max + 1):
+        yield {"h": h}, _cc_convolution(4, 4, h), 2 * _cc_convolution(3, 1, h)
+
+
 def app_zetainv_plus_m(n_max):
     for n in range(0, n_max + 1, 2):
         for beta in all_compositions(n):
@@ -306,6 +329,24 @@ def gessel_rec(bound):
                     for j in range(1, c + 1)
                 )
                 yield {"a": a, "b": b, "c": c}, en.bivariate_catalan(b, a + c), rhs
+
+
+def binomial_gessel(bound):
+    for b in range(0, bound + 1):
+        for c in range(0, bound + 1):
+            rhs = Fraction(en.bivariate_catalan(b, c), 4 ** c) + sum(
+                Fraction(en.bivariate_catalan(b + 1, j - 1), 4 ** j) for j in range(1, c + 1)
+            )
+            yield {"b": b, "c": c}, en.binomial(2 * b, b), rhs
+
+
+def catalan_gessel(bound):
+    for b in range(0, bound + 1):
+        for c in range(0, bound + 1):
+            rhs = Fraction(en.bivariate_catalan(b, c + 1), 4 ** c) + sum(
+                Fraction(en.bivariate_catalan(b + 1, j), 4 ** j) for j in range(1, c + 1)
+            )
+            yield {"b": b, "c": c}, 2 * en.catalan(b), rhs
 
 
 def associator(bound):
@@ -382,10 +423,15 @@ CHECKS = {
     "h_plus_closed": h_plus_closed,
     "app_f1": app_f1,
     "app_f2": app_f2,
+    "cg6": cg6,
+    "cg7": cg7,
+    "cg8": cg8,
     "shuffle_minus": shuffle_minus,
     "shuffle_plus": shuffle_plus,
     "app_zetainv_plus_m": app_zetainv_plus_m,
     "gessel_rec": gessel_rec,
+    "binomial_gessel": binomial_gessel,
+    "catalan_gessel": catalan_gessel,
     "associator": associator,
     "zeta_power": zeta_power,
     "peak_rev_con": peak_rev_con,

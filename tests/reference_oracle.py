@@ -20,7 +20,9 @@ not only the same values.
 
 ``proper_cuts`` is the package's former deconcatenation kernel, which
 walks the set bits of every mask one at a time; it is the reference for
-the block kernel ``characters._proper_cuts`` on integer rows.
+the block kernel ``characters._proper_cuts`` on integer rows.  The walk
+keeps the terms of each cut apart (``cut_rows``), so that one walk serves
+every factor vector of a pair (``cut_sum``).
 """
 
 from fractions import Fraction
@@ -31,29 +33,47 @@ from qsymx.characters import TruncatedCharacter
 from qsymx.compositions import all_compositions, to_index
 
 
-def proper_cuts(left, right, n: int, factors=None) -> list[int]:
-    """The deconcatenation kernel: for every composition of n (by mask), the
-    sum of factors[s] * left(first parts) * right(remaining parts) over its
-    proper cuts, s being the weight of the first parts; without factors,
-    every factor is 1.
+def cut_rows(left, right, n: int) -> list[list[int]]:
+    """The terms of the deconcatenation kernel, one row per cut: row s holds,
+    for every composition of n (by mask) with a partial sum s, the product
+    left(first parts) * right(remaining parts) of its cut there, and 0 for
+    the others; row 0 (no proper cut) is all 0.
 
     A set bit ``low`` of mask is the partial sum s = low.bit_length(); the
     cut there leaves mask & (low - 1) in degree s and mask >> s in degree
     n - s.  Only degrees 1..n-1 of left and right are read, so a recursion
     may pass tables that end at degree n - 1.
     """
-    row = []
+    rows = [[0] * (1 << (n - 1)) for _ in range(n)]
     for mask in range(1 << (n - 1)):
-        total = 0
         rest = mask
         while rest:
             low = rest & -rest
             s = low.bit_length()
-            term = left[s][mask & (low - 1)] * right[n - s][mask >> s]
-            total += term if factors is None else factors[s] * term
+            rows[s][mask] = left[s][mask & (low - 1)] * right[n - s][mask >> s]
             rest ^= low
-        row.append(total)
-    return row
+    return rows
+
+
+def cut_sum(rows, factors=None) -> list[int]:
+    """The kernel's row from the cut_rows of one pair: the sum over the
+    proper cuts s of factors[s] * rows[s]; without factors, every factor
+    is 1."""
+    total = rows[0]
+    for s in range(1, len(rows)):
+        f = 1 if factors is None else factors[s]
+        if f:
+            total = [t + f * v for t, v in zip(total, rows[s])]
+    return total
+
+
+def proper_cuts(left, right, n: int, factors=None) -> list[int]:
+    """The deconcatenation kernel: for every composition of n (by mask), the
+    sum of factors[s] * left(first parts) * right(remaining parts) over its
+    proper cuts, s being the weight of the first parts; without factors,
+    every factor is 1.  The set bits of every mask are walked one at a
+    time (cut_rows)."""
+    return cut_sum(cut_rows(left, right, n), factors)
 
 
 def convolve(phi: TruncatedCharacter, psi: TruncatedCharacter) -> TruncatedCharacter:

@@ -1,6 +1,7 @@
 """The definitional product route: the M product as a sum over Delannoy
-paths, one ``quasi_shuffle`` per path, and the F product computed by
-converting both factors to M, multiplying there and converting back.  The
+paths, one ``quasi_shuffle`` per path and the paths of each term counted,
+and the F product computed by converting both factors to M, multiplying
+there and converting back.  The
 basis change and the M antipode are the signed sums over ``refinements``
 and ``coarsenings``, one term at a time.  For
 Gessel's rule itself, ``with_descent_composition`` gives the permutations
@@ -16,6 +17,7 @@ functions of the package.
 """
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -142,10 +144,17 @@ def multiply(x: QSymElement, y: QSymElement) -> QSymElement:
     out: dict = {}
     for alpha, a in x.coeffs.items():
         for beta, b in y.coeffs.items():
+            # the paths of each gamma counted as an int, then one term per
+            # gamma, an int while the coefficients are integral
+            paths = Counter(
+                quasi_shuffle(alpha, beta, path)
+                for path in delannoy_paths(len(alpha), len(beta))
+            )
             ab = a * b
-            for path in delannoy_paths(len(alpha), len(beta)):
-                gamma = quasi_shuffle(alpha, beta, path)
-                out[gamma] = out.get(gamma, Fraction(0)) + ab
+            if ab.denominator == 1:
+                ab = ab.numerator
+            for gamma, count in paths.items():
+                out[gamma] = out.get(gamma, 0) + ab * count
     return QSymElement("M", out)
 
 

@@ -492,15 +492,18 @@ def test_block_kernel_matches_the_bit_walk():
         for left_kind, right_kind in kinds:
             left = _kernel_rows(rng, left_kind, n)
             right = _kernel_rows(rng, right_kind, n)
-            want = ref.proper_cuts(left, right, n)
+            # one walk of the reference per pair, summed for each factor
+            # vector
+            rows = ref.cut_rows(left, right, n)
+            want = ref.cut_sum(rows)
             assert ch._proper_cuts(left, right, n, ones) == want, (n, left_kind, right_kind)
             # convolve's cut factors, one positive int per cut
             factors = [rng.randint(1, 1 << rng.choice((1, 8, 64))) for _ in range(n + 1)]
-            want = ref.proper_cuts(left, right, n, factors)
+            want = ref.cut_sum(rows, factors)
             assert ch._proper_cuts(left, right, n, factors) == want, (n, left_kind, right_kind)
             # decompose's: 0 at odd s, where phi_+ is 0, and signed
             factors = [0 if s % 2 else rng.choice((-1, 1)) * f for s, f in enumerate(factors)]
-            want = ref.proper_cuts(left, right, n, factors)
+            want = ref.cut_sum(rows, factors)
             assert ch._proper_cuts(left, right, n, factors) == want, (n, left_kind, right_kind)
         # the pairing sum passes one table as both factors
         assert ch._proper_cuts(left, left, n, ones) == ref.proper_cuts(left, left, n)

@@ -2,6 +2,7 @@ import itertools
 import json
 import sys
 from collections import Counter
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -169,6 +170,26 @@ def test_float_coefficients_rejected():
         qs.element_from_json({"basis": "M", "terms": [{"comp": [1], "coeff": True}]})
     # exact strings and Fractions are fine
     assert qs.qsym_basis("M", (1,), "3/2").coeffs == {(1,): Fraction(3, 2)}
+
+
+@pytest.mark.parametrize(
+    "element",
+    [qs.qsym_basis("M", (1,)), qs.coproduct(qs.qsym_basis("F", (2, 1))), pm.ssym_basis((1,))],
+    ids=["QSymElement", "TensorElement", "SSymElement"],
+)
+def test_scalar_factor_is_an_int_or_a_fraction(element):
+    # x * "1/2" and "1/2" * x gave 1/2*M[1]: a string is parsed where an
+    # element is built, never taken as a factor
+    for bad in ("1/2", "2", 0.5, True, Decimal("0.5")):
+        with pytest.raises(TypeError, match="no product of %s" % type(element).__name__):
+            element * bad
+        with pytest.raises(TypeError, match="no product of %s" % type(element).__name__):
+            bad * element
+    half = type(element).from_terms(
+        element.basis, [(k, c / 2) for k, c in element.coeffs.items()])
+    double = element + element
+    for scalar, expected in [(2, double), (Fraction(2), double), (Fraction(1, 2), half)]:
+        assert element * scalar == expected == scalar * element
 
 
 def test_basis_change_examples():
