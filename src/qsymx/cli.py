@@ -52,11 +52,14 @@ def _parse_comp(parser: argparse.ArgumentParser, text: str):
 
 
 def _degree_arg(text: str) -> int:
-    """argparse type of --degree: an int written in ASCII digits."""
+    """argparse type of --degree: a non-negative int in ASCII digits."""
     try:
-        return _ascii_int(text)
+        value = _ascii_int(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("--degree must be non-negative")
+    return value
 
 
 def _capped_degree(requested: int) -> int:
@@ -110,29 +113,24 @@ def build_parser() -> argparse.ArgumentParser:
     group = p_eval.add_mutually_exclusive_group(required=True)
     group.add_argument("--comp", help='composition, e.g. "2,1,3" or "()"')
     group.add_argument("--perm", help='permutation word, e.g. "312546"')
-    p_eval.add_argument("--json", action="store_true")
 
     p_mul = sub.add_parser("mul", help="product of two basis elements")
     p_mul.add_argument("--basis", choices=("M", "F"), default="M")
     p_mul.add_argument("--left", required=True)
     p_mul.add_argument("--right", required=True)
-    p_mul.add_argument("--json", action="store_true")
 
     p_cop = sub.add_parser("coproduct", help="coproduct of a basis element")
     p_cop.add_argument("--basis", choices=("M", "F"), default="M")
     p_cop.add_argument("--comp", required=True)
-    p_cop.add_argument("--json", action="store_true")
 
     p_anti = sub.add_parser("antipode", help="antipode of a basis element")
     p_anti.add_argument("--basis", choices=("M", "F"), default="M")
     p_anti.add_argument("--comp", required=True)
-    p_anti.add_argument("--json", action="store_true")
 
     p_conv = sub.add_parser("convert", help="change of basis for a basis element")
     p_conv.add_argument("--to", dest="target", choices=("M", "F"), required=True)
     p_conv.add_argument("--basis", choices=("M", "F"), default="M", help="input basis")
     p_conv.add_argument("--comp", required=True)
-    p_conv.add_argument("--json", action="store_true")
 
     p_dec = sub.add_parser(
         "decompose",
@@ -143,21 +141,21 @@ def build_parser() -> argparse.ArgumentParser:
         "--char", choices=("zeta", "zeta-inv"), default="zeta",
         help="character to decompose (closed forms exist for both)",
     )
-    p_dec.add_argument("--json", action="store_true")
 
     p_tab = sub.add_parser("table", help="all values of a character in one degree")
     p_tab.add_argument("--char", required=True)
     p_tab.add_argument("--basis", choices=("M", "F"), default="M")
     p_tab.add_argument("--degree", type=_degree_arg, required=True)
-    p_tab.add_argument("--json", action="store_true")
 
     p_ver = sub.add_parser("verify", help="run identity checks")
     group = p_ver.add_mutually_exclusive_group(required=True)
     group.add_argument("--id", dest="check_id", help="registry id")
     group.add_argument("--all", action="store_true")
     p_ver.add_argument("--depth", choices=identities.DEPTHS, default="standard")
-    p_ver.add_argument("--json", action="store_true")
 
+    # the last argument of every command
+    for command in sub.choices.values():
+        command.add_argument("--json", action="store_true")
     return parser
 
 
@@ -256,9 +254,30 @@ def _composition_texts(max_degree: int, open_: str, sep: str, close: str, empty:
         yield map(str.__add__, prefixes, map(ends.__getitem__, lasts))
 
 
-# entries per write of a decompose table, so that no degree's output is
-# held as one string
+# entries per write of a table, so that no degree's output is held as one
+# string
 _CHUNK = 4096
+
+
+def _composition_names(low: int, degree: int, as_json: bool):
+    """For n = 0..degree, the names of the compositions of n in mask order,
+    as _composition_texts yields them: the head of a --json entry, or the
+    text padded to the widest name of the degrees low..degree."""
+    if as_json:
+        return _composition_texts(degree, '{"comp": [', ", ", "]", '{"comp": []')
+    # (1,) * n has the widest name of degree n, and the names widen with n
+    width = max(len(format_composition((1,) * n)) for n in (low, degree))
+    return (map(str.ljust, texts, repeat(width))
+            for texts in _composition_texts(degree, "", ",", "", "()"))
+
+
+def _write_entries(entries, sep: str, first: bool = True):
+    """Write the entries, joined by sep and led by sep unless first, in
+    joins of _CHUNK entries; byte for byte as one join of them all."""
+    lead = "" if first else sep
+    while chunk := list(islice(entries, _CHUNK)):
+        sys.stdout.write(lead + sep.join(chunk))
+        lead = sep
 
 
 # the rest of one decompose entry after its composition, --json or text;
@@ -277,8 +296,6 @@ def _text_tail(p, m, pc, mc):
 
 def _cmd_decompose(parser, args) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
-    if degree < 0:
-        parser.error("--degree must be non-negative")
     degree = _capped_degree(degree)
     plus, minus = characters.decompose(characters.restrict(args.char, degree))
     closed_plus = characters.restrict(args.char + "-plus", degree)
@@ -286,29 +303,21 @@ def _cmd_decompose(parser, args) -> int:
     pairs = ((plus, closed_plus), (minus, closed_minus))
     counts = [_mismatches(pairs, n) for n in range(degree + 1)]
     mismatches = sum(counts)
-    # written in chunks of entries, byte for byte as json.dumps of the whole
-    # payload (or one line per entry), so only one degree's rows are held
-    out = sys.stdout
+    # written byte for byte as json.dumps of the whole payload (or one line
+    # per entry), so only one degree's rows are held
     if args.json:
-        out.write(
+        sys.stdout.write(
             '{"char": %s, "degree": %d, "mismatches": %d, "tables": ['
             % (json.dumps(args.char), degree, mismatches)
         )
-        names = _composition_texts(degree, '{"comp": [', ", ", "]", '{"comp": []')
         tail, sep = _json_tail, ", "
     else:
-        # (1,) * degree has the longest name of any composition up to degree
-        width = max(len(format_composition((1,) * degree)), len(format_composition(())))
         print(
             "# even/odd decomposition of %s up to degree %d (oracle vs closed form)"
             % (args.char, degree)
         )
-        names = (
-            map(str.ljust, texts, repeat(width))
-            for texts in _composition_texts(degree, "", ",", "", "()")
-        )
         tail, sep = _text_tail, ""
-    lead = ""
+    names = _composition_names(0, degree, args.json)
     for n, (count, texts) in enumerate(zip(counts, names)):
         op, om = _row_strings(plus, n), _row_strings(minus, n)
         cp, cm = op, om
@@ -317,11 +326,9 @@ def _cmd_decompose(parser, args) -> int:
         # one tail per distinct key of the degree
         tails = {key: tail(*key) for key in set(zip(op, om, cp, cm))}
         entries = map(str.__add__, texts, map(tails.__getitem__, zip(op, om, cp, cm)))
-        while chunk := list(islice(entries, _CHUNK)):
-            out.write(lead + sep.join(chunk))
-            lead = sep
+        _write_entries(entries, sep, n == 0)
     if args.json:
-        out.write("]}\n")
+        sys.stdout.write("]}\n")
     else:
         print("%d mismatches out of %d entries" % (mismatches, 1 << degree))
     return 1 if mismatches else 0
@@ -329,29 +336,22 @@ def _cmd_decompose(parser, args) -> int:
 
 def _cmd_table(parser, args) -> int:
     char_id = _parse_char(parser, args.char)
-    if args.degree < 0:
-        parser.error("--degree must be non-negative")
     degree = _capped_degree(args.degree)
-    comps = all_compositions(degree)
     if args.basis == "M":
-        texts = _row_strings(characters.restrict(char_id, degree), degree)
+        values = _row_strings(characters.restrict(char_id, degree), degree)
     else:
-        texts = [str(characters.eval_F(char_id, alpha)) for alpha in comps]
-    values = list(zip(comps, texts))
+        values = [str(characters.eval_F(char_id, alpha)) for alpha in all_compositions(degree)]
+    *_, names = _composition_names(degree, degree, args.json)
     if args.json:
-        payload = {
-            "char": char_id,
-            "basis": args.basis,
-            "degree": degree,
-            "values": [
-                {"comp": list(alpha), "value": v} for alpha, v in values
-            ],
-        }
-        print(json.dumps(payload))
+        sys.stdout.write('{"char": %s, "basis": "%s", "degree": %d, "values": ['
+                         % (json.dumps(char_id), args.basis, degree))
+        tail, sep = ', "value": "%s"}', ", "
     else:
-        width = max(len(format_composition(a)) for a, _ in values)
-        for alpha, v in values:
-            print("%-*s  %s" % (width, format_composition(alpha), v))
+        tail, sep = "  %s\n", ""
+    tails = {v: tail % v for v in set(values)}
+    _write_entries(map(str.__add__, names, map(tails.__getitem__, values)), sep)
+    if args.json:
+        sys.stdout.write("]}\n")
     return 0
 
 
@@ -365,17 +365,11 @@ def _report_json(report: identities.CheckReport) -> dict:
     if report.counterexample is not None:
         ce = report.counterexample
         payload["counterexample"] = {
-            "params": {key: _json_value(value) for key, value in ce.params.items()},
+            "params": ce.params,
             "left": str(ce.left),
             "right": str(ce.right),
         }
     return payload
-
-
-def _json_value(value):
-    if isinstance(value, tuple):
-        return list(value)
-    return value
 
 
 def _print_report(report: identities.CheckReport):

@@ -295,6 +295,10 @@ def catalan(m: int) -> int:
     return q
 
 
+# family: the offsets (a, b) of C(2h + a, h + b)
+_CENTRAL_OFFSETS = {1: (1, 1), 2: (0, 1), 3: (0, 0), 4: (1, 0)}
+
+
 def central_catalan(family: int, h: int) -> Fraction:
     """The four families of central Catalan numbers, as exact halves of
     bivariate Catalan numbers:
@@ -306,17 +310,10 @@ def central_catalan(family: int, h: int) -> Fraction:
     """
     if type(family) is not int or type(h) is not int:
         raise ValueError("central_catalan needs plain ints, got (%r, %r)" % (family, h))
-    if family == 1:
-        value = bivariate_catalan(2 * h + 1, h + 1)
-    elif family == 2:
-        value = bivariate_catalan(2 * h, h + 1)
-    elif family == 3:
-        value = bivariate_catalan(2 * h, h)
-    elif family == 4:
-        value = bivariate_catalan(2 * h + 1, h)
-    else:
+    if family not in _CENTRAL_OFFSETS:
         raise ValueError("central_catalan family must be 1..4, got %r" % (family,))
-    return Fraction(value, 2)
+    a, b = _CENTRAL_OFFSETS[family]
+    return Fraction(bivariate_catalan(2 * h + a, h + b), 2)
 
 
 def half_binomial(m: int, k: int) -> Fraction:

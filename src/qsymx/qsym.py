@@ -109,30 +109,33 @@ def to_F(x: QSymElement) -> QSymElement:
     >>> to_F(QSymElement("M", {(3,): 1, (1, 2): 1, (2, 1): 1, (1, 1, 1): 1}))
     F[3]
     """
-    QSymElement.require(x)
-    if x.basis == "F":
-        return x
-    n = _row_weight(x, True)
-    if n:
-        return _by_row("F", x.terms(), n, False, -1)
-    return QSymElement.from_terms("F", (
-        (beta, -c if (len(beta) - len(alpha)) % 2 else c)
-        for alpha, c in x.terms()
-        for beta in refinements(alpha)
-    ))
+    return _basis_change(x, "F", -1)
 
 
 def to_M(x: QSymElement) -> QSymElement:
     """Expand an F-basis element in the M basis (identity on M elements)."""
+    return _basis_change(x, "M", 1)
+
+
+def _basis_change(x: QSymElement, target: str, sign: int) -> QSymElement:
+    """x in basis target (the identity on it): the sum over the refinements
+    beta of each key alpha of sign^(k(beta) - k(alpha)) times its
+    coefficient, sign -1 into F and 1 into M."""
     QSymElement.require(x)
-    if x.basis == "M":
+    if x.basis == target:
         return x
     n = _row_weight(x, True)
     if n:
-        return _by_row("M", x.terms(), n, False, 1)
-    return QSymElement.from_terms("M", (
-        (beta, c) for alpha, c in x.terms() for beta in refinements(alpha)
-    ))
+        return _by_row(target, x.terms(), n, False, sign)
+    if sign > 0:
+        terms = ((beta, c) for alpha, c in x.terms() for beta in refinements(alpha))
+    else:
+        terms = (
+            (beta, -c if (len(beta) - len(alpha)) % 2 else c)
+            for alpha, c in x.terms()
+            for beta in refinements(alpha)
+        )
+    return QSymElement.from_terms(target, terms)
 
 
 # one hopf-products pass caches about 8,300 result entries over 256 distinct

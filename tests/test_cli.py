@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import os
@@ -231,6 +232,38 @@ def test_decompose_writes_chunks_that_join_to_the_whole_table(capsys, monkeypatc
     assert _assert_streams_the_whole_table(capsys, "zeta", 6) == 1
 
 
+def _whole_value_table(char, basis, degree):
+    """The table output (--json text, plain text) as the command wrote it
+    when it held the whole table: one json.dumps of the payload dict, or
+    one "%-*s  %s" line per composition.  Values are read one by one
+    through eval_M or eval_F."""
+    evaluate = characters.eval_M if basis == "M" else characters.eval_F
+    values = [(alpha, str(evaluate(char, alpha))) for alpha in all_compositions(degree)]
+    payload = {
+        "char": char,
+        "basis": basis,
+        "degree": degree,
+        "values": [{"comp": list(alpha), "value": v} for alpha, v in values],
+    }
+    width = max(len(format_composition(alpha)) for alpha, _ in values)
+    lines = ["%-*s  %s\n" % (width, format_composition(alpha), v) for alpha, v in values]
+    return json.dumps(payload) + "\n", "".join(lines)
+
+
+# with chunks of 3 entries, chunk boundaries fall inside degrees 6 and 9
+@pytest.mark.parametrize("chunk", [None, 3])
+@pytest.mark.parametrize("basis", ["M", "F"])
+@pytest.mark.parametrize("char", ["zeta-minus", "zeta-inv-plus", "counit", "zeta-pow:-2"])
+def test_table_streams_the_whole_table_bytes(capsys, monkeypatch, char, basis, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+    for degree in (0, 1, 6, 9):
+        want_json, want_text = _whole_value_table(char, basis, degree)
+        argv = ("table", "--char", char, "--basis", basis, "--degree", str(degree))
+        assert run(capsys, *argv, "--json")[:2] == (0, want_json), degree
+        assert run(capsys, *argv)[:2] == (0, want_text), degree
+
+
 def test_composition_texts_walk_matches_all_compositions():
     walk = cli._composition_texts(12, "[", ", ", "]", "[]")
     for n, texts in enumerate(walk):
@@ -264,10 +297,19 @@ def test_degree_flags_coerce_no_digit_text(capsys):
             code, out, err = run_usage_error(capsys, *command, "--degree", text)
             assert code == 2 and out == ""
             assert "argument --degree: invalid int value: %r" % text in err
-    code, out, err = run_usage_error(capsys, "decompose", "--degree", "-3")
-    assert code == 2 and "--degree must be non-negative" in err
+        code, out, err = run_usage_error(capsys, *command, "--degree", "-3")
+        assert code == 2 and out == ""
+        assert "argument --degree: --degree must be non-negative" in err
     code, out, _ = run(capsys, "decompose", "--degree", "0", "--json")
     assert code == 0 and json.loads(out)["degree"] == 0
+
+
+def test_every_command_takes_json_last():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(cli._COMMANDS)
+    for name, command in sub.choices.items():
+        assert command._actions[-1].option_strings == ["--json"], name
 
 
 def test_degree_cap_warning(capsys, monkeypatch):
@@ -346,6 +388,13 @@ def test_closed_reader_exits_141_without_a_traceback():
     assert proc.stdout.read(10) == b'{"char": "'
     proc.stdout.close()
     assert proc.wait(timeout=60) == cli.EXIT_BROKEN_PIPE == 141
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+    proc = _fresh_python("-m", "qsymx", "table", "--char", "zeta-minus", "--degree", "12",
+                         "--json")
+    assert proc.stdout.read(10) == b'{"char": "'
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
     assert proc.stderr.read() == b""
     proc.stderr.close()
     proc = _fresh_python("-m", "qsymx", "eval", "--char", "zeta", "--comp", "1")

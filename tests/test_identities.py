@@ -148,7 +148,8 @@ def test_report_records_are_immutable_tuples_with_named_fields():
         with pytest.raises(AttributeError):
             setattr(record, field, None)
     assert cli._report_json(ok) == {"id": "x", "domain": "d", "cases": 3, "status": "pass"}
-    assert cli._report_json(report) == {
+    # the params tuple goes to json.dumps as it is, which writes an array
+    assert json.loads(json.dumps(cli._report_json(report))) == {
         "id": "x",
         "domain": "d",
         "cases": 3,
