@@ -10,11 +10,11 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice, repeat
+from itertools import islice
 from math import gcd
 
 from . import characters, identities
-from .compositions import _ascii_int, all_compositions, format_composition, parse_composition
+from .compositions import _ascii_int, _mask_pass, format_composition, parse_composition
 from .permutations import parse_permutation
 from .qsym import (
     coproduct,
@@ -28,7 +28,7 @@ from .qsym import (
 )
 
 DEFAULT_MAX_DEGREE = 9
-HARD_DEGREE_CAP = 18
+HARD_DEGREE_CAP = 20
 # the exit code of a command whose reader closed stdout early, as a shell
 # reports a process killed by SIGPIPE (128 + 13)
 EXIT_BROKEN_PIPE = 141
@@ -212,15 +212,14 @@ def _cmd_convert(parser, args) -> int:
     return 0
 
 
-def _row_strings(phi: characters.TruncatedCharacter, n: int) -> list[str]:
-    """The degree-n values of phi as exact rationals, formatted from its
-    integer row: each distinct numerator once."""
-    row, d = phi.numerators[n], phi.denominators[n]
-    text = {}
+def _value_texts(row, d: int) -> dict:
+    """{v: the text of v / d, an exact rational} for each distinct v of
+    the integer row."""
+    texts = {}
     for v in set(row):
         g = gcd(v, d)
-        text[v] = str(v // g) if g == d else "%d/%d" % (v // g, d // g)
-    return list(map(text.__getitem__, row))
+        texts[v] = str(v // g) if g == d else "%d/%d" % (v // g, d // g)
+    return texts
 
 
 def _mismatches(pairs, n: int) -> int:
@@ -235,49 +234,67 @@ def _mismatches(pairs, n: int) -> int:
     return sum(map(any, zip(*wrong)))
 
 
-def _composition_texts(max_degree: int, open_: str, sep: str, close: str, empty: str):
-    """For n = 0..max_degree, yield the texts of the compositions of n in
-    mask order: open_, the parts joined by sep, then close; empty for ().
+def _composition_pieces(max_degree: int, open_, sep, close, empty, width: int = 0):
+    """For n = 0..max_degree, yield the names of the compositions of n in
+    mask order as two sequences of pieces, (prefixes, ends): open_ and
+    every part but the last, each followed by sep; then the last part and
+    close, padded so that each name is width wide.  () is the prefix empty,
+    padded, with the end "".
 
-    Grown as _shape_walk grows shapes, from (prefix, last part) pairs of
-    degree n - 1: growing the last part keeps the prefix, and appending a
-    part 1 extends it by the old last part.  Each yield is a lazy map over
-    the current pairs, to be read before the next."""
-    yield (empty,)
-    prefixes, lasts = [open_], [1]
+    Grown as _shape_walk grows shapes, from a prefix and a code per
+    composition of degree n - 1: its last part, plus span = max_degree + 1
+    times the length of its prefix when names are padded (the prefix is
+    then narrower than width), so that one lookup in a table over the codes
+    gives each end.  Growing the last part keeps the prefix and adds 1 to
+    the code; appending a part 1 extends the prefix by the old last part and
+    sep.  The prefixes are a list and the ends a lazy map, to be read before
+    the next yield."""
+    span = max_degree + 1
+    codes = range(span * (width + 1))
+    parts = ["%d%s" % (c % span, sep) for c in codes]
+    ends = [("%d%s" % (c % span, close)).ljust(width - c // span) for c in codes]
+    # the next codes as shared ints: a code above 256 computed per entry
+    # would be an object per entry
+    grown = [c + 1 for c in codes]
+    appended = [span * min(c // span + len(parts[c]), width) + 1 for c in codes]
+    yield [empty.ljust(width)], [""]
+    prefixes, state = [open_], [span * min(len(open_), width) + 1]
     for n in range(1, max_degree + 1):
         if n > 1:
-            parts = ["%d%s" % (a, sep) for a in range(n)]
-            prefixes = prefixes + list(map(str.__add__, prefixes, map(parts.__getitem__, lasts)))
-            lasts = [a + 1 for a in lasts] + [1] * len(lasts)
-        ends = ["%d%s" % (a, close) for a in range(n + 1)]
-        yield map(str.__add__, prefixes, map(ends.__getitem__, lasts))
+            prefixes = prefixes + list(map(str.__add__, prefixes, map(parts.__getitem__, state)))
+            state = list(map(grown.__getitem__, state)) + list(map(appended.__getitem__, state))
+        yield prefixes, map(ends.__getitem__, state)
 
 
-# entries per write of a table, so that no degree's output is held as one
-# string
+def _composition_heads(low: int, degree: int, as_json: bool):
+    """_composition_pieces up to degree: the heads of --json entries, each
+    led by ", " but the one of (), or texts padded to the widest name of
+    the degrees low..degree."""
+    if as_json:
+        return _composition_pieces(degree, ', {"comp": [', ", ", "]", '{"comp": []')
+    # (1,) * n has the widest name of degree n, and the names widen with n
+    width = max(len(format_composition((1,) * n)) for n in (low, degree))
+    return _composition_pieces(degree, "", ",", "", "()", width)
+
+
+# list slots per write of a table, so that no degree's output is held as
+# one string
 _CHUNK = 4096
 
 
-def _composition_names(low: int, degree: int, as_json: bool):
-    """For n = 0..degree, the names of the compositions of n in mask order,
-    as _composition_texts yields them: the head of a --json entry, or the
-    text padded to the widest name of the degrees low..degree."""
-    if as_json:
-        return _composition_texts(degree, '{"comp": [', ", ", "]", '{"comp": []')
-    # (1,) * n has the widest name of degree n, and the names widen with n
-    width = max(len(format_composition((1,) * n)) for n in (low, degree))
-    return (map(str.ljust, texts, repeat(width))
-            for texts in _composition_texts(degree, "", ",", "", "()"))
-
-
-def _write_entries(entries, sep: str, first: bool = True):
-    """Write the entries, joined by sep and led by sep unless first, in
-    joins of _CHUNK entries; byte for byte as one join of them all."""
-    lead = "" if first else sep
-    while chunk := list(islice(entries, _CHUNK)):
-        sys.stdout.write(lead + sep.join(chunk))
-        lead = sep
+def _write_pieces(*columns):
+    """Write entry after entry, entry i being the i-th piece of each column
+    in turn (the first column a list), byte for byte as one join of them
+    all.  Each chunk is one join of a list of at most _CHUNK pieces, and of
+    at least one entry, filled column by column by strided slices."""
+    width, total = len(columns), len(columns[0])
+    step = max(_CHUNK // width, 1)
+    columns = [iter(c) for c in columns]
+    for start in range(0, total, step):
+        chunk = [None] * (width * min(step, total - start))
+        for i, column in enumerate(columns):
+            chunk[i::width] = islice(column, step)
+        sys.stdout.write("".join(chunk))
 
 
 # the rest of one decompose entry after its composition, --json or text;
@@ -310,23 +327,25 @@ def _cmd_decompose(parser, args) -> int:
             '{"char": %s, "degree": %d, "mismatches": %d, "tables": ['
             % (json.dumps(args.char), degree, mismatches)
         )
-        tail, sep = _json_tail, ", "
+        tail = _json_tail
     else:
         print(
             "# even/odd decomposition of %s up to degree %d (oracle vs closed form)"
             % (args.char, degree)
         )
-        tail, sep = _text_tail, ""
-    names = _composition_names(0, degree, args.json)
-    for n, (count, texts) in enumerate(zip(counts, names)):
-        op, om = _row_strings(plus, n), _row_strings(minus, n)
-        cp, cm = op, om
-        if count:
-            cp, cm = _row_strings(closed_plus, n), _row_strings(closed_minus, n)
-        # one tail per distinct key of the degree
-        tails = {key: tail(*key) for key in set(zip(op, om, cp, cm))}
-        entries = map(str.__add__, texts, map(tails.__getitem__, zip(op, om, cp, cm)))
-        _write_entries(entries, sep, n == 0)
+        tail = _text_tail
+    heads = _composition_heads(0, degree, args.json)
+    for n, (count, (prefixes, ends)) in enumerate(zip(counts, heads)):
+        # an entry's tail is keyed on its integer numerators, the closed
+        # forms' only in a degree where they differ from the oracle's
+        rows = (plus, minus, closed_plus, closed_minus) if count else (plus, minus)
+        numerators = [phi.numerators[n] for phi in rows]
+        texts = [_value_texts(phi.numerators[n], phi.denominators[n]) for phi in rows]
+        tails = {}
+        for key in set(zip(*numerators)):
+            shown = list(map(dict.__getitem__, texts, key))
+            tails[key] = tail(*(shown if count else shown * 2))
+        _write_pieces(prefixes, ends, map(tails.__getitem__, zip(*numerators)))
     if args.json:
         sys.stdout.write("]}\n")
     else:
@@ -337,19 +356,25 @@ def _cmd_decompose(parser, args) -> int:
 def _cmd_table(parser, args) -> int:
     char_id = _parse_char(parser, args.char)
     degree = _capped_degree(args.degree)
-    if args.basis == "M":
-        values = _row_strings(characters.restrict(char_id, degree), degree)
-    else:
-        values = [str(characters.eval_F(char_id, alpha)) for alpha in all_compositions(degree)]
-    *_, names = _composition_names(degree, degree, args.json)
+    phi = characters.restrict(char_id, degree)
+    row, d = phi.numerators[degree], phi.denominators[degree]
+    if args.basis == "F":
+        # phi(F_alpha) sums phi(M_beta) over the refinements beta of alpha,
+        # whose masks contain alpha's
+        row = _mask_pass(row, degree, True, 1)
+    # the walk reaches degree through every degree below it
+    for prefixes, ends in _composition_heads(degree, degree, args.json):
+        pass
     if args.json:
         sys.stdout.write('{"char": %s, "basis": "%s", "degree": %d, "values": ['
                          % (json.dumps(char_id), args.basis, degree))
-        tail, sep = ', "value": "%s"}', ", "
+        # the first entry is led by no separator
+        prefixes[0] = prefixes[0].removeprefix(", ")
+        tail = ', "value": "%s"}'
     else:
-        tail, sep = "  %s\n", ""
-    tails = {v: tail % v for v in set(values)}
-    _write_entries(map(str.__add__, names, map(tails.__getitem__, values)), sep)
+        tail = "  %s\n"
+    tails = {v: tail % text for v, text in _value_texts(row, d).items()}
+    _write_pieces(prefixes, ends, map(tails.__getitem__, row))
     if args.json:
         sys.stdout.write("]}\n")
     return 0

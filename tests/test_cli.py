@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import io
 import json
 import os
@@ -92,6 +93,29 @@ def test_element_commands_match_golden_output(capsys):
     for case in golden:
         code, out, _ = run(capsys, *case["argv"])
         assert (code, out) == (0, case["stdout"]), case["argv"]
+
+
+# the exit code and the sha256 of stdout of each command, written while the
+# table writer still joined one string per entry
+with open(pathlib.Path(__file__).with_name("golden_cli_outputs.json")) as f:
+    GOLDEN_OUTPUTS = json.load(f)
+
+
+def test_golden_cli_outputs_cover_the_named_commands():
+    want = [["decompose", "--degree", degree, "--char", char, *flag]
+            for degree in ("13", "16") for char in ("zeta", "zeta-inv")
+            for flag in ((), ("--json",))]
+    want += [["table", "--char", char, "--basis", basis, "--degree", "12", *flag]
+             for char in ("zeta-minus", "counit", "zeta-pow:-2") for basis in ("M", "F")
+             for flag in ((), ("--json",))]
+    assert [case["argv"] for case in GOLDEN_OUTPUTS] == want
+
+
+@pytest.mark.parametrize("case", GOLDEN_OUTPUTS, ids=lambda case: " ".join(case["argv"]))
+def test_cli_output_matches_its_golden_hash(capsys, case):
+    code, out, _ = run(capsys, *case["argv"])
+    assert (code, hashlib.sha256(out.encode()).hexdigest()) == (
+        case["code"], case["stdout_sha256"])
 
 
 def test_table(capsys):
@@ -224,12 +248,35 @@ def test_decompose_streams_a_planted_mismatch(capsys, monkeypatch, char, side):
     assert _assert_streams_the_whole_table(capsys, char, 6) == 1
 
 
+# chunk sizes in list slots: 1 and 2 are below the pieces of one entry, so
+# each chunk holds one entry, and 4096 is the default
+CHUNKS = (1, 2, 3, 5, 4096)
+
+
 def test_decompose_writes_chunks_that_join_to_the_whole_table(capsys, monkeypatch):
-    # a chunk boundary inside every degree above 2, and the planted
-    # mismatch inside a chunk of degree 6
-    monkeypatch.setattr(cli, "_CHUNK", 3)
+    # chunk boundaries inside every degree above 1 for the small chunks,
+    # the planted mismatch of degree 6 inside a chunk for the largest
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert _assert_streams_the_whole_table(capsys, "zeta", 9) == 0, chunk
     _plant_one_wrong(monkeypatch, "zeta-minus")
-    assert _assert_streams_the_whole_table(capsys, "zeta", 6) == 1
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        assert _assert_streams_the_whole_table(capsys, "zeta", 9) == 1, chunk
+
+
+def test_chunks_hold_at_most_chunk_pieces_and_one_entry(monkeypatch):
+    # a text table writes only its entries, three pieces each
+    writes = []
+    monkeypatch.setattr(sys, "stdout", type("Writes", (), {"write": writes.append})())
+    for chunk in CHUNKS:
+        monkeypatch.setattr(cli, "_CHUNK", chunk)
+        writes.clear()
+        assert cli._cmd_table(None, argparse.Namespace(
+            char="zeta", basis="M", degree=9, json=False)) == 0
+        per_write = max(chunk // 3, 1)
+        assert len(writes) == -(-256 // per_write), chunk
+        assert all(w.count("\n") == per_write for w in writes[:-1]), chunk
 
 
 def _whole_value_table(char, basis, degree):
@@ -250,8 +297,9 @@ def _whole_value_table(char, basis, degree):
     return json.dumps(payload) + "\n", "".join(lines)
 
 
-# with chunks of 3 entries, chunk boundaries fall inside degrees 6 and 9
-@pytest.mark.parametrize("chunk", [None, 3])
+# None keeps the default _CHUNK; the sizes below 4096 put chunk boundaries
+# inside degrees 6 and 9
+@pytest.mark.parametrize("chunk", [None, *CHUNKS])
 @pytest.mark.parametrize("basis", ["M", "F"])
 @pytest.mark.parametrize("char", ["zeta-minus", "zeta-inv-plus", "counit", "zeta-pow:-2"])
 def test_table_streams_the_whole_table_bytes(capsys, monkeypatch, char, basis, chunk):
@@ -265,13 +313,18 @@ def test_table_streams_the_whole_table_bytes(capsys, monkeypatch, char, basis, c
 
 
 def test_composition_texts_walk_matches_all_compositions():
-    walk = cli._composition_texts(12, "[", ", ", "]", "[]")
-    for n, texts in enumerate(walk):
-        assert list(texts) == [str(list(alpha)) for alpha in all_compositions(n)], n
-    assert n == 12
-    walk = cli._composition_texts(5, "", ",", "", "()")
-    for n, texts in enumerate(walk):
-        assert list(texts) == [format_composition(alpha) for alpha in all_compositions(n)], n
+    def joined(walk):
+        return [list(map(str.__add__, prefixes, ends)) for prefixes, ends in walk]
+
+    assert joined(cli._composition_pieces(12, "[", ", ", "]", "[]")) == [
+        [str(list(alpha)) for alpha in all_compositions(n)] for n in range(13)
+    ]
+    # unpadded, and padded to the widest name of weight 12, 1,1,...,1
+    for width in (0, 23):
+        assert joined(cli._composition_pieces(12, "", ",", "", "()", width)) == [
+            [format_composition(alpha).ljust(width) for alpha in all_compositions(n)]
+            for n in range(13)
+        ], width
 
 
 def test_decompose_degree_env_default(capsys, monkeypatch):
@@ -314,10 +367,13 @@ def test_every_command_takes_json_last():
 
 def test_degree_cap_warning(capsys, monkeypatch):
     monkeypatch.setenv("QSYMX_MAX_DEGREE", "99")
-    code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "19", "--json")
+    code, out, err = run(capsys, "table", "--char", "counit", "--basis", "M", "--degree", "21", "--json")
     assert code == 0
     assert "hard cap" in err
-    assert json.loads(out)["degree"] == 18
+    # the header and the entry count, without parsing 2^19 entries
+    assert cli.HARD_DEGREE_CAP == 20
+    assert out.startswith('{"char": "counit", "basis": "M", "degree": 20, "values": [')
+    assert out.count('{"comp": ') == 1 << 19
 
 
 def test_verify_single_and_all(capsys):
