@@ -277,10 +277,18 @@ def _reduced(row, d: int):
 
 
 def _over_lcm(values):
-    """(numerators, d): ints or Fractions put over d, the lcm of their
-    denominators, which leaves gcd(d, *numerators) == 1."""
-    d = lcm(*(v.denominator for v in values))
-    return [v.numerator * (d // v.denominator) for v in values], d
+    """(numerators, d): exact values put over d, the lcm of their
+    denominators, which leaves gcd(d, *numerators) == 1.  Only a row with a
+    value other than an int or a Fraction goes through exactnum.as_fraction
+    value by value, so a bool or a float raises TypeError."""
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values, 1
+    if not kinds <= {int, Fraction}:
+        values = [en.as_fraction(v) for v in values]
+    denominators = [v.denominator for v in values]
+    d = lcm(*denominators)
+    return [v.numerator * (d // e) for v, e in zip(values, denominators)], d
 
 
 class TruncatedCharacter:
@@ -289,24 +297,21 @@ class TruncatedCharacter:
     composition of n, indexed by partial-sum bitmask).  The value at mask
     in degree n is numerators[n][mask] / denominators[n], with every row
     reduced (gcd(denominators[n], *numerators[n]) == 1), so equal
-    characters have equal rows.  The constructor takes ints as they are and
-    every other value (a Fraction or a "p/q" string) through
-    exactnum.as_fraction, so a bool or a float raises TypeError; ``tables``
-    and ``value`` hand out Fractions."""
+    characters have equal rows.  The constructor takes each row in one pass
+    (_over_lcm), so a bool or a float raises TypeError, and a "p/q" string
+    is read as a Fraction; ``tables`` and ``value`` hand out Fractions."""
 
     __slots__ = ("max_degree", "numerators", "denominators")
 
     def __init__(self, max_degree: int, tables):
         _require_degree(max_degree)
-        # an int has a numerator and a denominator of its own
-        tables = [[v if type(v) is int else en.as_fraction(v) for v in row] for row in tables]
-        if len(tables) != max_degree + 1:
+        rows = [_over_lcm(list(row)) for row in tables]
+        if len(rows) != max_degree + 1:
             raise ValueError("expected %d degree tables" % (max_degree + 1,))
-        for n, row in enumerate(tables):
+        for n, (row, _) in enumerate(rows):
             want = 1 if n == 0 else 1 << (n - 1)
             if len(row) != want:
                 raise ValueError("degree-%d table must have %d entries" % (n, want))
-        rows = [_over_lcm(row) for row in tables]
         self.max_degree = max_degree
         self.numerators = tuple(tuple(row) for row, _ in rows)
         self.denominators = tuple(d for _, d in rows)
@@ -429,16 +434,17 @@ def _proper_cuts(left, right, n: int, factors) -> list[int]:
     entry of the shorter of the two rows, with factors[s] folded into that
     entry: r * left[s] over the contiguous block of 2^(s-1) masks that share
     high, or l * right[n - s] over the masks of stride 2^s that share low.
-    A factor of 0 skips its cut, and neither of its rows is read.  Only
+    A cut is skipped where its factor is 0, reading neither row, or where
+    it meets an all-zero row, as every odd row of phi_+ is.  Only
     degrees 1..n-1 of left and right are read, so a recursion may pass
     tables that end at degree n - 1.
     """
     row = [0] * (1 << (n - 1))
     for s in range(1, n):
         f = factors[s]
-        if not f:
-            continue
         a, b = left[s], right[n - s]
+        if not (f and any(a) and any(b)):
+            continue
         half = 1 << (s - 1)
         if len(b) <= len(a):
             for high, r in enumerate(b):

@@ -23,14 +23,32 @@ walks the set bits of every mask one at a time; it is the reference for
 the block kernel ``characters._proper_cuts`` on integer rows.  The walk
 keeps the terms of each cut apart (``cut_rows``), so that one walk serves
 every factor vector of a pair (``cut_sum``).
+
+``over_lcm`` is the constructor's former conversion of a table to rows,
+value by value: the reference for the one-pass conversion of
+``TruncatedCharacter``.
 """
 
 from fractions import Fraction
 from math import lcm
 
 from qsymx import characters as ch
+from qsymx import exactnum as en
 from qsymx.characters import TruncatedCharacter
 from qsymx.compositions import all_compositions, to_index
+
+
+def over_lcm(tables):
+    """(numerators, denominators) of a table as the constructor once stored
+    them: ints as they are and every other value through
+    exactnum.as_fraction, then each row over the lcm of its denominators."""
+    tables = [[v if type(v) is int else en.as_fraction(v) for v in row] for row in tables]
+    denominators = tuple(lcm(*(v.denominator for v in row)) for row in tables)
+    numerators = tuple(
+        tuple(v.numerator * (d // v.denominator) for v in row)
+        for row, d in zip(tables, denominators)
+    )
+    return numerators, denominators
 
 
 def cut_rows(left, right, n: int) -> list[list[int]]:

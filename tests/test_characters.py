@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -138,6 +139,54 @@ def test_truncated_character_rejects_floats():
         ch.TruncatedCharacter(1, [[True], [False]])
     exact = ch.TruncatedCharacter(1, [[1], ["1/10"]])
     assert exact.tables == ((Fraction(1),), (Fraction(1, 10),))
+    # a row of ints, of Fractions, of both or of "p/q" strings with one bool
+    # or float in it is refused too: rows of ints and Fractions skip the
+    # per-value conversion, so the type of every value is tested first
+    for row in ([1, 2], [Fraction(1, 2), Fraction(1, 3)], [1, Fraction(1, 3)], ["1/2", "3"]):
+        for bad in (True, False, 1.0, 0.5):
+            with pytest.raises(TypeError):
+                ch.TruncatedCharacter(2, [[1], [1], [row[0], bad]])
+            with pytest.raises(TypeError):
+                ch.TruncatedCharacter(2, [[1], [1], [bad, row[1]]])
+    # a Decimal is not refused: exactnum.as_fraction converts it exactly,
+    # as it does where QSym elements are built
+    assert ch.TruncatedCharacter(1, [[1], [Decimal("0.1")]]) == exact
+
+
+class _Int(int):
+    pass
+
+
+class _Fraction(Fraction):
+    pass
+
+
+def test_truncated_character_converts_as_the_former_constructor():
+    rng = random.Random(33)
+    degree = 7
+
+    def fraction():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+
+    values = {
+        "int": lambda: rng.randint(-9, 9),
+        "Fraction": fraction,
+        "int and Fraction": lambda: rng.choice((rng.randint(-9, 9), fraction())),
+        "p/q": lambda: "%d/%d" % (rng.randint(-9, 9), rng.randint(1, 7)),
+        "int subclass": lambda: _Int(rng.randint(-9, 9)),
+        "Fraction subclass": lambda: _Fraction(fraction()),
+        "int and int subclass": lambda: rng.choice((rng.randint(-9, 9), _Int(2))),
+        "Decimal": lambda: Decimal(rng.randint(-99, 99)) / 8,
+    }
+    for kind, value in values.items():
+        tables = [[value()]] + [[value() for _ in range(1 << (n - 1))]
+                                for n in range(1, degree + 1)]
+        phi = ch.TruncatedCharacter(degree, tables)
+        assert (phi.numerators, phi.denominators) == ref.over_lcm(tables), kind
+        assert all(type(v) is int for row in phi.numerators for v in row), kind
+        # rows given as tuples or as iterators are read the same way
+        for rows in (map(tuple, tables), (iter(row) for row in tables)):
+            assert ch.TruncatedCharacter(degree, rows) == phi, kind
 
 
 def test_truncated_character_rejects_a_non_int_degree():
@@ -517,6 +566,27 @@ def test_kernel_skips_a_cut_whose_factor_is_0():
         [[1], [2], [0, 0], [3, 4, 5, 6]], [[1], [7], [0, 0], [8, 9, 10, 11]], 4, [0, 1, 0, 1])
 
 
+class _Unmeasured(list):
+    """A row whose length the kernel must not take: it measures only the
+    rows of a cut it adds."""
+
+    def __len__(self):
+        raise AssertionError("the kernel measured a row of a cut it skips")
+
+
+def test_kernel_skips_a_cut_that_meets_a_zero_row():
+    # each cut meets a zero row, on the left at odd s and on the right at
+    # even s, and a nonzero row that may not be measured on the other side
+    def row(m, zero):
+        size = 1 if m == 0 else 1 << (m - 1)
+        return [0] * size if zero else _Unmeasured(range(1, size + 1))
+
+    for n in range(2, 9):
+        left = [row(m, m % 2) for m in range(n)]
+        right = [row(m, (n - m) % 2 == 0) for m in range(n)]
+        assert ch._proper_cuts(left, right, n, [1] * (n + 1)) == [0] * (1 << (n - 1))
+
+
 def _raise(*args):
     raise AssertionError("the oracle called a closed-form route")
 
@@ -743,3 +813,37 @@ def test_inverse_matches_reference(phi):
 @given(st.integers(0, MAX_DEGREE).flatmap(functionals))
 def test_decompose_matches_reference(phi):
     assert ch.decompose(phi) == ref.decompose(phi)
+
+
+def _zero_row_characters(rng, degree):
+    """(characters, phi_-): characters with phi(1) = 1 and all-zero rows,
+    and the odd part of a seeded functional.  They are phi_+ of that
+    functional, zeta-plus and zeta-inv-plus (zero in every odd degree), the
+    counit (zero from degree 1 on) and a seeded functional whose row in one
+    even degree is zero."""
+    plus, minus = ch.decompose(_seeded_functional(rng, degree))
+    tables = [list(row) for row in _seeded_functional(rng, degree).tables]
+    if degree >= 2:
+        even = 2 * rng.randint(1, degree // 2)
+        tables[even] = [0] * len(tables[even])
+    characters = [plus, ch.TruncatedCharacter(degree, tables)]
+    characters += [ch.restrict(c, degree) for c in (ch.ZETA_PLUS, ch.ZETA_INV_PLUS, ch.COUNIT)]
+    return characters, minus
+
+
+def test_oracle_on_zero_rows_matches_reference():
+    # the kernel skips every cut that meets a zero row; the literal route
+    # adds every term
+    rng = random.Random(34)
+    # every kind up to degree 8, and phi_+ at degree 10, where the literal
+    # route takes about 0.2 s per character
+    cases = [_zero_row_characters(rng, degree) for degree in range(9)]
+    characters, minus = _zero_row_characters(rng, 10)
+    cases.append((characters[:1], minus))
+    for characters, minus in cases:
+        for phi in characters:
+            degree = phi.max_degree
+            assert ch.inverse(phi) == ref.inverse(phi), degree
+            assert ch.decompose(phi) == ref.decompose(phi), degree
+            for left, right in ((phi, minus), (minus, phi)):
+                assert ch.convolve(left, right) == ref.convolve(left, right), degree
