@@ -51,6 +51,9 @@ walks its signed census of all compositions of m with ``_gap_step`` too.
 
 Character ids are stable strings: "zeta", "zeta-plus", "zeta-minus",
 "zeta-inv", "zeta-inv-plus", "zeta-inv-minus", "counit", "zeta-pow:<m>".
+The closed forms read "counit", "zeta" and "zeta-inv" as the powers
+zeta^0, zeta^1 and zeta^-1, whose values are C(m, k(alpha)) on M_alpha and
+C(m + n - k(alpha), n) on F_alpha for alpha of weight n.
 """
 
 import re
@@ -127,10 +130,16 @@ def zeta_power(m: int) -> str:
     return "%s%d" % (_POW_PREFIX, m)
 
 
+_POWERS = {COUNIT: 0, ZETA: 1, ZETA_INV: -1}
+
+
 @lru_cache(maxsize=256)
 def _parse_id(char_id: str):
-    """Split an id into (kind, power); power is None except for zeta-pow.
-    Memoized: every eval_M and eval_F call parses its id."""
+    """Split an id into (kind, power); power is None except for zeta-pow,
+    the kind of the counit, zeta and zeta-inv too, as zeta^0, zeta^1 and
+    zeta^-1.  Memoized: every eval_M and eval_F call parses its id."""
+    if char_id in _POWERS:
+        return "zeta-pow", _POWERS[char_id]
     if char_id in CHARACTER_IDS:
         return char_id, None
     if char_id.startswith(_POW_PREFIX):
@@ -151,45 +160,32 @@ def _closed_M(kind: str, power, n: int, shape) -> Fraction:
     parts, and 1 or 0 for an odd or even first and last part.  The empty
     composition has shape (0, 0, 0, 0)."""
     k, k_o, first_odd, last_odd = shape
-    if kind == "counit":
-        return Fraction(1 if k == 0 else 0)
-    if kind == "zeta":
-        return Fraction(1 if k <= 1 else 0)
     if kind == "zeta-pow":
         return Fraction(en.falling_binomial(power, k))
-    if kind == "zeta-inv":
-        return Fraction(-1 if k % 2 else 1)
     if k == 0:
         return Fraction(1)
 
     k_e = k - k_o
-    if kind == "zeta-minus":
-        if not last_odd:
+    if kind in (ZETA_MINUS, ZETA_INV_MINUS):
+        # zeta-minus needs an odd last part, zeta-inv-minus an odd first
+        # part and the sign (-1)^k in place of (-1)^k_e
+        inv = kind == ZETA_INV_MINUS
+        if not (first_odd if inv else last_odd):
             return Fraction(0)
         h = k_o // 2
-        sign = -1 if k_e % 2 else 1
+        sign = -1 if (k if inv else k_e) % 2 else 1
         return Fraction(sign * en.bivariate_catalan(0, h), 4 ** h)
-    if kind == "zeta-plus":
-        if n % 2:
-            return Fraction(0)
+    if n % 2:
+        return Fraction(0)
+    if kind == ZETA_PLUS:
         if k == 1:
             return Fraction(1)
         if first_odd and last_odd:
             sign = 1 if k_e % 2 else -1
             return Fraction(sign * en.bivariate_catalan(1, k_o // 2 - 1), 2 ** k_o)
         return Fraction(0)
-    if kind == "zeta-inv-minus":
-        if not first_odd:
-            return Fraction(0)
-        h = k_o // 2
-        sign = -1 if k % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(0, h), 4 ** h)
-    if kind == "zeta-inv-plus":
-        if n % 2:
-            return Fraction(0)
-        sign = -1 if k % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(0, k_o // 2), 2 ** k_o)
-    raise AssertionError(kind)
+    sign = -1 if k % 2 else 1  # zeta-inv-plus
+    return Fraction(sign * en.bivariate_catalan(0, k_o // 2), 2 ** k_o)
 
 
 def eval_M(char_id: str, alpha: Composition) -> Fraction:
@@ -205,44 +201,28 @@ def eval_M(char_id: str, alpha: Composition) -> Fraction:
 
 def eval_F(char_id: str, alpha: Composition) -> Fraction:
     """Value of a closed-form character on the fundamental basis element of
-    alpha; a part that is not a positive int raises ValueError."""
+    alpha; a part that is not a positive int raises ValueError.
+
+    The parts take one rule: (-1)^p C(p, n//2 - p) / 4^(n//2), p being
+    p_minus of alpha (zeta-minus) or of its reversal (zeta-inv-minus), or
+    p_plus of alpha (zeta-plus) or of its conjugate (zeta-inv-plus).  The
+    even parts are 0 in odd weight n, and the inverse's parts take the
+    extra sign (-1)^n, which is 1 wherever zeta-inv-plus is not 0."""
     kind, power = _parse_id(char_id)
     alpha = composition(alpha)
     n = sum(alpha)
-    k = len(alpha)
-    if kind == "counit":
-        return Fraction(1 if k == 0 else 0)
-    if kind == "zeta":
-        return Fraction(1 if k <= 1 else 0)
     if kind == "zeta-pow":
-        return Fraction(en.falling_binomial(power + n - k, n))
-    if kind == "zeta-inv":
-        if all(a == 1 for a in alpha):
-            return Fraction(-1 if n % 2 else 1)
-        return Fraction(0)
-    if kind == "zeta-minus":
-        p = p_minus(alpha)
-        fl = n // 2
-        sign = -1 if p % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(p, fl - p), 4 ** fl)
-    if kind == "zeta-plus":
+        return Fraction(en.falling_binomial(power + n - len(alpha), n))
+    inv = kind in (ZETA_INV_MINUS, ZETA_INV_PLUS)
+    if kind in (ZETA_PLUS, ZETA_INV_PLUS):
         if n % 2:
             return Fraction(0)
-        q = p_plus(alpha)
-        sign = -1 if q % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(q, n // 2 - q), 2 ** n)
-    if kind == "zeta-inv-minus":
-        p = p_minus(reversal(alpha))
-        fl = n // 2
-        sign = -1 if (n + p) % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(p, fl - p), 4 ** fl)
-    if kind == "zeta-inv-plus":
-        if n % 2:
-            return Fraction(0)
-        q = p_plus(conjugate(alpha))
-        sign = -1 if q % 2 else 1
-        return Fraction(sign * en.bivariate_catalan(q, n // 2 - q), 2 ** n)
-    raise AssertionError(kind)
+        p = p_plus(conjugate(alpha) if inv else alpha)
+    else:
+        p = p_minus(reversal(alpha) if inv else alpha)
+    half = n // 2
+    sign = -1 if (p + n * inv) % 2 else 1
+    return Fraction(sign * en.bivariate_catalan(p, half - p), 4 ** half)
 
 
 def eval_element(char_id: str, x: QSymElement) -> Fraction:
@@ -280,7 +260,7 @@ def _over_lcm(values):
     """(numerators, d): exact values put over d, the lcm of their
     denominators, which leaves gcd(d, *numerators) == 1.  Only a row with a
     value other than an int or a Fraction goes through exactnum.as_fraction
-    value by value, so a bool or a float raises TypeError."""
+    value by value, so a bool, a float or a Decimal raises TypeError."""
     kinds = set(map(type, values))
     if kinds <= {int}:
         return values, 1
@@ -298,8 +278,9 @@ class TruncatedCharacter:
     in degree n is numerators[n][mask] / denominators[n], with every row
     reduced (gcd(denominators[n], *numerators[n]) == 1), so equal
     characters have equal rows.  The constructor takes each row in one pass
-    (_over_lcm), so a bool or a float raises TypeError, and a "p/q" string
-    is read as a Fraction; ``tables`` and ``value`` hand out Fractions."""
+    (_over_lcm), so a bool, a float or a Decimal raises TypeError, and a
+    string such as "p/q" or "0.5" is read as a Fraction; ``tables`` and
+    ``value`` hand out Fractions."""
 
     __slots__ = ("max_degree", "numerators", "denominators")
 

@@ -36,17 +36,20 @@ __all__ = [
 
 
 def as_fraction(value) -> Fraction:
-    """Coerce an exact value (int, Fraction, or "p/q" string) to Fraction.
-    A Fraction is returned as it is.
+    """Coerce an exact value to Fraction: an int, a Fraction (returned as
+    it is when its type is Fraction) or a string that Fraction reads
+    exactly, such as "p/q", "-3", "0.5" or "1e-1".  Anything else raises
+    TypeError.
 
     Floats are rejected: Fraction(0.1) would quietly encode the binary
     approximation, which is precisely the failure mode exact arithmetic is
-    here to rule out.  Bools are rejected too: True is an int to Fraction,
+    here to rule out.  So are Decimals, which may hold that approximation
+    (Decimal(0.1)).  Bools are rejected too: True is an int to Fraction,
     but never a coefficient anyone meant.
     """
     if type(value) is Fraction:
         return value
-    if isinstance(value, (float, bool)):
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction, str)):
         raise TypeError(
             "refusing %s coefficient %r; use Fraction or an int"
             % (type(value).__name__, value)

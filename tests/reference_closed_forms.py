@@ -1,22 +1,34 @@
 """The definitional closed-form route: the M-basis closed forms evaluated
-one composition at a time from its part statistics (``stats``).
+one composition at a time from its part statistics (``stats``), and the
+F-basis closed forms written once per character.
 
 This is how the package evaluated them before ``characters._closed_M`` was
 keyed by the shape of a composition and ``restrict`` walked the shapes of a
-whole degree at once.  It stays here, slow and literal, as the reference
-that ``eval_M`` and ``restrict`` are compared against.  ``stats`` is the
-part-statistics record the package computed for every composition before
-its closed forms and identity checks counted the statistics they need
-inline.  ``refines`` is the refinement order by its definition, the
-reference for ``compositions.refinements`` and ``coarsenings``.
+whole degree at once, and before the counit, zeta and zeta-inv were read
+as powers of zeta and the four parts on F shared one peak rule.  It stays
+here, slow and literal, with its own reading of the ids (``parse_id``), as
+the reference that ``eval_M``, ``eval_F`` and ``restrict`` are compared
+against.  ``stats`` is the part-statistics record the package computed for
+every composition before its closed forms and identity checks counted the
+statistics they need inline.  ``refines`` is the refinement order by its
+definition, the reference for ``compositions.refinements`` and
+``coarsenings``.
 """
 
 from fractions import Fraction
 from typing import NamedTuple
 
 from qsymx import exactnum as en
-from qsymx.characters import TruncatedCharacter, _parse_id
-from qsymx.compositions import Composition, all_compositions, to_index
+from qsymx.characters import CHARACTER_IDS, TruncatedCharacter
+from qsymx.compositions import (
+    Composition,
+    all_compositions,
+    conjugate,
+    p_minus,
+    p_plus,
+    reversal,
+    to_index,
+)
 
 
 class CompositionStats(NamedTuple):
@@ -63,10 +75,19 @@ def refines(beta: Composition, alpha: Composition) -> bool:
     return a & b == a
 
 
+def parse_id(char_id: str):
+    """(kind, power) of a valid id: the id itself and None, or "zeta-pow"
+    and the power of "zeta-pow:<m>"."""
+    if char_id in CHARACTER_IDS:
+        return char_id, None
+    kind, _, power = char_id.partition(":")
+    return kind, int(power)
+
+
 def eval_M(char_id: str, alpha: Composition) -> Fraction:
     """Value of a closed-form character on the monomial basis element of
     alpha."""
-    kind, power = _parse_id(char_id)
+    kind, power = parse_id(char_id)
     k = len(alpha)
     if kind == "counit":
         return Fraction(1 if k == 0 else 0)
@@ -107,6 +128,47 @@ def eval_M(char_id: str, alpha: Composition) -> Fraction:
             return Fraction(0)
         sign = -1 if k % 2 else 1
         return Fraction(sign * en.bivariate_catalan(0, st.k_o // 2), 2 ** st.k_o)
+    raise AssertionError(kind)
+
+
+def eval_F(char_id: str, alpha: Composition) -> Fraction:
+    """Value of a closed-form character on the fundamental basis element of
+    alpha."""
+    kind, power = parse_id(char_id)
+    n = sum(alpha)
+    k = len(alpha)
+    if kind == "counit":
+        return Fraction(1 if k == 0 else 0)
+    if kind == "zeta":
+        return Fraction(1 if k <= 1 else 0)
+    if kind == "zeta-pow":
+        return Fraction(en.falling_binomial(power + n - k, n))
+    if kind == "zeta-inv":
+        if all(a == 1 for a in alpha):
+            return Fraction(-1 if n % 2 else 1)
+        return Fraction(0)
+    if kind == "zeta-minus":
+        p = p_minus(alpha)
+        fl = n // 2
+        sign = -1 if p % 2 else 1
+        return Fraction(sign * en.bivariate_catalan(p, fl - p), 4 ** fl)
+    if kind == "zeta-plus":
+        if n % 2:
+            return Fraction(0)
+        q = p_plus(alpha)
+        sign = -1 if q % 2 else 1
+        return Fraction(sign * en.bivariate_catalan(q, n // 2 - q), 2 ** n)
+    if kind == "zeta-inv-minus":
+        p = p_minus(reversal(alpha))
+        fl = n // 2
+        sign = -1 if (n + p) % 2 else 1
+        return Fraction(sign * en.bivariate_catalan(p, fl - p), 4 ** fl)
+    if kind == "zeta-inv-plus":
+        if n % 2:
+            return Fraction(0)
+        q = p_plus(conjugate(alpha))
+        sign = -1 if q % 2 else 1
+        return Fraction(sign * en.bivariate_catalan(q, n // 2 - q), 2 ** n)
     raise AssertionError(kind)
 
 

@@ -125,6 +125,15 @@ def test_closed_forms_match_the_per_composition_reference(char_id):
         assert ch.eval_M(char_id, alpha) == reference_closed_forms.eval_M(char_id, alpha)
 
 
+@pytest.mark.parametrize("char_id", REFERENCE_IDS)
+def test_eval_F_matches_the_per_character_reference(char_id):
+    # every composition of weight <= 10, and the longest and shortest
+    # compositions of each weight up to the degree cap
+    alphas = comps_up_to(10) + [a for n in range(1, 21) for a in ((1,) * n, (n,))]
+    for alpha in alphas:
+        assert ch.eval_F(char_id, alpha) == reference_closed_forms.eval_F(char_id, alpha), alpha
+
+
 def test_truncated_character_validation():
     with pytest.raises(ValueError):
         ch.TruncatedCharacter(1, [[Fraction(1)]])
@@ -139,18 +148,19 @@ def test_truncated_character_rejects_floats():
         ch.TruncatedCharacter(1, [[True], [False]])
     exact = ch.TruncatedCharacter(1, [[1], ["1/10"]])
     assert exact.tables == ((Fraction(1),), (Fraction(1, 10),))
-    # a row of ints, of Fractions, of both or of "p/q" strings with one bool
-    # or float in it is refused too: rows of ints and Fractions skip the
-    # per-value conversion, so the type of every value is tested first
+    for text in ("0.1", "1e-1"):
+        assert ch.TruncatedCharacter(1, [[1], [text]]) == exact
+    # a row of ints, of Fractions, of both or of "p/q" strings with one bool,
+    # float or Decimal in it is refused too: rows of ints and Fractions skip
+    # the per-value conversion, so the type of every value is tested first.
+    # Decimal(0.1) holds the binary approximation of 0.1, which Fraction
+    # would take as exact: 3602879701896397/36028797018963968.
     for row in ([1, 2], [Fraction(1, 2), Fraction(1, 3)], [1, Fraction(1, 3)], ["1/2", "3"]):
-        for bad in (True, False, 1.0, 0.5):
+        for bad in (True, False, 1.0, 0.5, Decimal(0.1), Decimal("0.1"), Decimal(3)):
             with pytest.raises(TypeError):
                 ch.TruncatedCharacter(2, [[1], [1], [row[0], bad]])
             with pytest.raises(TypeError):
                 ch.TruncatedCharacter(2, [[1], [1], [bad, row[1]]])
-    # a Decimal is not refused: exactnum.as_fraction converts it exactly,
-    # as it does where QSym elements are built
-    assert ch.TruncatedCharacter(1, [[1], [Decimal("0.1")]]) == exact
 
 
 class _Int(int):
@@ -176,7 +186,7 @@ def test_truncated_character_converts_as_the_former_constructor():
         "int subclass": lambda: _Int(rng.randint(-9, 9)),
         "Fraction subclass": lambda: _Fraction(fraction()),
         "int and int subclass": lambda: rng.choice((rng.randint(-9, 9), _Int(2))),
-        "Decimal": lambda: Decimal(rng.randint(-99, 99)) / 8,
+        "decimal string": lambda: "%d.%03d" % (rng.randint(-9, 9), rng.randint(0, 999)),
     }
     for kind, value in values.items():
         tables = [[value()]] + [[value() for _ in range(1 << (n - 1))]

@@ -1,8 +1,22 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from qsymx import exactnum as en
+
+
+def test_as_fraction_reads_exact_values_only():
+    for value, expected in ((3, 3), (Fraction(1, 3), Fraction(1, 3)), ("-3/6", Fraction(-1, 2)),
+                            ("-3", -3), ("0.5", Fraction(1, 2)), ("1e-1", Fraction(1, 10))):
+        assert en.as_fraction(value) == expected and type(en.as_fraction(value)) is Fraction
+    # Decimal(0.1) holds the binary approximation of 0.1; a Decimal is
+    # refused whatever it holds, as a float and a bool are
+    for bad in (0.5, True, Decimal(0.1), Decimal("0.1"), Decimal(2), None, [1]):
+        with pytest.raises(TypeError, match="refusing"):
+            en.as_fraction(bad)
+    with pytest.raises(ValueError):
+        en.as_fraction("0.1.2")
 
 
 def test_binomial_basic():

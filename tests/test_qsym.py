@@ -168,6 +168,12 @@ def test_float_coefficients_rejected():
         qs.QSymElement("M", {(1,): True})
     with pytest.raises(TypeError):
         qs.element_from_json({"basis": "M", "terms": [{"comp": [1], "coeff": True}]})
+    # a Decimal may hold a float's binary approximation (Decimal(0.1))
+    for bad in (Decimal(0.1), Decimal("0.5"), Decimal(1)):
+        with pytest.raises(TypeError):
+            qs.qsym_basis("M", (1,), bad)
+        with pytest.raises(TypeError):
+            qs.QSymElement("F", {(1,): bad})
     # exact strings and Fractions are fine
     assert qs.qsym_basis("M", (1,), "3/2").coeffs == {(1,): Fraction(3, 2)}
 
@@ -650,6 +656,10 @@ def test_element_from_json_is_exact():
     # {"coeff": 0.1} was stored as 3602879701896397/36028797018963968
     with pytest.raises(TypeError):
         qs.element_from_json({"basis": "M", "terms": [{"comp": [1], "coeff": 0.1}]})
+    # JSON read with parse_float=Decimal gives a Decimal, refused too
+    blob = '{"basis": "M", "terms": [{"comp": [1], "coeff": 0.5}]}'
+    with pytest.raises(TypeError):
+        qs.element_from_json(json.loads(blob, parse_float=Decimal))
     with pytest.raises(ValueError):
         qs.element_from_json({"basis": "G", "terms": []})
     repeated = [{"comp": [1], "coeff": "1/2"}, {"comp": [1], "coeff": 1}]
