@@ -58,7 +58,6 @@ C(m + n - k(alpha), n) on F_alpha for alpha of weight n.
 
 import re
 from fractions import Fraction
-from functools import lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 
@@ -133,11 +132,10 @@ def zeta_power(m: int) -> str:
 _POWERS = {COUNIT: 0, ZETA: 1, ZETA_INV: -1}
 
 
-@lru_cache(maxsize=256)
 def _parse_id(char_id: str):
     """Split an id into (kind, power); power is None except for zeta-pow,
     the kind of the counit, zeta and zeta-inv too, as zeta^0, zeta^1 and
-    zeta^-1.  Memoized: every eval_M and eval_F call parses its id."""
+    zeta^-1."""
     if char_id in _POWERS:
         return "zeta-pow", _POWERS[char_id]
     if char_id in CHARACTER_IDS:

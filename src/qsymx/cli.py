@@ -36,42 +36,47 @@ EXIT_BROKEN_PIPE = 141
 _CHAR_CHOICES = ", ".join(characters.CHARACTER_IDS) + ", zeta-pow:<m>"
 
 
-def _parse_char(parser: argparse.ArgumentParser, text: str) -> str:
+def _arg_type(parse):
+    """The argparse type of an input that parse reads: its ValueError is a
+    usage error that names the command and the flag."""
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return read
+
+
+def _char_id(text: str) -> str:
+    """text, if eval_M takes it as a character id."""
     try:
         characters.eval_M(text, ())
     except ValueError:
-        parser.error("unknown character id %r (expected one of: %s)" % (text, _CHAR_CHOICES))
+        raise ValueError(
+            "unknown character id %r (expected one of: %s)" % (text, _CHAR_CHOICES)
+        ) from None
     return text
 
 
-def _parse_comp(parser: argparse.ArgumentParser, text: str):
-    try:
-        return parse_composition(text)
-    except ValueError as exc:
-        parser.error(str(exc))
-
-
-def _degree_arg(text: str) -> int:
-    """argparse type of --degree: a non-negative int in ASCII digits."""
+def _degree(text: str) -> int:
+    """A degree: a non-negative int in ASCII digits, above HARD_DEGREE_CAP
+    taken as the cap with a warning.  It reads --degree and
+    QSYMX_MAX_DEGREE."""
     try:
         value = _ascii_int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError("invalid int value: %r" % (text,)) from None
+        raise ValueError("invalid int value: %r" % (text,)) from None
     if value < 0:
-        raise argparse.ArgumentTypeError("--degree must be non-negative")
-    return value
-
-
-def _capped_degree(requested: int) -> int:
-    if requested > HARD_DEGREE_CAP:
+        raise ValueError("--degree must be non-negative")
+    if value > HARD_DEGREE_CAP:
         print(
             "warning: degree %d exceeds the hard cap %d "
             "(tables grow like 2^(n-1)); using %d"
-            % (requested, HARD_DEGREE_CAP, HARD_DEGREE_CAP),
+            % (value, HARD_DEGREE_CAP, HARD_DEGREE_CAP),
             file=sys.stderr,
         )
         return HARD_DEGREE_CAP
-    return requested
+    return value
 
 
 def _default_degree() -> int:
@@ -79,27 +84,24 @@ def _default_degree() -> int:
     if raw is None:
         return DEFAULT_MAX_DEGREE
     try:
-        value = _ascii_int(raw)
+        return _degree(raw)
     except ValueError:
-        value = -1
-    if value < 0:
         print(
             "warning: ignoring QSYMX_MAX_DEGREE=%r, which is not a "
             "non-negative integer" % (raw,),
             file=sys.stderr,
         )
         return DEFAULT_MAX_DEGREE
-    return _capped_degree(value)
 
 
-def _print_element(x, as_json: bool):
-    if as_json:
-        print(json.dumps(element_to_json(x)))
-    else:
-        print(format_element(x))
+def _print_element(x, as_json: bool) -> int:
+    print(json.dumps(element_to_json(x)) if as_json else format_element(x))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
+    comp, perm, char, degree = map(
+        _arg_type, (parse_composition, parse_permutation, _char_id, _degree))
     parser = argparse.ArgumentParser(
         prog="qsymx",
         description="Exact computations with quasi-symmetric functions, "
@@ -108,86 +110,70 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_eval = sub.add_parser("eval", help="evaluate a character on a basis element")
-    p_eval.add_argument("--char", required=True, help="character id (%s)" % _CHAR_CHOICES)
-    p_eval.add_argument("--basis", choices=("M", "F"), default="M")
+    p_eval.add_argument("--char", type=char, required=True,
+                        help="character id (%s)" % _CHAR_CHOICES)
     group = p_eval.add_mutually_exclusive_group(required=True)
-    group.add_argument("--comp", help='composition, e.g. "2,1,3" or "()"')
-    group.add_argument("--perm", help='permutation word, e.g. "312546"')
+    group.add_argument("--comp", type=comp, help='composition, e.g. "2,1,3" or "()"')
+    group.add_argument("--perm", type=perm, help='permutation word, e.g. "312546"')
 
     p_mul = sub.add_parser("mul", help="product of two basis elements")
-    p_mul.add_argument("--basis", choices=("M", "F"), default="M")
-    p_mul.add_argument("--left", required=True)
-    p_mul.add_argument("--right", required=True)
+    p_mul.add_argument("--left", type=comp, required=True)
+    p_mul.add_argument("--right", type=comp, required=True)
 
-    p_cop = sub.add_parser("coproduct", help="coproduct of a basis element")
-    p_cop.add_argument("--basis", choices=("M", "F"), default="M")
-    p_cop.add_argument("--comp", required=True)
-
-    p_anti = sub.add_parser("antipode", help="antipode of a basis element")
-    p_anti.add_argument("--basis", choices=("M", "F"), default="M")
-    p_anti.add_argument("--comp", required=True)
-
+    sub.add_parser("coproduct", help="coproduct of a basis element")
+    sub.add_parser("antipode", help="antipode of a basis element")
     p_conv = sub.add_parser("convert", help="change of basis for a basis element")
     p_conv.add_argument("--to", dest="target", choices=("M", "F"), required=True)
-    p_conv.add_argument("--basis", choices=("M", "F"), default="M", help="input basis")
-    p_conv.add_argument("--comp", required=True)
 
     p_dec = sub.add_parser(
         "decompose",
         help="even/odd decomposition tables, checked against the closed forms",
     )
-    p_dec.add_argument("--degree", type=_degree_arg, default=None)
+    p_dec.add_argument("--degree", type=degree, default=None)
     p_dec.add_argument(
         "--char", choices=("zeta", "zeta-inv"), default="zeta",
         help="character to decompose (closed forms exist for both)",
     )
 
     p_tab = sub.add_parser("table", help="all values of a character in one degree")
-    p_tab.add_argument("--char", required=True)
-    p_tab.add_argument("--basis", choices=("M", "F"), default="M")
-    p_tab.add_argument("--degree", type=_degree_arg, required=True)
+    p_tab.add_argument("--char", type=char, required=True)
+    p_tab.add_argument("--degree", type=degree, required=True)
 
     p_ver = sub.add_parser("verify", help="run identity checks")
     group = p_ver.add_mutually_exclusive_group(required=True)
-    group.add_argument("--id", dest="check_id", help="registry id")
+    group.add_argument("--id", dest="check_id", choices=identities.registry_ids(),
+                       metavar="CHECK_ID", help="registry id")
     group.add_argument("--all", action="store_true")
     p_ver.add_argument("--depth", choices=identities.DEPTHS, default="standard")
 
-    # the last argument of every command
-    for command in sub.choices.values():
+    # the basis of the commands that read one, the one composition of the
+    # element commands, and last --json for every command
+    for name, command in sub.choices.items():
+        if name not in ("decompose", "verify"):
+            command.add_argument("--basis", choices=("M", "F"), default="M")
+        if name in ("coproduct", "antipode", "convert"):
+            command.add_argument("--comp", type=comp, required=True)
         command.add_argument("--json", action="store_true")
     return parser
 
 
-def _cmd_eval(parser, args) -> int:
-    char_id = _parse_char(parser, args.char)
+def _cmd_eval(args) -> int:
     if args.perm is not None:
-        try:
-            sigma = parse_permutation(args.perm)
-        except ValueError as exc:
-            parser.error(str(exc))
-        value = characters.eval_perm(char_id, sigma)
+        value = characters.eval_perm(args.char, args.perm)
     else:
-        alpha = _parse_comp(parser, args.comp)
         evaluate = characters.eval_M if args.basis == "M" else characters.eval_F
-        value = evaluate(char_id, alpha)
-    if args.json:
-        print(json.dumps({"value": str(value)}))
-    else:
-        print(value)
+        value = evaluate(args.char, args.comp)
+    print(json.dumps({"value": str(value)}) if args.json else value)
     return 0
 
 
-def _cmd_mul(parser, args) -> int:
-    left = qsym_basis(args.basis, _parse_comp(parser, args.left))
-    right = qsym_basis(args.basis, _parse_comp(parser, args.right))
-    _print_element(multiply(left, right), args.json)
-    return 0
+def _cmd_mul(args) -> int:
+    left, right = qsym_basis(args.basis, args.left), qsym_basis(args.basis, args.right)
+    return _print_element(multiply(left, right), args.json)
 
 
-def _cmd_coproduct(parser, args) -> int:
-    x = qsym_basis(args.basis, _parse_comp(parser, args.comp))
-    tensor = coproduct(x)
+def _cmd_coproduct(args) -> int:
+    tensor = coproduct(qsym_basis(args.basis, args.comp))
     if args.json:
         terms = [
             {"left": list(l), "right": list(r), "coeff": str(c)}
@@ -199,17 +185,13 @@ def _cmd_coproduct(parser, args) -> int:
     return 0
 
 
-def _cmd_antipode(parser, args) -> int:
-    x = qsym_basis(args.basis, _parse_comp(parser, args.comp))
-    _print_element(antipode(x), args.json)
-    return 0
+def _cmd_antipode(args) -> int:
+    return _print_element(antipode(qsym_basis(args.basis, args.comp)), args.json)
 
 
-def _cmd_convert(parser, args) -> int:
-    x = qsym_basis(args.basis, _parse_comp(parser, args.comp))
-    result = to_M(x) if args.target == "M" else to_F(x)
-    _print_element(result, args.json)
-    return 0
+def _cmd_convert(args) -> int:
+    convert = to_M if args.target == "M" else to_F
+    return _print_element(convert(qsym_basis(args.basis, args.comp)), args.json)
 
 
 def _value_texts(row, d: int) -> dict:
@@ -311,9 +293,8 @@ def _text_tail(p, m, pc, mc):
     return "  plus=%-10s minus=%-10s%s\n" % (p, m, flag)
 
 
-def _cmd_decompose(parser, args) -> int:
+def _cmd_decompose(args) -> int:
     degree = args.degree if args.degree is not None else _default_degree()
-    degree = _capped_degree(degree)
     plus, minus = characters.decompose(characters.restrict(args.char, degree))
     closed_plus = characters.restrict(args.char + "-plus", degree)
     closed_minus = characters.restrict(args.char + "-minus", degree)
@@ -353,10 +334,9 @@ def _cmd_decompose(parser, args) -> int:
     return 1 if mismatches else 0
 
 
-def _cmd_table(parser, args) -> int:
-    char_id = _parse_char(parser, args.char)
-    degree = _capped_degree(args.degree)
-    phi = characters.restrict(char_id, degree)
+def _cmd_table(args) -> int:
+    degree = args.degree
+    phi = characters.restrict(args.char, degree)
     row, d = phi.numerators[degree], phi.denominators[degree]
     if args.basis == "F":
         # phi(F_alpha) sums phi(M_beta) over the refinements beta of alpha,
@@ -367,7 +347,7 @@ def _cmd_table(parser, args) -> int:
         pass
     if args.json:
         sys.stdout.write('{"char": %s, "basis": "%s", "degree": %d, "values": ['
-                         % (json.dumps(char_id), args.basis, degree))
+                         % (json.dumps(args.char), args.basis, degree))
         # the first entry is led by no separator
         prefixes[0] = prefixes[0].removeprefix(", ")
         tail = ', "value": "%s"}'
@@ -381,19 +361,10 @@ def _cmd_table(parser, args) -> int:
 
 
 def _report_json(report: identities.CheckReport) -> dict:
-    payload = {
-        "id": report.id,
-        "domain": report.domain,
-        "cases": report.cases,
-        "status": report.status,
-    }
-    if report.counterexample is not None:
-        ce = report.counterexample
-        payload["counterexample"] = {
-            "params": ce.params,
-            "left": str(ce.left),
-            "right": str(ce.right),
-        }
+    payload = report._asdict()
+    ce = payload.pop("counterexample")
+    if ce is not None:
+        payload["counterexample"] = dict(ce._asdict(), left=str(ce.left), right=str(ce.right))
     return payload
 
 
@@ -412,17 +383,11 @@ def _print_report(report: identities.CheckReport):
         print("    right = %s" % ce.right)
 
 
-def _cmd_verify(parser, args) -> int:
+def _cmd_verify(args) -> int:
     if args.all:
         reports = identities.verify_all(args.depth)
     else:
-        try:
-            reports = [identities.verify(args.check_id, args.depth)]
-        except KeyError:
-            parser.error(
-                "unknown identity id %r (known: %s)"
-                % (args.check_id, ", ".join(identities.registry_ids()))
-            )
+        reports = [identities.verify(args.check_id, args.depth)]
     if args.json:
         print(json.dumps([_report_json(r) for r in reports]))
     else:
@@ -446,10 +411,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        code = _COMMANDS[args.command](parser, args)
+        code = _COMMANDS[args.command](args)
         # a closed reader shows up here, not in the flush at exit
         sys.stdout.flush()
         return code

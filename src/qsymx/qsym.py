@@ -127,14 +127,11 @@ def _basis_change(x: QSymElement, target: str, sign: int) -> QSymElement:
     n = _row_weight(x, True)
     if n:
         return _by_row(target, x.terms(), n, False, sign)
-    if sign > 0:
-        terms = ((beta, c) for alpha, c in x.terms() for beta in refinements(alpha))
-    else:
-        terms = (
-            (beta, -c if (len(beta) - len(alpha)) % 2 else c)
-            for alpha, c in x.terms()
-            for beta in refinements(alpha)
-        )
+    terms = (
+        (beta, -c if sign < 0 and (len(beta) - len(alpha)) % 2 else c)
+        for alpha, c in x.terms()
+        for beta in refinements(alpha)
+    )
     return QSymElement.from_terms(target, terms)
 
 

@@ -32,7 +32,7 @@ def test_every_cache_has_a_finite_maxsize():
     cached = _cached_functions()
     names = sorted(name.rpartition(".")[2] for name, _ in cached)
     assert names == sorted([
-        "_parse_id", "_bivariate_catalan", "_falling_binomial", "_integral",
+        "_bivariate_catalan", "_falling_binomial", "_integral",
         "_mask_table", "_product_F", "_product_M", "_shared_key",
     ]), names
     for name, fn in cached:

@@ -272,7 +272,7 @@ def test_chunks_hold_at_most_chunk_pieces_and_one_entry(monkeypatch):
     for chunk in CHUNKS:
         monkeypatch.setattr(cli, "_CHUNK", chunk)
         writes.clear()
-        assert cli._cmd_table(None, argparse.Namespace(
+        assert cli._cmd_table(argparse.Namespace(
             char="zeta", basis="M", degree=9, json=False)) == 0
         per_write = max(chunk // 3, 1)
         assert len(writes) == -(-256 // per_write), chunk
@@ -417,6 +417,34 @@ def test_usage_errors_exit_2_with_no_stdout(capsys):
         assert "cannot parse permutation %r" % text in err
     code, out, _ = run_usage_error(capsys, "nonsense")
     assert code == 2 and out == ""
+
+
+# a bad value of every input flag of every command, after the other required
+# arguments of its command, and the start of the reader's message for it
+BAD_INPUTS = [
+    (("eval", "--comp", "1"), "--char", "nope", "unknown character id 'nope'"),
+    (("eval", "--char", "zeta"), "--comp", "x", "cannot parse composition 'x'"),
+    (("eval", "--char", "zeta"), "--comp", "0,2", "composition parts must be positive"),
+    (("eval", "--char", "zeta"), "--perm", "x", "cannot parse permutation 'x'"),
+    (("mul", "--left", "1"), "--right", "x", "cannot parse composition 'x'"),
+    (("mul", "--right", "1"), "--left", "x", "cannot parse composition 'x'"),
+    (("coproduct",), "--comp", "x", "cannot parse composition 'x'"),
+    (("antipode",), "--comp", "x", "cannot parse composition 'x'"),
+    (("convert", "--to", "M"), "--comp", "x", "cannot parse composition 'x'"),
+    (("table", "--degree", "2"), "--char", "nope", "unknown character id 'nope'"),
+    (("table", "--degree", "2"), "--char", "zeta-pow:x", "unknown character id 'zeta-pow:x'"),
+    (("table", "--char", "zeta"), "--degree", "x", "invalid int value: 'x'"),
+    (("decompose",), "--degree", "x", "invalid int value: 'x'"),
+    (("verify",), "--id", "nope", "invalid choice: 'nope'"),
+]
+
+
+@pytest.mark.parametrize("given, flag, bad, message", BAD_INPUTS,
+                         ids=["%s %s %s" % (g[0], f, b) for g, f, b, _ in BAD_INPUTS])
+def test_a_bad_input_is_a_usage_error_of_its_command_and_flag(capsys, given, flag, bad, message):
+    code, out, err = run_usage_error(capsys, *given, flag, bad)
+    assert (code, out) == (2, "")
+    assert "qsymx %s: error: argument %s: %s" % (given[0], flag, message) in err
 
 
 def test_python_m_qsymx_runs_the_cli(capsys, monkeypatch):
